@@ -3,14 +3,15 @@ zeros of the first solution component.
 
 Search strategy per index n: seed at the closed-form asymptote, scan a
 window of half-width 0.45 (eigenvalues sit asymptotically 1 apart, so the
-window isolates one root), demand exactly one sign change, then bisect.
-All n are advanced together so every bisection step costs one batched
-characteristic-function evaluation.
+window isolates one root), demand exactly one sign change, then shrink the
+bracket with a safeguarded Illinois (modified regula falsi) update.
+All n are advanced together so every update costs one batched
+characteristic-function evaluation, over the brackets still open.
 
-Nodes are grid sign changes of phi1 refined by bisection; each refinement
-query re-integrates the last grid cell with a short fixed-step RK4 whose
-memory forcing is interpolated from the stored Volterra samples, so the
-kernel is never re-evaluated during refinement.
+Nodes are grid sign changes of phi1 refined by the same bracketed update;
+each refinement query re-integrates the last grid cell with a short
+fixed-step RK4 whose memory forcing is interpolated from the stored
+Volterra samples, so the kernel is never re-evaluated during refinement.
 """
 
 import math
@@ -97,14 +98,70 @@ class NodalData:
 
 
 # ---------------------------------------------------------------------------
+# bracketed roots
+
+
+def _bracketed_roots(f, a, b, fa, fb, width):
+    """Shrink sign-change brackets [a, b] to at most width (or two float
+    spacings, if that is wider) by a vectorized Illinois (modified regula
+    falsi) update; f(x, idx) evaluates the brackets numbered idx, and only
+    those still open are evaluated.
+
+    When the same end moves twice in a row, the value kept at the other end
+    is halved.  Steps stay min(width/2, (b - a)/4) inside both ends, so a
+    converged iterate is followed by one just past the root that closes the
+    far end; after two updates in a row that fail to halve a bracket, one
+    midpoint step bounds the worst case.  Returns (a, b, root, f(root)), the
+    root being the end of the final bracket with the smaller true |f|.
+    """
+    ends = np.array([a, b], dtype=float)
+    fend = np.array([fa, fb], dtype=float)  # true values at the ends
+    for j in (0, 1):
+        ends[:, fend[j] == 0] = ends[j, fend[j] == 0]
+    g = fend.copy()  # end values with the Illinois halving
+    moved = np.full(ends.shape[1], -1)  # the end that moved last
+    slow = np.zeros(ends.shape[1], dtype=int)  # updates in a row not halving
+    while True:
+        floor = 2.0 * np.spacing(np.max(np.abs(ends), axis=0))
+        idx = np.flatnonzero(ends[1] - ends[0] > np.maximum(width, floor))
+        if idx.size == 0:
+            break
+        (A, B), (gA, gB), w = ends[:, idx], g[:, idx], ends[1, idx] - ends[0, idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = B - gB * w / (gB - gA)
+        gap = np.minimum(0.5 * width, 0.25 * w)
+        halve = slow[idx] >= 2
+        x = np.where(halve, A + 0.5 * w, np.fmax(np.fmin(x, B - gap), A + gap))
+        fx = np.asarray(f(x, idx), dtype=float)
+        j = np.where((fx > 0) == (fend[0, idx] > 0), 0, 1)  # the end x replaces
+        g[1 - j, idx] *= np.where(moved[idx] == j, 0.5, 1.0)
+        ends[j, idx], fend[j, idx], g[j, idx], moved[idx] = x, fx, fx, j
+        ends[:, idx[fx == 0]] = x[fx == 0]
+        fend[:, idx[fx == 0]] = 0.0
+        slow[idx] = np.where(halve | (ends[1, idx] - ends[0, idx] <= 0.5 * w), 0, slow[idx] + 1)
+    use_b = np.abs(fend[1]) < np.abs(fend[0])
+    return ends[0], ends[1], np.where(use_b, ends[1], ends[0]), np.where(use_b, fend[1], fend[0])
+
+
+# ---------------------------------------------------------------------------
 # eigenvalues
 
 
-def _scan_and_bisect(problem, ns, tol, points, guard):
-    """Shared engine: per-n window scan, sign-change audit, joint bisection.
+def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
+    """Shared engine: argument checks, per-n window scan, sign-change audit,
+    joint bracketed refinement to width tol/4.
 
-    Returns (found: dict n -> (lam, residual, bracket), failures: dict).
+    Returns (found: dict n -> (lam, residual, bracket), failures: dict, n_steps).
     """
+    ensure_valid(problem)
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    if n_lo < n_min:
+        raise ValueError(f"eigenvalue indexing starts at n = {n_min} (got {n_lo})")
+    if n_hi < n_lo:
+        raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    ns = list(range(n_lo, n_hi + 1))
     ints = derived_integrals(problem)
     consts = asymptotic_constants(problem, integrals=ints)
     seeds = np.array([lambda_asym(problem, n, constants=consts) for n in ns])
@@ -119,7 +176,7 @@ def _scan_and_bisect(problem, ns, tol, points, guard):
     )
 
     failures = {}
-    lo, hi, flo, keep = [], [], [], []
+    keep = []  # (row, cell) of every window with exactly one sign change
     for k, n in enumerate(ns):
         v = vals[k]
         sign = np.where(v >= 0, 1.0, -1.0)
@@ -143,31 +200,21 @@ def _scan_and_bisect(problem, ns, tol, points, guard):
                 f"candidate roots {', '.join(f'{c:.6g}' for c in cands)}"
             )
             continue
-        c = int(cells[0])
-        lo.append(seeds[k] + offsets[c])
-        hi.append(seeds[k] + offsets[c + 1])
-        flo.append(v[c])
-        keep.append(n)
+        keep.append((k, int(cells[0])))
 
     found = {}
     if keep:
-        lo = np.array(lo)
-        hi = np.array(hi)
-        flo = np.array(flo)
-        width0 = float(np.max(hi - lo))
-        iters = max(1, int(math.ceil(math.log2(width0 / (tol / 4.0)))))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            fmid = char_fn_normalized(problem, mid, points=n_steps, validated=True)
-            go_right = flo * fmid > 0
-            lo = np.where(go_right, mid, lo)
-            flo = np.where(go_right, fmid, flo)
-            hi = np.where(go_right, hi, mid)
-        root = 0.5 * (lo + hi)
-        fres = char_fn_normalized(problem, root, points=n_steps, validated=True)
-        for k, n in enumerate(keep):
+        rows, c = np.array(keep).T
+        lo, hi, root, froot = _bracketed_roots(
+            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps, validated=True),
+            seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
+            vals[rows, c], vals[rows, c + 1], tol / 4.0,
+        )
+        for k, row in enumerate(rows):
             scale = max(1.0, root[k] * root[k])
-            found[n] = (float(root[k]), abs(float(fres[k])) * scale, (float(lo[k]), float(hi[k])))
+            found[ns[row]] = (
+                float(root[k]), abs(float(froot[k])) * scale, (float(lo[k]), float(hi[k]))
+            )
     return found, failures, n_steps
 
 
@@ -175,23 +222,14 @@ def compute_spectrum(problem, n_range, tol=1e-9, points=None, guard=DEFAULT_GUAR
                      n_min=DEFAULT_N_MIN):
     """Eigenvalues for every n in the inclusive range; any per-n search
     failure is raised immediately (use nodal_data for collect-and-continue)."""
-    ensure_valid(problem)
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo < n_min:
-        raise ValueError(f"eigenvalue indexing starts at n = {n_min} (got {n_lo})")
-    if n_hi < n_lo:
-        raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ns = list(range(n_lo, n_hi + 1))
-    found, failures, _ = _scan_and_bisect(problem, ns, tol, points, guard)
+    found, failures, _ = _scan_and_refine(problem, n_range, tol, points, guard, n_min)
     if failures:
         raise failures[min(failures)]
     offset = (problem.bc.beta - problem.bc.theta) / math.pi
     return Spectrum(
-        entries={n: found[n][0] for n in ns},
-        residuals={n: found[n][1] for n in ns},
-        brackets={n: found[n][2] for n in ns},
+        entries={n: lam for n, (lam, _, _) in found.items()},
+        residuals={n: res for n, (_, res, _) in found.items()},
+        brackets={n: bracket for n, (_, _, bracket) in found.items()},
         offset=offset,
     )
 
@@ -208,65 +246,42 @@ def find_eigenvalue(problem, n, tol=1e-9, points=None, guard=DEFAULT_GUARD,
 
 
 def _refine_nodes(problem, sol, cols, cells):
-    """Bisection refinement of phi1 zeros inside grid cells, re-integrating
-    the cell with RK4 substeps and linearly interpolated memory forcing.
+    """Bracketed refinement of phi1 zeros inside grid cells to NODE_TOL,
+    re-integrating the cell with RK4 substeps and linearly interpolated
+    memory forcing.
 
     cols, cells: parallel int arrays naming (lambda column, left node index).
     Returns refined positions, same length.
     """
-    x = sol.grid
     h = sol.step
     V = problem.coeffs.V
     m = problem.coeffs.m
     lam = sol.lam[cols]
-    xL = x[cells]
+    xL = sol.grid[cells]
     YL = sol.Y[:, cells, cols]
     ML = sol.M[:, cells, cols]
     MR = sol.M[:, cells + 1, cols]
-    f_left = sol.Y[0, cells, cols]
 
-    def phi1_at(xq):
-        """phi1(xq) by 4 RK4 substeps from the cell's left node."""
-        steps = 4
-        hq = (xq - xL) / steps
-        y = YL.copy()
-        t = xL.copy()
-        for _ in range(steps):
-            tm = t + 0.5 * hq
-            t1 = t + hq
-            y = _rk4_cell(y, t, tm, t1, hq, lam, V, m, ML, MR, xL, h)
-            t = t1
+    def phi1_at(xq, idx):
+        """phi1(xq) by 4 RK4 substeps from the left node of cells[idx]."""
+        x0, lam_i, ML_i, MR_i = xL[idx], lam[idx], ML[:, idx], MR[:, idx]
+
+        def deriv(t, y):
+            v = np.asarray(V(t), dtype=float)
+            M = ML_i + (MR_i - ML_i) * ((t - x0) / h)
+            return np.stack([((v - m) - lam_i) * y[1] + M[1], (lam_i - (v + m)) * y[0] - M[0]])
+
+        hq = (xq - x0) / 4
+        y, t = YL[:, idx], x0
+        for _ in range(4):
+            k1 = deriv(t, y)
+            k2 = deriv(t + 0.5 * hq, y + 0.5 * hq * k1)
+            k3 = deriv(t + 0.5 * hq, y + 0.5 * hq * k2)
+            k4 = deriv(t + hq, y + hq * k3)
+            y, t = y + (hq / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + hq
         return y[0]
 
-    a = xL.copy()
-    b = xL + h
-    fa = f_left.copy()
-    iters = max(1, int(math.ceil(math.log2(h / NODE_TOL))))
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = phi1_at(mid)
-        go_right = fa * fm > 0
-        a = np.where(go_right, mid, a)
-        fa = np.where(go_right, fm, fa)
-        b = np.where(go_right, b, mid)
-    return 0.5 * (a + b)
-
-
-def _rk4_cell(y, t0, tm, t1, hq, lam, V, m, ML, MR, xL, h):
-    def deriv(tt, yy):
-        v = np.asarray(V(tt), dtype=float)
-        u = (v - m) - lam
-        w = lam - (v + m)
-        frac = (tt - xL) / h
-        M1 = ML[0] + (MR[0] - ML[0]) * frac
-        M2 = ML[1] + (MR[1] - ML[1]) * frac
-        return np.stack([u * yy[1] + M2, w * yy[0] - M1])
-
-    k1 = deriv(t0, y)
-    k2 = deriv(tm, y + 0.5 * hq * k1)
-    k3 = deriv(tm, y + 0.5 * hq * k2)
-    k4 = deriv(t1, y + hq * k3)
-    return y + (hq / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _bracketed_roots(phi1_at, xL, xL + h, YL[0], phi1_at(xL + h, slice(None)), NODE_TOL)[2]
 
 
 def _nodes_from_solution(problem, sol):
@@ -320,14 +335,7 @@ def nodal_data(problem, n_range, tol=1e-9, points=None, guard=DEFAULT_GUARD,
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    ensure_valid(problem)
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo < n_min:
-        raise ValueError(f"eigenvalue indexing starts at n = {n_min} (got {n_lo})")
-    if n_hi < n_lo:
-        raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    ns = list(range(n_lo, n_hi + 1))
-    found, failures, n_steps = _scan_and_bisect(problem, ns, tol, points, guard)
+    found, failures, n_steps = _scan_and_refine(problem, n_range, tol, points, guard, n_min)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
     if found:
