@@ -73,8 +73,12 @@ class RunConfig:
             raise ConfigError(f"n-min must be >= 5, got {self.n_min}")
         if self.n_max < self.n_min:
             raise ConfigError(f"n-max must be >= n-min, got {self.n_max} < {self.n_min}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
+        if not all(math.isfinite(lam) for lam in self.lam):
+            raise ConfigError(f"lam must be finite, got {' '.join(map(str, self.lam))}")
+        if self.known_m is not None and not math.isfinite(self.known_m):
+            raise ConfigError(f"known-m must be finite, got {self.known_m}")
         if self.grid_points < 16:
             raise ConfigError(f"grid-points must be >= 16, got {self.grid_points}")
         if self.mode not in ("numeric", "synthetic"):

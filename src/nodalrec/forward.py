@@ -14,10 +14,14 @@ built in through the initial value
 which annihilates the x = 0 boundary form identically in lambda.
 
 Stepper: classical 4th-order Runge-Kutta on a uniform grid, batched over a
-vector of lambda values.  The memory term is a composite trapezoid over the
-already-computed nodes plus a trapezoid strip over the current step with
-the stage value extrapolated; this costs O(N) per trajectory for kernels
-declared separable (running accumulators) and O(N^2) otherwise.  A kernel
+vector of lambda values.  The memory term is carried by ODE states: for a
+degenerate kernel chi_{row,col}(x, t) = sum_s a_s(x) b_s(t) the integrals
+W_s(x) = int_0^x b_s(t) y_col(t) dt obey W_s' = b_s(x) y_col(x), and
+I_row = sum_s a_s W_s, so the whole problem is one linear system on the
+augmented state (y1, y2, W_1..W_S) (AugmentedSystem), O(N) per trajectory.
+Separable terms are used as declared; general entries are interpolated in
+t by Chebyshev polynomials first (a degenerate-kernel approximation whose
+degree is checked against the kernel, or the entry is refused).  A kernel
 that is structurally zero collapses each step to a closed-form 2x2
 propagator, algebraically identical to the RK4 update; endpoint-only
 evaluations then reduce the propagator chain by pairwise products, which
@@ -32,12 +36,12 @@ trajectory error near 1e-8 at moderate lambda, comfortably inside the
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MagnitudeError, ResolutionError
-from .problem import GeneralKernel, SeparableKernel, ZeroKernel, ensure_valid
+from .errors import InvalidProblemError, MagnitudeError, ResolutionError
+from .problem import SeparableKernel, ZeroKernel, ensure_valid
 
 DEFAULT_MIN_POINTS = 768
 GUARD_LIMIT = 0.2
@@ -84,19 +88,12 @@ def initial_state(bc, lam):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution pair for one lambda on the uniform grid over [0, pi].
-
-    memory1/memory2 are the Volterra forcing samples I1(x_k), I2(x_k); they
-    ride along so nodal refinement can re-integrate locally without touching
-    the kernel again.
-    """
+    """Sampled solution pair for one lambda on the uniform grid over [0, pi]."""
 
     lam: float
     grid: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
-    memory1: np.ndarray = None
-    memory2: np.ndarray = None
 
     @property
     def step(self):
@@ -116,14 +113,17 @@ class Trajectory:
 class BatchSolution:
     """Trajectories for a batch of lambda values on a shared grid.
 
-    Y has shape (2, N+1, B); M holds the memory forcing (I1, I2) at the
-    nodes, same shape (zero for kernel-free problems).
+    Z has shape (2 + S, N+1, B): the solution pair and the S memory states
+    of AugmentedSystem (S = 0 for kernel-free problems).  Y = Z[:2].
     """
 
     lam: np.ndarray
     grid: np.ndarray
-    Y: np.ndarray
-    M: np.ndarray
+    Z: np.ndarray
+
+    @property
+    def Y(self):
+        return self.Z[:2]
 
     @property
     def step(self):
@@ -135,50 +135,173 @@ class BatchSolution:
             grid=self.grid,
             phi1=self.Y[0, :, b].copy(),
             phi2=self.Y[1, :, b].copy(),
-            memory1=self.M[0, :, b].copy(),
-            memory2=self.M[1, :, b].copy(),
         )
 
 
-def _coefficient_tables(problem, n_steps):
+# ---------------------------------------------------------------------------
+# the augmented linear system
+
+CHEB_SIZES = (8, 16, 32, 64)
+CHEB_TOL = 1e-10
+
+# fixed sample of the triangle 0 <= t <= x <= pi on which the Chebyshev
+# interpolant of a general kernel entry is checked
+_SAMPLE_X = np.linspace(0.0, math.pi, 33)
+_SAMPLE_T = _SAMPLE_X[:, None] * np.linspace(0.0, 1.0, 33)
+
+
+def _values(fn, *args):
+    """fn(*args) as a float array of the arguments' broadcast shape."""
+    return np.broadcast_to(np.asarray(fn(*args), dtype=float), np.broadcast(*args).shape)
+
+
+def _chebyshev(K):
+    """Chebyshev nodes of the first kind on (0, pi), and the matrix taking
+    samples at them to the coefficients of T_0..T_{K-1}(2t/pi - 1)."""
+    angles = math.pi * (np.arange(K) + 0.5) / K
+    to_coeffs = (2.0 / K) * np.cos(np.outer(np.arange(K), angles))
+    to_coeffs[0] *= 0.5
+    return 0.5 * math.pi * (1.0 + np.cos(angles)), to_coeffs
+
+
+def _chebyshev_T(K, t):
+    """T_0..T_{K-1}(2t/pi - 1); shape t.shape + (K,)."""
+    s = np.clip(2.0 * np.asarray(t, dtype=float) / math.pi - 1.0, -1.0, 1.0)
+    return np.cos(np.arccos(s)[..., None] * np.arange(K))
+
+
+def _chebyshev_size(name, kernel):
+    """Smallest K in CHEB_SIZES whose interpolant in t reproduces the kernel
+    within CHEB_TOL * max(1, max|chi|) on the sampled triangle.  The nodes
+    cover all of (0, pi), so the kernel must also be finite where t > x."""
+    hint = f"; give {name} as chi_separable terms"
+    x = _SAMPLE_X[:, None]
+    with np.errstate(all="ignore"):
+        exact = _values(kernel.eval, x, _SAMPLE_T)
+        bound = CHEB_TOL * max(1.0, float(np.max(np.abs(exact))))
+        for K in CHEB_SIZES:
+            nodes, to_coeffs = _chebyshev(K)
+            vals = _values(kernel.eval, x, nodes)
+            for t, v in ((_SAMPLE_T, exact), (np.broadcast_to(nodes, vals.shape), vals)):
+                if not np.isfinite(v).all():
+                    i, j = np.argwhere(~np.isfinite(v))[0]
+                    raise InvalidProblemError(
+                        f"{name} is not finite at (x, t) = ({_SAMPLE_X[i]:.4g}, {t[i, j]:.4g}); "
+                        f"its interpolation in t needs chi(x, t) for all t in [0, pi]{hint}")
+            interp = np.einsum("ijk,ik->ij", _chebyshev_T(K, _SAMPLE_T), vals @ to_coeffs.T)
+            miss = float(np.max(np.abs(interp - exact)))
+            if miss <= bound:
+                return K
+    raise InvalidProblemError(
+        f"{name}: its Chebyshev interpolant in t misses the kernel by {miss:.2g} > {bound:.2g} "
+        f"on the triangle t <= x at K = {CHEB_SIZES[-1]}{hint}")
+
+
+class AugmentedSystem:
+    """The linear system Z' = (F(x) + lambda J) Z on Z = (y1, y2, W_1..W_S).
+
+    Memory state s has a column c_s and a weight b_s: W_s' = b_s(x) y_{c_s},
+    and the memory term is I(x) = A(x) W with a 2 x S coefficient table A.
+    A separable term a(x) b(t) of chi_{row,col} is one state (col, b) with
+    A[row, s] = a.  The general entries of a column share K Chebyshev states
+    (col, T_k(2t/pi - 1)); their A coefficients come from chi(x, t_j) at the
+    K Chebyshev nodes (a degenerate-kernel approximation), with K from
+    _chebyshev_size.
+    """
+
+    def __init__(self, problem):
+        self.V, self.m = problem.coeffs.V, problem.coeffs.m
+        self.cols = []
+        self._weights = []  # (first state, last state + 1, b(x) -> x.shape + (k,))
+        self._couplings = []  # (row, first state, last state + 1, a(x) -> x.shape + (k,))
+        general = {}
+        for row, col, k in problem.coeffs.chi.entries:
+            if isinstance(k, SeparableKernel):
+                for a, b in k.terms:
+                    self._add(col - 1, 1, lambda x, b=b: _values(b, x)[..., None],
+                              [(row - 1, lambda x, a=a: _values(a, x)[..., None])])
+            elif not isinstance(k, ZeroKernel):
+                general.setdefault(col - 1, []).append((row - 1, f"chi{row}{col}", k))
+        for col, items in general.items():
+            K = max(_chebyshev_size(name, k) for _, name, k in items)
+            nodes, to_coeffs = _chebyshev(K)
+            self._add(col, K, lambda x, K=K: _chebyshev_T(K, x), [
+                (row, lambda x, k=k, nodes=nodes, to_coeffs=to_coeffs:
+                    _values(k.eval, x[..., None], nodes) @ to_coeffs.T)
+                for row, _, k in items
+            ])
+        self.cols = np.array(self.cols, dtype=int)
+        self.size = 2 + self.cols.size
+
+    def _add(self, col, k, weight, couplings):
+        lo, hi = len(self.cols), len(self.cols) + k
+        self.cols.extend([col] * k)
+        self._weights.append((lo, hi, weight))
+        self._couplings.extend((row, lo, hi, a) for row, a in couplings)
+
+    def coefficients(self, x):
+        """(F, b) at the points x: the y-rows of F, shape x.shape + (2, 2 + S),
+        and the weights b_s, shape x.shape + (S, 1)."""
+        x = np.asarray(x, dtype=float)
+        F = np.zeros(x.shape + (2, self.size))
+        v = _values(self.V, x)
+        F[..., 0, 1] = v - self.m
+        F[..., 1, 0] = -(v + self.m)
+        b = np.empty(x.shape + (self.cols.size, 1))
+        for lo, hi, weight in self._weights:
+            b[..., lo:hi, 0] = weight(x)
+        for row, lo, hi, a in self._couplings:
+            # I1 enters y2' with a minus sign, I2 enters y1' with a plus sign
+            F[..., 1 - row, 2 + lo : 2 + hi] += (2 * row - 1) * a(x)
+        return F, b
+
+    def _deriv(self, z, lamJ, F, b):
+        dz = np.empty_like(z)
+        dz[..., :2, :] = F @ z + lamJ * z[..., 1::-1, :]
+        dz[..., 2:, :] = b * z[..., self.cols, :]
+        return dz
+
+    def step(self, z, lamJ, h, c0, cm, c1):
+        """One classical RK4 step of length h from z; c0, cm, c1 are the
+        coefficients() at the step's start, midpoint and end, and lamJ is
+        (-lambda, lambda) stacked on the axis of y1, y2.
+
+        Shapes: z (..., 2 + S, B), broadcasting against the coefficients'
+        leading axes, so the grid loop steps one (2 + S, B) batch and node
+        refinement steps one (2 + S, 1) state per query.
+        """
+        k1 = self._deriv(z, lamJ, *c0)
+        k2 = self._deriv(z + (0.5 * h) * k1, lamJ, *cm)
+        k3 = self._deriv(z + (0.5 * h) * k2, lamJ, *cm)
+        k4 = self._deriv(z + h * k3, lamJ, *c1)
+        return z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _grid_tables(system, n_steps):
+    """Grid, step, and the system's coefficients() at the nodes and midpoints."""
     x = np.linspace(0.0, math.pi, n_steps + 1)
     h = math.pi / n_steps
-    mid = x[:-1] + 0.5 * h
-    V = problem.coeffs.V
-    m = problem.coeffs.m
-    v_node = np.broadcast_to(np.asarray(V(x), dtype=float), x.shape).copy()
-    v_mid = np.broadcast_to(np.asarray(V(mid), dtype=float), mid.shape).copy()
-    return {
-        "x": x,
-        "mid": mid,
-        "h": h,
-        "p_node": v_node + m,
-        "r_node": v_node - m,
-        "p_mid": v_mid + m,
-        "r_mid": v_mid - m,
-    }
+    return x, h, system.coefficients(x), system.coefficients(x[:-1] + 0.5 * h)
 
 
 # ---------------------------------------------------------------------------
 # zero-kernel path: closed-form per-step RK4 propagator
 
 
-def _step_propagators(tab, lam):
+def _step_propagators(h, Fn, Fm, lam):
     """Per-step 2x2 propagator entries for the linear (kernel-free) system.
 
     Expanding the four RK4 stages of Y' = A(x) Y with A = ((0, u), (v, 0)),
     u = r - lambda, v = lambda - p, gives Y_{i+1} = T_i Y_i with the entries
-    below; they are bit-for-bit the RK4 update, just reassociated.
-    Shapes: (N, B).
+    below; they are bit-for-bit the RK4 update, just reassociated.  Fn, Fm
+    are the coefficient tables at the nodes and midpoints.  Shapes: (N, B).
     """
-    h = tab["h"]
-    lam = lam[None, :]
-    u0 = tab["r_node"][:-1, None] - lam
-    u1 = tab["r_node"][1:, None] - lam
-    um = tab["r_mid"][:, None] - lam
-    v0 = lam - tab["p_node"][:-1, None]
-    v1 = lam - tab["p_node"][1:, None]
-    vm = lam - tab["p_mid"][:, None]
+    u0 = Fn[:-1, 0, 1, None] - lam
+    u1 = Fn[1:, 0, 1, None] - lam
+    um = Fm[:, 0, 1, None] - lam
+    v0 = lam + Fn[:-1, 1, 0, None]
+    v1 = lam + Fn[1:, 1, 0, None]
+    vm = lam + Fm[:, 1, 0, None]
     h2 = h * h
     alpha = 1.0 + h2 * um * v0 / 4.0
     beta = 1.0 + h2 * vm * u0 / 4.0
@@ -210,15 +333,14 @@ def _reduce_propagators(t11, t12, t21, t22):
 
 
 def _solve_zero(problem, lam, n_steps, want_trajectory):
-    tab = _coefficient_tables(problem, n_steps)
-    x = tab["x"]
+    x, h, (Fn, _), (Fm, _) = _grid_tables(AugmentedSystem(problem), n_steps)
     B = lam.shape[0]
     chunk = max(1, _CHUNK_FLOATS // max(1, n_steps))
     if want_trajectory:
         Y = np.empty((2, n_steps + 1, B))
         for lo in range(0, B, chunk):
             sl = slice(lo, min(lo + chunk, B))
-            t11, t12, t21, t22 = _step_propagators(tab, lam[sl])
+            t11, t12, t21, t22 = _step_propagators(h, Fn, Fm, lam[sl])
             y = initial_state(problem.bc, lam[sl])
             Y[:, 0, sl] = y
             y1, y2 = y[0], y[1]
@@ -226,12 +348,11 @@ def _solve_zero(problem, lam, n_steps, want_trajectory):
                 y1, y2 = t11[i] * y1 + t12[i] * y2, t21[i] * y1 + t22[i] * y2
                 Y[0, i + 1, sl] = y1
                 Y[1, i + 1, sl] = y2
-        M = np.zeros_like(Y)
-        return BatchSolution(lam=lam, grid=x, Y=Y, M=M)
+        return BatchSolution(lam=lam, grid=x, Z=Y)
     out = np.empty((2, B))
     for lo in range(0, B, chunk):
         sl = slice(lo, min(lo + chunk, B))
-        t11, t12, t21, t22 = _step_propagators(tab, lam[sl])
+        t11, t12, t21, t22 = _step_propagators(h, Fn, Fm, lam[sl])
         a, b, c, d = _reduce_propagators(t11, t12, t21, t22)
         y = initial_state(problem.bc, lam[sl])
         out[0, sl] = a * y[0] + b * y[1]
@@ -240,145 +361,24 @@ def _solve_zero(problem, lam, n_steps, want_trajectory):
 
 
 # ---------------------------------------------------------------------------
-# kernel path: RK4 with trapezoid memory
-
-
-def _kernel_entries(problem, tab):
-    """Precompute everything the memory term needs at the grid points.
-
-    Per nonzero entry: strip values chi(mid_i, x_i), chi(mid_i, mid_i),
-    chi(x_{i+1}, x_i), chi(x_{i+1}, x_{i+1}) as (N,) arrays, plus either
-    separable factor tables (a at nodes/mids, b at nodes) or the raw
-    callable for the O(N^2) history sweep.
-    """
-    x, mid = tab["x"], tab["mid"]
-    entries = []
-    for row, col, k in problem.coeffs.chi.entries:
-        if isinstance(k, ZeroKernel):
-            continue
-        e = {"row": row - 1, "col": col - 1, "separable": isinstance(k, SeparableKernel)}
-        bcast = lambda v: np.broadcast_to(np.asarray(v, dtype=float), mid.shape)
-        e["c_mn"] = bcast(k.eval(mid, x[:-1]))
-        e["c_mm"] = bcast(k.eval(mid, mid))
-        e["c_1n"] = bcast(k.eval(x[1:], x[:-1]))
-        e["c_11"] = bcast(k.eval(x[1:], x[1:]))
-        if e["separable"]:
-            e["a_node"] = [np.broadcast_to(np.asarray(a(x), float), x.shape) for a, _ in k.terms]
-            e["a_mid"] = [np.broadcast_to(np.asarray(a(mid), float), mid.shape) for a, _ in k.terms]
-            e["b_node"] = [np.broadcast_to(np.asarray(b(x), float), x.shape) for _, b in k.terms]
-        else:
-            e["fn"] = k.eval
-        entries.append(e)
-    return entries
+# kernel path: RK4 on the augmented state
 
 
 def _solve_kernel(problem, lam, n_steps, want_trajectory):
-    tab = _coefficient_tables(problem, n_steps)
-    x, h = tab["x"], tab["h"]
-    p_node, r_node = tab["p_node"], tab["r_node"]
-    p_mid, r_mid = tab["p_mid"], tab["r_mid"]
-    B = lam.shape[0]
-    entries = _kernel_entries(problem, tab)
-    general = [e for e in entries if not e["separable"]]
-    separable = [e for e in entries if e["separable"]]
-    need_hist = bool(general)
-
-    Y_hist = np.zeros((2, n_steps + 1, B)) if (want_trajectory or need_hist) else None
-    M_hist = np.zeros((2, n_steps + 1, B)) if want_trajectory else None
-
-    for e in separable:
-        e["W"] = [np.zeros(B) for _ in e["a_node"]]
-
-    # trapezoid weights for nodes 0..i are taken as wfull[:i+1] with the
-    # trailing h corrected back to h/2 at index i
-    wfull = np.full(n_steps + 1, h)
-    wfull[0] = 0.5 * h
-
-    y = initial_state(problem.bc, lam)
-    if Y_hist is not None:
-        Y_hist[:, 0] = y
-
-    def history(row, i, kind):
-        """Memory integral over [0, x_i] for the given row, at the stage
-        abscissa selected by kind (0 node_i, 1 mid_i, 2 node_{i+1})."""
-        acc = np.zeros(B)
-        for e in separable:
-            if e["row"] != row:
-                continue
-            coeffs = (e["a_node"], e["a_mid"], e["a_node"])[kind]
-            idx = i + 1 if kind == 2 else i
-            for s, W in enumerate(e["W"]):
-                acc += coeffs[s][idx] * W
-        if general and i > 0:
-            if kind == 0:
-                xi = x[i]
-            elif kind == 1:
-                xi = tab["mid"][i]
-            else:
-                xi = x[i + 1]
-            for e in general:
-                if e["row"] != row:
-                    continue
-                w = wfull[: i + 1].copy()
-                w[i] = 0.5 * h
-                q = np.asarray(e["fn"](xi, x[: i + 1]), dtype=float) * w
-                acc += q @ Y_hist[e["col"], : i + 1]
-        return acc
-
-    def rhs(u, v, yhat, q1, q2):
-        return np.stack([u * yhat[1] + q2, v * yhat[0] - q1])
-
+    system = AugmentedSystem(problem)
+    x, h, (Fn, bn), (Fm, bm) = _grid_tables(system, n_steps)
+    lamJ = np.stack([-lam, lam])
+    z = np.zeros((system.size, lam.shape[0]))
+    z[:2] = initial_state(problem.bc, lam)
+    Z = np.empty((system.size, n_steps + 1) + lam.shape) if want_trajectory else None
     for i in range(n_steps):
-        # stage abscissa coefficients
-        u0, v0 = r_node[i] - lam, lam - p_node[i]
-        um, vm = r_mid[i] - lam, lam - p_mid[i]
-        u1, v1 = r_node[i + 1] - lam, lam - p_node[i + 1]
-
-        h_node = np.stack([history(0, i, 0), history(1, i, 0)])
-        if M_hist is not None:
-            M_hist[:, i] = h_node
-        h_mid = np.stack([history(0, i, 1), history(1, i, 1)])
-        h_next = np.stack([history(0, i, 2), history(1, i, 2)])
-
-        def strip(width, c_xn, c_xx, yhat, base):
-            q = base.copy()
-            for e, cn, cx in zip(entries, c_xn, c_xx):
-                q[e["row"]] += 0.5 * width * (cn * y[e["col"]] + cx * yhat[e["col"]])
-            return q
-
-        c_mn = [e["c_mn"][i] for e in entries]
-        c_mm = [e["c_mm"][i] for e in entries]
-        c_1n = [e["c_1n"][i] for e in entries]
-        c_11 = [e["c_11"][i] for e in entries]
-
-        k1 = rhs(u0, v0, y, h_node[0], h_node[1])
-        yh = y + 0.5 * h * k1
-        q = strip(0.5 * h, c_mn, c_mm, yh, h_mid)
-        k2 = rhs(um, vm, yh, q[0], q[1])
-        yh = y + 0.5 * h * k2
-        q = strip(0.5 * h, c_mn, c_mm, yh, h_mid)
-        k3 = rhs(um, vm, yh, q[0], q[1])
-        yh = y + h * k3
-        q = strip(h, c_1n, c_11, yh, h_next)
-        k4 = rhs(u1, v1, yh, q[0], q[1])
-
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        for e in separable:
-            for s, W in enumerate(e["W"]):
-                W += 0.5 * h * (
-                    e["b_node"][s][i] * y[e["col"]] + e["b_node"][s][i + 1] * y_new[e["col"]]
-                )
-        y = y_new
-        if Y_hist is not None:
-            Y_hist[:, i + 1] = y
-
-    if want_trajectory:
-        M_hist[:, n_steps] = np.stack(
-            [history(0, n_steps, 0), history(1, n_steps, 0)]
-        )
-        return BatchSolution(lam=lam, grid=x, Y=Y_hist, M=M_hist)
-    return y
+        if Z is not None:
+            Z[:, i] = z
+        z = system.step(z, lamJ, h, (Fn[i], bn[i]), (Fm[i], bm[i]), (Fn[i + 1], bn[i + 1]))
+    if Z is None:
+        return z[:2]
+    Z[:, n_steps] = z
+    return BatchSolution(lam=lam, grid=x, Z=Z)
 
 
 def _check_magnitude(arr, lam):
@@ -388,7 +388,7 @@ def _check_magnitude(arr, lam):
             "range (the characteristic function is normalized by lambda^2, "
             "consider rescaling the problem)"
         )
-    peak = float(np.max(np.abs(arr)))
+    peak = float(np.max(np.abs(arr), initial=0.0))
     if peak > MAGNITUDE_LIMIT:
         raise MagnitudeError(
             f"solution magnitude {peak:.3g} exceeds {MAGNITUDE_LIMIT:.1e} "
@@ -396,35 +396,31 @@ def _check_magnitude(arr, lam):
         )
 
 
-def solve_batch(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
-    """Integrate the IVP for a batch of lambda values; returns BatchSolution."""
+def _solve(problem, lam, points, guard, validated, want_trajectory):
+    """Check the arguments, then solve on the zero-kernel or the kernel path:
+    a BatchSolution, or the endpoint states (2, B)."""
     if not validated:
         ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if not np.isfinite(lam).all():
+        raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
     n_steps = resolution_points(lam, guard=guard) if points is None else int(points)
     check_resolution(lam, n_steps)
-    if problem.coeffs.chi.mode == "zero":
-        sol = _solve_zero(problem, lam, n_steps, want_trajectory=True)
-    else:
-        sol = _solve_kernel(problem, lam, n_steps, want_trajectory=True)
-    _check_magnitude(sol.Y, lam)
-    return sol
+    solve = _solve_zero if problem.coeffs.chi.mode == "zero" else _solve_kernel
+    out = solve(problem, lam, n_steps, want_trajectory)
+    _check_magnitude(out.Y if want_trajectory else out, lam)
+    return out
+
+
+def solve_batch(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
+    """Integrate the IVP for a batch of lambda values; returns BatchSolution."""
+    return _solve(problem, lam, points, guard, validated, want_trajectory=True)
 
 
 def endpoint_states(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
     """phi(pi, lambda) for a batch of lambda; shape (2, B).  Avoids storing
-    trajectories where the kernel structure allows."""
-    if not validated:
-        ensure_valid(problem)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    n_steps = resolution_points(lam, guard=guard) if points is None else int(points)
-    check_resolution(lam, n_steps)
-    if problem.coeffs.chi.mode == "zero":
-        out = _solve_zero(problem, lam, n_steps, want_trajectory=False)
-    else:
-        out = _solve_kernel(problem, lam, n_steps, want_trajectory=False)
-    _check_magnitude(out, lam)
-    return out
+    trajectories."""
+    return _solve(problem, lam, points, guard, validated, want_trajectory=False)
 
 
 def integrate_ivp(problem, lam, points=None, guard=DEFAULT_GUARD):

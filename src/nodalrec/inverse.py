@@ -86,6 +86,10 @@ class ReconstructOptions:
     stage1_dispersion_limit: float = 0.1
     calibration_x: float = math.pi / 2
 
+    def __post_init__(self):
+        if self.known_m is not None and not math.isfinite(self.known_m):
+            raise ValueError(f"known_m must be finite, got {self.known_m!r}")
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:

@@ -76,8 +76,9 @@ class ZeroKernel:
 class SeparableKernel:
     """Kernel entry declared as a finite sum a_1(x)b_1(t) + ... + a_k(x)b_k(t).
 
-    The declaration buys the forward solver an O(N) memory-term update in
-    place of the O(N^2) history scan; the numerical content is identical.
+    Each term is one memory state of the forward solver, used as declared.
+    A general entry is first interpolated in t by up to 64 Chebyshev states
+    per column, and refused when that interpolant cannot reproduce it.
     """
 
     __slots__ = ("terms",)

@@ -9,9 +9,9 @@ All n are advanced together so every update costs one batched
 characteristic-function evaluation, over the brackets still open.
 
 Nodes are grid sign changes of phi1 refined by the same bracketed update;
-each refinement query re-integrates the last grid cell with a short
-fixed-step RK4 whose memory forcing is interpolated from the stored
-Volterra samples, so the kernel is never re-evaluated during refinement.
+each refinement query is one step of the forward solver's RK4 stepper from
+the exact augmented state (solution pair and memory states) stored at the
+cell's left node.
 """
 
 import math
@@ -23,6 +23,7 @@ from .asymptotics import asymptotic_constants, lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
     DEFAULT_GUARD,
+    AugmentedSystem,
     char_fn_normalized,
     resolution_points,
     solve_batch,
@@ -159,8 +160,8 @@ def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
         raise ValueError(f"eigenvalue indexing starts at n = {n_min} (got {n_lo})")
     if n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ns = list(range(n_lo, n_hi + 1))
     ints = derived_integrals(problem)
     consts = asymptotic_constants(problem, integrals=ints)
@@ -246,42 +247,29 @@ def find_eigenvalue(problem, n, tol=1e-9, points=None, guard=DEFAULT_GUARD,
 
 
 def _refine_nodes(problem, sol, cols, cells):
-    """Bracketed refinement of phi1 zeros inside grid cells to NODE_TOL,
-    re-integrating the cell with RK4 substeps and linearly interpolated
-    memory forcing.
+    """Bracketed refinement of phi1 zeros inside grid cells to NODE_TOL;
+    each query is one step of the forward stepper from the exact augmented
+    state at the cell's left node.
 
     cols, cells: parallel int arrays naming (lambda column, left node index).
     Returns refined positions, same length.
     """
+    system = AugmentedSystem(problem)
     h = sol.step
-    V = problem.coeffs.V
-    m = problem.coeffs.m
     lam = sol.lam[cols]
+    lamJ = np.stack([-lam, lam], axis=-1)[..., None]
     xL = sol.grid[cells]
-    YL = sol.Y[:, cells, cols]
-    ML = sol.M[:, cells, cols]
-    MR = sol.M[:, cells + 1, cols]
+    ZL = sol.Z[:, cells, cols].T[..., None]
 
     def phi1_at(xq, idx):
-        """phi1(xq) by 4 RK4 substeps from the left node of cells[idx]."""
-        x0, lam_i, ML_i, MR_i = xL[idx], lam[idx], ML[:, idx], MR[:, idx]
+        """phi1(xq) by one step from the left node of cells[idx]."""
+        x0 = xL[idx]
+        z = system.step(ZL[idx], lamJ[idx], (xq - x0)[:, None, None], system.coefficients(x0),
+                        system.coefficients(0.5 * (x0 + xq)), system.coefficients(xq))
+        return z[:, 0, 0]
 
-        def deriv(t, y):
-            v = np.asarray(V(t), dtype=float)
-            M = ML_i + (MR_i - ML_i) * ((t - x0) / h)
-            return np.stack([((v - m) - lam_i) * y[1] + M[1], (lam_i - (v + m)) * y[0] - M[0]])
-
-        hq = (xq - x0) / 4
-        y, t = YL[:, idx], x0
-        for _ in range(4):
-            k1 = deriv(t, y)
-            k2 = deriv(t + 0.5 * hq, y + 0.5 * hq * k1)
-            k3 = deriv(t + 0.5 * hq, y + 0.5 * hq * k2)
-            k4 = deriv(t + hq, y + hq * k3)
-            y, t = y + (hq / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + hq
-        return y[0]
-
-    return _bracketed_roots(phi1_at, xL, xL + h, YL[0], phi1_at(xL + h, slice(None)), NODE_TOL)[2]
+    right = phi1_at(xL + h, slice(None))
+    return _bracketed_roots(phi1_at, xL, xL + h, ZL[:, 0, 0], right, NODE_TOL)[2]
 
 
 def _nodes_from_solution(problem, sol):

@@ -11,7 +11,24 @@ from nodalrec.fixtures import (
     worked_example_reference,
 )
 from nodalrec.inverse import reconstruct
+from nodalrec.problem import problem_from_mapping
 from nodalrec.spectrum import compute_spectrum, nodal_data
+
+# chi11 = chi22 = 0.4 exp(-(x - t)), chi12 = 0.3 exp(-(x - t)) as general
+# expressions (integrated through Chebyshev memory states), and the same
+# kernel in its exact separable form c exp(-x) exp(t)
+EXP_KERNEL_DOC = {
+    "bc": {"theta": 0.2, "beta": 0.1},
+    "coeffs": {"m": 0.5, "chi": {"11": "0.4*exp(-(x - t))", "12": "0.3*exp(-(x - t))",
+                                 "22": "0.4*exp(-(x - t))"}},
+}
+EXP_KERNEL_SEPARABLE_DOC = {
+    "bc": {"theta": 0.2, "beta": 0.1},
+    "coeffs": {"m": 0.5, "chi_separable": {
+        label: [{"a": f"{c}*exp(-x)", "b": "exp(t)"}]
+        for label, c in (("11", 0.4), ("12", 0.3), ("22", 0.4))
+    }},
+}
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -35,6 +52,11 @@ def cosine_problem():
 @pytest.fixture(scope="session")
 def cosine_ref():
     return cosine_roundtrip_reference()
+
+
+@pytest.fixture(scope="session")
+def exp_kernel_problem():
+    return problem_from_mapping(EXP_KERNEL_DOC)
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,31 @@ def test_config_error_exit(tmp_path, capsys):
     assert cat == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--problem", FREE_YAML, "--tol", "inf"],
+    ["spectrum", "--problem", FREE_YAML, "--tol", "nan"],
+    ["forward", "--problem", FREE_YAML, "--lam", "3.0", "inf"],
+    ["forward", "--problem", FREE_YAML, "--lam", "nan"],
+    ["reconstruct", "--data", "nodes.csv", "--known-m", "nan"],
+])
+def test_nonfinite_option_exits_config(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    cat, _ = _category(capsys)
+    assert cat == "config"
+
+
+@pytest.mark.parametrize("chi", ["(x - t)^1.5", "exp(-8*(x - t))"])
+def test_unrepresentable_kernel_exits_invalid_problem(chi, tmp_path, capsys):
+    path = tmp_path / "kernel.yaml"
+    path.write_text(f'bc: {{theta: 0.0, beta: 0.0}}\ncoeffs:\n  chi: {{"12": "{chi}"}}\n')
+    rc = main(["spectrum", "--problem", str(path), "--n-max", "6", "--out", str(tmp_path)])
+    assert rc == 3
+    cat, captured = _category(capsys)
+    assert cat == "invalid-problem"
+    assert "chi_separable" in captured.err
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("bc: [unclosed\n")

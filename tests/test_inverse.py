@@ -160,6 +160,12 @@ def test_known_mass_bypasses_radicand():
     assert sup(rec.Lprime_hat.values, 1.0) <= 0.1
 
 
+@pytest.mark.parametrize("known_m", [math.nan, math.inf])
+def test_nonfinite_known_mass_rejected(known_m):
+    with pytest.raises(ValueError, match="known_m must be finite"):
+        ReconstructOptions(known_m=known_m)
+
+
 @covers("inverse.identity-V-from-f")
 def test_identity_V_from_f(cosine_recon):
     rec = cosine_recon

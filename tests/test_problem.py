@@ -10,7 +10,7 @@ from nodalrec.fixtures import (
     free_problem,
     worked_example_problem,
 )
-from nodalrec.forward import _coefficient_tables
+from nodalrec.forward import AugmentedSystem, _grid_tables
 from nodalrec.problem import (
     BoundaryParams,
     CoefficientSet,
@@ -103,10 +103,10 @@ def test_derived_integrals_match_closed_forms():
 def test_p_minus_r_is_twice_m(m, a):
     problem = ProblemDefinition(coeffs=CoefficientSet(
         V=lambda x, a=a: a * (np.cos(x) ** 2 - 0.5), m=m))
-    tab = _coefficient_tables(problem, 64)
+    _, _, (F_node, _), (F_mid, _) = _grid_tables(AugmentedSystem(problem), 64)
     tol = 8 * np.finfo(float).eps * max(1.0, abs(m), abs(a))
-    for node in ("node", "mid"):
-        diff = tab[f"p_{node}"] - tab[f"r_{node}"]
+    for F in (F_node, F_mid):
+        diff = -F[:, 1, 0] - F[:, 0, 1]  # p - r
         assert np.max(np.abs(diff - 2 * m)) <= tol
 
 
