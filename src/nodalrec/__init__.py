@@ -5,17 +5,13 @@ Forward direction: integrate the system, locate eigenvalues through the
 characteristic function, extract nodal points of the first eigenfunction
 component.  Inverse direction: recover the potential, the mass constant, the
 boundary angles and the kernel skew derivative from dense nodal data.
+
+The package exports the documented entry points below; everything else
+stays reachable through its submodule (``nodalrec.forward``,
+``nodalrec.spectrum``, ``nodalrec.inverse``, ...).
 """
 
-from .asymptotics import (
-    AsymptoticConstants,
-    asymptotic_constants,
-    char_fn_asym,
-    lambda_asym,
-    node_asym,
-    phi_asym,
-    synthesize_nodal_data,
-)
+from .asymptotics import synthesize_nodal_data
 from .errors import (
     AmbiguityError,
     BracketingError,
@@ -32,59 +28,45 @@ from .errors import (
     ResolutionError,
     StageQualityError,
 )
-from .forward import (
-    BatchSolution,
-    Trajectory,
-    char_fn,
-    char_fn_normalized,
-    check_resolution,
-    integral_residual,
-    integrate_ivp,
-    resolution_points,
-    solve_batch,
-)
-from .inverse import (
-    LimitFit,
-    ReconstructOptions,
-    ReconstructionResult,
-    SampledCurve,
-    calibrate_offset,
-    differentiate,
-    f_estimate,
-    g_estimate,
-    reconstruct,
-)
-from .io import (
-    read_nodal_csv,
-    write_nodal_csv,
-    write_reconstruction,
-    write_spectrum_csv,
-    write_trajectory_csv,
-)
-from .problem import (
-    BoundaryParams,
-    CoefficientSet,
-    DerivedIntegrals,
-    GeneralKernel,
-    KernelMatrix,
-    ProblemDefinition,
-    SeparableKernel,
-    ZeroKernel,
-    derived_integrals,
-    ensure_valid,
-    load_problem,
-    problem_from_mapping,
-    validate,
-)
-from .spectrum import (
-    NodalData,
-    Spectrum,
-    compute_spectrum,
-    find_eigenvalue,
-    find_nodes,
-    nodal_data,
-)
+from .forward import char_fn_normalized
+from .inverse import ReconstructOptions, SampledCurve, reconstruct
+from .io import read_nodal_csv, write_nodal_csv
+from .problem import ensure_valid, load_problem, problem_from_mapping
+from .spectrum import compute_spectrum, nodal_data
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # problems
+    "load_problem",
+    "problem_from_mapping",
+    "ensure_valid",
+    # forward direction
+    "char_fn_normalized",
+    "compute_spectrum",
+    "nodal_data",
+    "synthesize_nodal_data",
+    # inverse direction
+    "reconstruct",
+    "ReconstructOptions",
+    "SampledCurve",
+    # nodal CSV files
+    "read_nodal_csv",
+    "write_nodal_csv",
+    # errors
+    "NodalrecError",
+    "AmbiguityError",
+    "BracketingError",
+    "CalibrationError",
+    "ConfigError",
+    "ExpressionError",
+    "FixtureMismatchError",
+    "InsufficientDataError",
+    "InvalidProblemError",
+    "MagnitudeError",
+    "MassRecoveryError",
+    "ProblemFormatError",
+    "ResolutionError",
+    "StageQualityError",
+    "__version__",
+]

@@ -157,7 +157,7 @@ def phi_asym(problem, x, lam, integrals=None):
     return z.real, z.imag
 
 
-def char_fn_asym(problem, lam, integrals=None, constants=None):
+def char_fn_asym(problem, lam, integrals=None):
     """Expansion of Delta(lambda)/lambda^2 with all terms through 1/lambda.
 
     Vectorized over lam.  Leading term sin(lambda pi + theta - beta); the
@@ -198,22 +198,24 @@ def node_asym(problem, n, j, integrals=None):
     The curvature corrections are evaluated at the zeroth-order position
     x* = j pi / n (one-step substitution; iterating changes the value below
     the formula's own accuracy).  j may run from 0 to n; the extreme values
-    can fall outside (0, pi) and are the caller's burden to clip.
+    can fall outside (0, pi) and are the caller's burden to clip.  j may be
+    an integer array (one prediction per entry); a scalar j gives a float.
     """
     n = int(n)
-    j = int(j)
+    j = np.asarray(j, dtype=int)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if not (0 <= j <= n):
-        raise ValueError(f"node index j = {j} out of range [0, {n}]")
+    bad = (j < 0) | (j > n)
+    if bad.any():
+        raise ValueError(f"node index j = {j[bad].flat[0]} out of range [0, {n}]")
     ints = integrals if integrals is not None else derived_integrals(problem)
     bc = problem.bc
     m = problem.coeffs.m
     th = bc.theta
     skew = bc.beta - bc.theta
     xs = j * math.pi / n
-    nu = float(ints.nu_at(xs))
-    L = float(ints.L_at(xs))
+    nu = ints.nu_at(xs)
+    L = ints.L_at(xs)
     bracket = (
         2.0 * bc.b1 * math.sin(th)
         - 2.0 * bc.b2 * math.cos(th)
@@ -221,13 +223,14 @@ def node_asym(problem, n, j, integrals=None):
         + m * m * xs
         - L
     )
-    return (
+    out = (
         xs
         - xs * skew / (n * math.pi)
         + (nu - th) / n
         - (nu - th) * skew / (n * n * math.pi)
         + bracket / (2.0 * n * n)
     )
+    return float(out) if out.ndim == 0 else out
 
 
 def synthesize_nodal_data(problem, n_range, integrals=None):
@@ -244,7 +247,6 @@ def synthesize_nodal_data(problem, n_range, integrals=None):
     ints = integrals if integrals is not None else derived_integrals(problem)
     nodes = {}
     for n in range(n_lo, n_hi + 1):
-        vals = [node_asym(problem, n, j, integrals=ints) for j in range(0, n + 1)]
-        kept = sorted(v for v in vals if 0.0 < v < math.pi)
-        nodes[n] = np.asarray(kept)
+        vals = node_asym(problem, n, np.arange(n + 1), integrals=ints)
+        nodes[n] = np.sort(vals[(vals > 0.0) & (vals < math.pi)])
     return NodalData(nodes=nodes, source="synthetic")

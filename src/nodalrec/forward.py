@@ -29,10 +29,10 @@ also keeps the rounding error logarithmic in the step count.
 
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
-point count, it is chosen so the phase stays under DEFAULT_GUARD = 0.05
-with a floor of DEFAULT_MIN_POINTS steps; the floor keeps the absolute
-trajectory error near 1e-8 at moderate lambda, comfortably inside the
-1e-6 budget of the closed-form oracle checks.
+point count, it is chosen so the phase stays under 0.05 with a floor of
+DEFAULT_MIN_POINTS steps; the floor keeps the absolute trajectory error
+near 1e-8 at moderate lambda, comfortably inside the 1e-6 budget of the
+closed-form oracle checks.
 """
 
 import math
@@ -53,29 +53,17 @@ MAGNITUDE_LIMIT = 1e150
 _CHUNK_FLOATS = 2_000_000
 
 
-def resolution_points(lam, guard=DEFAULT_GUARD, min_points=DEFAULT_MIN_POINTS):
+def _lam_max(lam):
+    return float(np.max(np.abs(np.atleast_1d(lam)))) if np.size(lam) else 0.0
+
+
+def resolution_points(lam, guard=DEFAULT_GUARD):
     """Step count keeping the per-step phase max|lambda|*h at or under guard."""
-    lam_max = float(np.max(np.abs(np.atleast_1d(lam)))) if np.size(lam) else 0.0
+    lam_max = _lam_max(lam)
     if not (0.0 < guard <= GUARD_LIMIT):
         raise ResolutionError(f"guard must be in (0, {GUARD_LIMIT}], got {guard}")
     need = int(math.ceil(lam_max * math.pi / guard)) if lam_max > 0 else 0
-    return max(int(min_points), need)
-
-
-def check_resolution(lam, points, guard_limit=GUARD_LIMIT):
-    """Enforce the oscillation guard |lambda|*h <= guard_limit."""
-    points = int(points)
-    if points < 2:
-        raise ResolutionError("points must be at least 2", required_points=2)
-    lam_max = float(np.max(np.abs(np.atleast_1d(lam)))) if np.size(lam) else 0.0
-    if lam_max * math.pi / points > guard_limit:
-        required = int(math.ceil(lam_max * math.pi / guard_limit))
-        raise ResolutionError(
-            f"oscillation guard violated: |lambda| h = {lam_max * math.pi / points:.4g} "
-            f"> {guard_limit}; need at least {required} points for lambda = {lam_max:.6g}",
-            required_points=required,
-        )
-    return points
+    return max(DEFAULT_MIN_POINTS, need)
 
 
 def initial_state(bc, lam):
@@ -396,49 +384,61 @@ def _check_magnitude(arr, lam):
         )
 
 
-def _solve(problem, lam, points, guard, validated, want_trajectory):
+def _check_resolution(lam, points):
+    """Enforce the oscillation guard |lambda|*h <= GUARD_LIMIT."""
+    if points < 2:
+        raise ResolutionError("points must be at least 2", required_points=2)
+    lam_max = _lam_max(lam)
+    if lam_max * math.pi / points > GUARD_LIMIT:
+        required = int(math.ceil(lam_max * math.pi / GUARD_LIMIT))
+        raise ResolutionError(
+            f"oscillation guard violated: |lambda| h = {lam_max * math.pi / points:.4g} "
+            f"> {GUARD_LIMIT}; need at least {required} points for lambda = {lam_max:.6g}",
+            required_points=required,
+        )
+
+
+def _solve(problem, lam, points, want_trajectory):
     """Check the arguments, then solve on the zero-kernel or the kernel path:
     a BatchSolution, or the endpoint states (2, B)."""
-    if not validated:
-        ensure_valid(problem)
+    ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
-    n_steps = resolution_points(lam, guard=guard) if points is None else int(points)
-    check_resolution(lam, n_steps)
+    n_steps = resolution_points(lam) if points is None else int(points)
+    _check_resolution(lam, n_steps)
     solve = _solve_zero if problem.coeffs.chi.mode == "zero" else _solve_kernel
     out = solve(problem, lam, n_steps, want_trajectory)
     _check_magnitude(out.Y if want_trajectory else out, lam)
     return out
 
 
-def solve_batch(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
+def solve_batch(problem, lam, points=None):
     """Integrate the IVP for a batch of lambda values; returns BatchSolution."""
-    return _solve(problem, lam, points, guard, validated, want_trajectory=True)
+    return _solve(problem, lam, points, want_trajectory=True)
 
 
-def endpoint_states(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
+def endpoint_states(problem, lam, points=None):
     """phi(pi, lambda) for a batch of lambda; shape (2, B).  Avoids storing
     trajectories."""
-    return _solve(problem, lam, points, guard, validated, want_trajectory=False)
+    return _solve(problem, lam, points, want_trajectory=False)
 
 
-def integrate_ivp(problem, lam, points=None, guard=DEFAULT_GUARD):
+def integrate_ivp(problem, lam, points=None):
     """Trajectory of the IVP solution phi(., lambda) for a single real lambda."""
     if np.ndim(lam) != 0:
         raise TypeError("integrate_ivp takes a scalar lambda; use solve_batch for batches")
-    sol = solve_batch(problem, float(lam), points=points, guard=guard)
-    return sol.trajectory(0)
+    return solve_batch(problem, float(lam), points=points).trajectory(0)
 
 
-def char_fn(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
+def char_fn(problem, lam, points=None):
     """Delta(lambda) = phi1(pi)(lambda cos beta + d1) + phi2(pi)(lambda sin beta + d2).
 
     Scalar in, float out; array in, array out.
     """
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    end = endpoint_states(problem, lam_arr, points=points, guard=guard, validated=validated)
+    end = endpoint_states(problem, lam_arr, points=points)
     bc = problem.bc
     val = end[0] * (lam_arr * math.cos(bc.beta) + bc.d1) + end[1] * (
         lam_arr * math.sin(bc.beta) + bc.d2
@@ -446,82 +446,11 @@ def char_fn(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
     return float(val[0]) if scalar else val
 
 
-def char_fn_normalized(problem, lam, points=None, guard=DEFAULT_GUARD, validated=False):
+def char_fn_normalized(problem, lam, points=None):
     """Delta(lambda) / max(1, lambda^2); bounded near roots, used for bracketing."""
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    val = char_fn(problem, lam_arr, points=points, guard=guard, validated=validated)
+    val = char_fn(problem, lam_arr, points=points)
     out = val / np.maximum(1.0, lam_arr * lam_arr)
     return float(out[0]) if scalar else out
 
-
-# ---------------------------------------------------------------------------
-# integral-equation consistency oracle
-
-
-def _memory_samples(problem, traj):
-    """I1, I2 at every grid node, recomputed from the trajectory samples by
-    composite trapezoid (independently of whatever the stepper tracked)."""
-    x = traj.grid
-    n = x.size
-    I = np.zeros((2, n))
-    phi = np.stack([traj.phi1, traj.phi2])
-    entries = [(row - 1, col - 1, k) for row, col, k in problem.coeffs.chi.entries
-               if not isinstance(k, ZeroKernel)]
-    for i in range(1, n):
-        ts = x[: i + 1]
-        w = np.full(i + 1, traj.step)
-        w[0] = w[-1] = 0.5 * traj.step
-        for row, col, k in entries:
-            I[row, i] += np.dot(np.asarray(k.eval(x[i], ts), float) * w, phi[col, : i + 1])
-    return I
-
-
-def integral_residual(problem, traj, samples=17):
-    """Largest violation of the two Volterra integral equations that the
-    exact solution satisfies:
-
-      phi1(x) = lambda sin(theta+lambda x) + b1 sin(lambda x) + b2 cos(lambda x)
-                + int_0^x [ (p phi1 + I1) sin lambda(x-t) + (r phi2 + I2) cos lambda(x-t) ] dt
-      phi2(x) = -lambda cos(theta+lambda x) - b1 cos(lambda x) + b2 sin(lambda x)
-                + int_0^x [ -(p phi1 + I1) cos lambda(x-t) + (r phi2 + I2) sin lambda(x-t) ] dt
-
-    evaluated at `samples` grid nodes spread over (0, pi].  This is an
-    independent route to the same solution (variation of constants around
-    the pure rotation), so it cross-checks the stepper including its
-    memory-term quadrature.  Returns the max absolute residual.
-    """
-    ensure_valid(problem)
-    lam = traj.lam
-    bc = problem.bc
-    x = traj.grid
-    n = x.size
-    p = np.asarray(problem.coeffs.V(x), float) + problem.coeffs.m
-    r = np.asarray(problem.coeffs.V(x), float) - problem.coeffs.m
-    I = _memory_samples(problem, traj)
-    F1 = p * traj.phi1 + I[0]
-    F2 = r * traj.phi2 + I[1]
-
-    idx = np.unique(np.linspace(1, n - 1, samples).astype(int))
-    worst = 0.0
-    for i in idx:
-        xi = x[i]
-        ts = x[: i + 1]
-        w = np.full(i + 1, traj.step)
-        w[0] = w[-1] = 0.5 * traj.step
-        s = np.sin(lam * (xi - ts))
-        c = np.cos(lam * (xi - ts))
-        rhs1 = (
-            lam * math.sin(bc.theta + lam * xi)
-            + bc.b1 * math.sin(lam * xi)
-            + bc.b2 * math.cos(lam * xi)
-            + np.dot(w, F1[: i + 1] * s + F2[: i + 1] * c)
-        )
-        rhs2 = (
-            -lam * math.cos(bc.theta + lam * xi)
-            - bc.b1 * math.cos(lam * xi)
-            + bc.b2 * math.sin(lam * xi)
-            + np.dot(w, -F1[: i + 1] * c + F2[: i + 1] * s)
-        )
-        worst = max(worst, abs(rhs1 - traj.phi1[i]), abs(rhs2 - traj.phi2[i]))
-    return worst

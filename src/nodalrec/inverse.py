@@ -40,6 +40,10 @@ from .errors import (
 MIN_DISTINCT_N = 8
 DEFAULT_N_MIN = 5
 DEFAULT_GRID_SIZE = 65
+WINDOW = 9  # Savitzky-Golay window (odd), in grid samples
+STAGE1_DISPERSION_LIMIT = 0.1
+CALIBRATION_X = math.pi / 2
+MAX_OFFSET = 2
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,7 @@ class LimitFit:
 @dataclass(frozen=True)
 class ReconstructOptions:
     n_min: int = DEFAULT_N_MIN
-    window: int = 9
     known_m: float = None
-    stage1_dispersion_limit: float = 0.1
-    calibration_x: float = math.pi / 2
 
     def __post_init__(self):
         if self.known_m is not None and not math.isfinite(self.known_m):
@@ -151,9 +152,10 @@ def _indexed_samples(data, ns, x, offset):
     return pos, val
 
 
-def calibrate_offset(data, x, max_offset=2):
+def calibrate_offset(data):
     """Integer origin s of the node indices: with j = position + s, the
-    scaled residuals (x_n^j - j pi/n) n must stay bounded across n.
+    scaled residuals (x_n^j - j pi/n) n at the node nearest CALIBRATION_X
+    must stay bounded across n.
 
     Shifting s by 1 shifts every residual by exactly -pi, so boundedness
     alone cannot distinguish offsets; the calibrated branch is the one
@@ -163,13 +165,13 @@ def calibrate_offset(data, x, max_offset=2):
     ns = _usable_indices(data, 1)
     if not ns:
         raise CalibrationError("no nodal data to calibrate")
-    pos, val = _nearest_samples(data, ns, x)
+    pos, val = _nearest_samples(data, ns, CALIBRATION_X)
     narr = np.asarray(ns, dtype=float)
     f0 = (val - pos * math.pi / narr) * narr
     s = int(round(float(np.median(f0)) / math.pi))
-    if abs(s) > max_offset:
+    if abs(s) > MAX_OFFSET:
         raise CalibrationError(
-            f"calibration offset {s} outside [-{max_offset}, {max_offset}]; "
+            f"calibration offset {s} outside [-{MAX_OFFSET}, {MAX_OFFSET}]; "
             f"median scaled residual {float(np.median(f0)):.4g}"
         )
     resid = f0 - s * math.pi
@@ -220,18 +222,17 @@ def f_estimate(data, x, offset, n_min=DEFAULT_N_MIN):
     )
 
 
-def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat,
-               n_min=DEFAULT_N_MIN, stage1_dispersion_limit=0.1):
+def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat, n_min=DEFAULT_N_MIN):
     """Accelerated limit of the second-order scaled residual at x.
 
     nu_hat(x*) is reproduced from stage 1 as f_hat(x*) + x*(beta-theta)/pi
     + theta; the curvature corrections are evaluated at x* = j pi/n, the
     same abscissa the node prediction expands around.
     """
-    if f_hat.dispersion is not None and f_hat.dispersion > stage1_dispersion_limit:
+    if f_hat.dispersion is not None and f_hat.dispersion > STAGE1_DISPERSION_LIMIT:
         raise StageQualityError(
             f"stage-1 dispersion {f_hat.dispersion:.4g} exceeds "
-            f"{stage1_dispersion_limit:.4g}; refusing the second-stage limit"
+            f"{STAGE1_DISPERSION_LIMIT:.4g}; refusing the second-stage limit"
         )
     ns = _usable_indices(data, n_min)
     if len(ns) < MIN_DISTINCT_N:
@@ -260,20 +261,18 @@ def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat,
     )
 
 
-def differentiate(curve, window=9):
-    """Derivative by sliding least-squares quadratic on the uniform grid;
-    endpoint windows are one-sided (polynomial fit extended to the edge)."""
-    window = int(window)
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 3")
+def differentiate(curve):
+    """Derivative by sliding least-squares quadratic over WINDOW samples on
+    the uniform grid; endpoint windows are one-sided (polynomial fit
+    extended to the edge)."""
     n = curve.values.size
-    if n < window + 1:
-        raise InsufficientDataError(f"need at least {window + 1} samples, have {n}")
+    if n < WINDOW + 1:
+        raise InsufficientDataError(f"need at least {WINDOW + 1} samples, have {n}")
     steps = np.diff(curve.x)
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-12):
         raise ValueError("differentiate requires a uniform grid")
     deriv = savgol_filter(
-        curve.values, window_length=window, polyorder=2, deriv=1,
+        curve.values, window_length=WINDOW, polyorder=2, deriv=1,
         delta=float(steps[0]), mode="interp",
     )
     return SampledCurve(x=curve.x, values=deriv)
@@ -291,7 +290,7 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
         raise InsufficientDataError(
             f"need at least {MIN_DISTINCT_N} usable indices n >= {options.n_min}, have {len(ns)}"
         )
-    offset = calibrate_offset(data, options.calibration_x)
+    offset = calibrate_offset(data)
     grid = np.linspace(0.0, math.pi, grid_size)
 
     # The index-targeted node selection keeps the fits well posed at the
@@ -310,17 +309,13 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
     beta_hat = -f_vals[-1]
     skew = beta_hat - theta_hat
 
-    V_vals = differentiate(f_hat, options.window).values + skew / math.pi
+    V_vals = differentiate(f_hat).values + skew / math.pi
     V_hat = SampledCurve(x=grid, values=V_vals)
 
     g_vals = np.empty(grid_size)
     g_disp = np.empty(grid_size)
     for i in range(grid_size):
-        fit = g_estimate(
-            data, grid[i], offset, theta_hat, beta_hat, f_hat,
-            n_min=options.n_min,
-            stage1_dispersion_limit=options.stage1_dispersion_limit,
-        )
+        fit = g_estimate(data, grid[i], offset, theta_hat, beta_hat, f_hat, n_min=options.n_min)
         g_vals[i] = fit.a0
         g_disp[i] = fit.dispersion
     stage2_dispersion = float(np.max(g_disp))
@@ -366,7 +361,7 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
             )
         m_hat = math.sqrt(radicand)
 
-    g_deriv = differentiate(g_hat, options.window).values
+    g_deriv = differentiate(g_hat).values
     Lp_vals = -2.0 * g_deriv - 2.0 * V_vals * skew / math.pi + m_hat * m_hat
     Lprime_hat = SampledCurve(x=grid, values=Lp_vals)
 

@@ -25,6 +25,7 @@ from .errors import InvalidProblemError, ProblemFormatError
 from .expressions import compile_expression, is_zero_expression
 
 HALF_PI = math.pi / 2.0
+MEAN_TOLERANCE = 1e-6
 
 
 def _finite(name, value):
@@ -233,12 +234,12 @@ class ValidationReport:
         )
 
 
-def validate(problem, mean_tolerance=1e-6):
+def validate(problem):
     """Check the standing assumptions; returns a report, raises nothing.
 
     The zero-mean check integrates V with the composite trapezoid rule on
-    the problem's own quadrature grid, so the tolerance should account for
-    that rule's O(h^2) bias on rough potentials.
+    the problem's own quadrature grid, so MEAN_TOLERANCE has to absorb that
+    rule's O(h^2) bias on rough potentials.
     """
     checks = []
     grid = np.linspace(0.0, math.pi, problem.quadrature_points)
@@ -259,12 +260,12 @@ def validate(problem, mean_tolerance=1e-6):
 
     if v is not None and np.isfinite(v).all():
         mean_residual = float(np.trapezoid(v, grid))
-        ok = abs(mean_residual) <= mean_tolerance
+        ok = abs(mean_residual) <= MEAN_TOLERANCE
         checks.append(
             ValidationCheck(
                 "V zero mean",
                 ok,
-                f"integral over (0, pi) = {mean_residual:.3e} (tolerance {mean_tolerance:.1e})",
+                f"integral over (0, pi) = {mean_residual:.3e} (tolerance {MEAN_TOLERANCE:.1e})",
             )
         )
     else:
@@ -291,8 +292,8 @@ def validate(problem, mean_tolerance=1e-6):
     return ValidationReport(tuple(checks))
 
 
-def ensure_valid(problem, mean_tolerance=1e-6):
-    report = validate(problem, mean_tolerance=mean_tolerance)
+def ensure_valid(problem):
+    report = validate(problem)
     if not report.ok:
         lines = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         raise InvalidProblemError(f"invalid problem: {lines}")
@@ -346,11 +347,10 @@ def _cumtrapz0(y, x):
     return out
 
 
-def derived_integrals(problem, grid_size=None):
-    """Compute nu, K, L on a uniform grid of ``grid_size`` samples (default:
-    the problem's quadrature_points)."""
-    n = int(grid_size) if grid_size is not None else problem.quadrature_points
-    grid = np.linspace(0.0, math.pi, n)
+def derived_integrals(problem):
+    """Compute nu, K, L on the uniform grid of the problem's
+    quadrature_points samples."""
+    grid = np.linspace(0.0, math.pi, problem.quadrature_points)
     v = np.broadcast_to(np.asarray(problem.coeffs.V(grid), dtype=float), grid.shape)
     tr = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_trace(grid), dtype=float), grid.shape)
     sk = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_skew(grid), dtype=float), grid.shape)

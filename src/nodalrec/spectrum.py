@@ -21,16 +21,10 @@ import numpy as np
 
 from .asymptotics import asymptotic_constants, lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
-from .forward import (
-    DEFAULT_GUARD,
-    AugmentedSystem,
-    char_fn_normalized,
-    resolution_points,
-    solve_batch,
-)
+from .forward import AugmentedSystem, char_fn_normalized, resolution_points, solve_batch
 from .problem import derived_integrals, ensure_valid
 
-DEFAULT_N_MIN = 5
+N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
 SCAN_POINTS = 12
 NODE_TOL = 1e-12
@@ -148,7 +142,7 @@ def _bracketed_roots(f, a, b, fa, fb, width):
 # eigenvalues
 
 
-def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
+def _scan_and_refine(problem, n_range, tol, points):
     """Shared engine: argument checks, per-n window scan, sign-change audit,
     joint bracketed refinement to width tol/4.
 
@@ -156,8 +150,8 @@ def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
     """
     ensure_valid(problem)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo < n_min:
-        raise ValueError(f"eigenvalue indexing starts at n = {n_min} (got {n_lo})")
+    if n_lo < N_MIN:
+        raise ValueError(f"eigenvalue indexing starts at n = {N_MIN} (got {n_lo})")
     if n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
     if not (math.isfinite(tol) and tol > 0):
@@ -167,12 +161,12 @@ def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
     consts = asymptotic_constants(problem, integrals=ints)
     seeds = np.array([lambda_asym(problem, n, constants=consts) for n in ns])
     n_steps = points if points is not None else resolution_points(
-        float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH, guard=guard
+        float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH
     )
 
     offsets = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
     grid = (seeds[:, None] + offsets[None, :]).ravel()
-    vals = char_fn_normalized(problem, grid, points=n_steps, validated=True).reshape(
+    vals = char_fn_normalized(problem, grid, points=n_steps).reshape(
         len(ns), SCAN_POINTS
     )
 
@@ -207,7 +201,7 @@ def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
     if keep:
         rows, c = np.array(keep).T
         lo, hi, root, froot = _bracketed_roots(
-            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps, validated=True),
+            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps),
             seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
             vals[rows, c], vals[rows, c + 1], tol / 4.0,
         )
@@ -219,11 +213,10 @@ def _scan_and_refine(problem, n_range, tol, points, guard, n_min):
     return found, failures, n_steps
 
 
-def compute_spectrum(problem, n_range, tol=1e-9, points=None, guard=DEFAULT_GUARD,
-                     n_min=DEFAULT_N_MIN):
+def compute_spectrum(problem, n_range, tol=1e-9, points=None):
     """Eigenvalues for every n in the inclusive range; any per-n search
     failure is raised immediately (use nodal_data for collect-and-continue)."""
-    found, failures, _ = _scan_and_refine(problem, n_range, tol, points, guard, n_min)
+    found, failures, _ = _scan_and_refine(problem, n_range, tol, points)
     if failures:
         raise failures[min(failures)]
     offset = (problem.bc.beta - problem.bc.theta) / math.pi
@@ -235,10 +228,9 @@ def compute_spectrum(problem, n_range, tol=1e-9, points=None, guard=DEFAULT_GUAR
     )
 
 
-def find_eigenvalue(problem, n, tol=1e-9, points=None, guard=DEFAULT_GUARD,
-                    n_min=DEFAULT_N_MIN):
+def find_eigenvalue(problem, n, tol=1e-9, points=None):
     """(lambda_n, |Delta(lambda_n)|) for a single index."""
-    spec = compute_spectrum(problem, (n, n), tol=tol, points=points, guard=guard, n_min=n_min)
+    spec = compute_spectrum(problem, (n, n), tol=tol, points=points)
     return spec.entries[int(n)], spec.residuals[int(n)]
 
 
@@ -273,78 +265,56 @@ def _refine_nodes(problem, sol, cols, cells):
 
 
 def _nodes_from_solution(problem, sol):
-    """Per-column refined node lists; raises ResolutionError when two sign
-    changes land in adjacent cells (spacing < 2h cannot be trusted)."""
+    """Per-column refined node lists.  A column whose phi1 changes sign in
+    two adjacent cells (node spacing < 2h cannot be trusted) comes back as a
+    ResolutionError in place of its list; the other columns are refined."""
     h = sol.step
-    n_cols = sol.Y.shape[2]
-    all_cols, all_cells = [], []
-    per_col_cells = []
-    for b in range(n_cols):
-        y1 = sol.Y[0, :, b]
-        sign = np.where(y1 >= 0, 1.0, -1.0)
-        cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        if cells.size >= 2 and np.min(np.diff(cells)) < 2:
-            raise ResolutionError(
+    out, cols, cells = [], [], []
+    for b, lam in enumerate(sol.lam):
+        sign = np.where(sol.Y[0, :, b] >= 0, 1.0, -1.0)
+        c = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        if c.size >= 2 and np.min(np.diff(c)) < 2:
+            out.append(ResolutionError(
                 f"adjacent grid cells both carry sign changes of phi1 at "
-                f"lambda = {sol.lam[b]:.6g}; node spacing < 2h",
+                f"lambda = {lam:.6g}; node spacing < 2h",
                 required_points=2 * (sol.grid.size - 1),
-            )
-        per_col_cells.append(cells)
-        all_cols.extend([b] * cells.size)
-        all_cells.extend(cells.tolist())
-
-    refined = np.empty(0)
-    if all_cols:
-        refined = _refine_nodes(
-            problem, sol, np.asarray(all_cols, int), np.asarray(all_cells, int)
-        )
-    out = []
-    pos = 0
-    for b in range(n_cols):
-        k = per_col_cells[b].size
-        vals = np.sort(refined[pos : pos + k])
-        pos += k
-        vals = vals[(vals > h) & (vals < math.pi - h)]
-        out.append(vals)
+            ))
+            continue
+        out.append(None)
+        cols.extend([b] * c.size)
+        cells.extend(c.tolist())
+    cols = np.asarray(cols, int)
+    refined = _refine_nodes(problem, sol, cols, np.asarray(cells, int)) if cols.size else np.empty(0)
+    for b, err in enumerate(out):
+        if err is None:
+            vals = np.sort(refined[cols == b])
+            out[b] = vals[(vals > h) & (vals < math.pi - h)]
     return out
 
 
-def find_nodes(problem, lambda_n, points=None, guard=DEFAULT_GUARD):
+def find_nodes(problem, lambda_n, points=None):
     """Ascending interior zeros of phi1(., lambda_n), refined to 1e-12."""
-    ensure_valid(problem)
-    sol = solve_batch(problem, [float(lambda_n)], points=points, guard=guard, validated=True)
-    return _nodes_from_solution(problem, sol)[0]
+    nodes = _nodes_from_solution(problem, solve_batch(problem, [float(lambda_n)], points=points))[0]
+    if isinstance(nodes, ResolutionError):
+        raise nodes
+    return nodes
 
 
-def nodal_data(problem, n_range, tol=1e-9, points=None, guard=DEFAULT_GUARD,
-               n_min=DEFAULT_N_MIN):
+def nodal_data(problem, n_range, tol=1e-9, points=None):
     """Numeric NodalData over the inclusive index range.
 
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    found, failures, n_steps = _scan_and_refine(problem, n_range, tol, points, guard, n_min)
+    found, failures, n_steps = _scan_and_refine(problem, n_range, tol, points)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
     if found:
         order = sorted(found)
-        lams = np.array([found[n][0] for n in order])
-        sol = solve_batch(problem, lams, points=n_steps, guard=guard, validated=True)
-        try:
-            lists = _nodes_from_solution(problem, sol)
-        except ResolutionError:
-            # retry per-n so one under-resolved trajectory cannot sink the batch
-            lists = []
-            for k, n in enumerate(order):
-                try:
-                    single = solve_batch(
-                        problem, [lams[k]], points=n_steps, guard=guard, validated=True
-                    )
-                    lists.append(_nodes_from_solution(problem, single)[0])
-                except ResolutionError as e:
-                    failures[n] = f"ResolutionError: {e}"
-                    lists.append(None)
-        for k, n in enumerate(order):
-            if lists[k] is not None:
-                nodes[n] = lists[k]
+        sol = solve_batch(problem, [found[n][0] for n in order], points=n_steps)
+        for n, xs in zip(order, _nodes_from_solution(problem, sol)):
+            if isinstance(xs, ResolutionError):
+                failures[n] = f"ResolutionError: {xs}"
+            else:
+                nodes[n] = xs
     return NodalData(nodes=nodes, source="numeric", failures=failures)

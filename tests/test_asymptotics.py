@@ -209,6 +209,18 @@ def test_node_prediction_rejects_bad_indices(worked_problem):
         node_asym(worked_problem, 10, 11)
 
 
+@pytest.mark.parametrize("n", [1, 7, 50, 333, 1000])
+def test_node_prediction_array_matches_scalar(worked_problem, cosine_problem, n):
+    # one call over all j repeats the scalar formula bit for bit
+    for problem in (worked_problem, cosine_problem):
+        js = np.arange(n + 1)
+        want = np.array([node_asym(problem, n, int(j)) for j in js])
+        assert np.array_equal(node_asym(problem, n, js), want)
+    assert isinstance(node_asym(worked_problem, n, n), float)
+    with pytest.raises(ValueError, match=f"j = {n + 1} out of range"):
+        node_asym(worked_problem, n, np.array([0, n + 1, -1]))
+
+
 def test_synthetic_free_nodes_are_uniform(free_prob):
     # all corrections vanish for the free operator: nodes at j pi / 5
     data = synthesize_nodal_data(free_prob, (5, 5))
@@ -229,7 +241,7 @@ def test_free_synthetic_f_estimate_vanishes(free_prob):
     # synthetic free data carries no potential, no rotation, no kernel;
     # every fitted f value must be zero to rounding
     synth = synthesize_nodal_data(free_prob, (5, 40))
-    offset = calibrate_offset(synth, math.pi / 2)
+    offset = calibrate_offset(synth)
     worst = 0.0
     for x in np.linspace(0.0, math.pi, 33):
         fit = f_estimate(synth, float(x), offset)

@@ -15,9 +15,7 @@ from nodalrec.forward import (
     DEFAULT_MIN_POINTS,
     char_fn,
     char_fn_normalized,
-    check_resolution,
     initial_state,
-    integral_residual,
     integrate_ivp,
     resolution_points,
     solve_batch,
@@ -33,6 +31,7 @@ from nodalrec.problem import (
 from nodalrec.spectrum import compute_spectrum
 
 from _bullets import covers
+from _integral_oracle import integral_residual
 from conftest import EXP_KERNEL_DOC, EXP_KERNEL_SEPARABLE_DOC
 
 PI = math.pi
@@ -47,7 +46,7 @@ def test_resolution_floor_and_guard():
     pts = resolution_points(100.0)
     assert 100.0 * (PI / pts) <= 0.05 + 1e-15
     with pytest.raises(ResolutionError) as info:
-        check_resolution(100.0, 512)  # lambda h = 0.61 > 0.2
+        solve_batch(free_problem(), [100.0], points=512)  # lambda h = 0.61 > 0.2
     assert info.value.required_points is not None
 
 

@@ -10,7 +10,11 @@ from nodalrec.errors import (
     MassRecoveryError,
     StageQualityError,
 )
-from nodalrec.fixtures import worked_example_problem, worked_example_reference
+from nodalrec.fixtures import (
+    constant_mass_problem,
+    worked_example_problem,
+    worked_example_reference,
+)
 from nodalrec.inverse import (
     ReconstructOptions,
     SampledCurve,
@@ -28,7 +32,7 @@ from nodalrec.problem import (
     SeparableKernel,
     ZeroKernel,
 )
-from nodalrec.spectrum import NodalData
+from nodalrec.spectrum import NodalData, nodal_data
 
 from _bullets import covers
 from conftest import sup
@@ -59,8 +63,8 @@ def _unit_kernel_problem():
 
 
 def test_calibration_offset_on_fixtures(worked_synth_data, free_numeric_data):
-    assert calibrate_offset(worked_synth_data, math.pi / 2) == 1
-    assert calibrate_offset(free_numeric_data, math.pi / 2) == 1
+    assert calibrate_offset(worked_synth_data) == 1
+    assert calibrate_offset(free_numeric_data) == 1
 
 
 def test_calibration_survives_deleted_node(worked_synth_data):
@@ -68,22 +72,22 @@ def test_calibration_survives_deleted_node(worked_synth_data):
     victim = sorted(nodes)[len(nodes) // 2]
     nodes[victim] = np.delete(nodes[victim], len(nodes[victim]) // 2)
     damaged = NodalData(nodes=nodes, source="synthetic")
-    assert calibrate_offset(damaged, math.pi / 2) == 1
+    assert calibrate_offset(damaged) == 1
 
 
 def test_calibration_rejects_inconsistent_data():
     with pytest.raises(CalibrationError):
-        calibrate_offset(NodalData(nodes={}), math.pi / 2)
+        calibrate_offset(NodalData(nodes={}))
     # single stray node per n whose implied origin grows with n
     cluster = NodalData(nodes={n: np.array([3.13]) for n in range(5, 14)})
     with pytest.raises(CalibrationError):
-        calibrate_offset(cluster, math.pi / 2)
+        calibrate_offset(cluster)
     # origin lands inside [-2, 2] but the scaled residuals have spread
     # far beyond pi: no offset branch stabilizes them
     f0 = [0.5, 0.6, 0.7, 0.8, 7.0, 7.2, 20.0, 22.0, 25.0]
     wild = NodalData(nodes={n: np.array([f0[k] / n]) for k, n in enumerate(range(5, 14))})
     with pytest.raises(CalibrationError):
-        calibrate_offset(wild, math.pi / 2)
+        calibrate_offset(wild)
 
 
 def test_f_estimate_requires_enough_indices(free_prob):
@@ -94,7 +98,7 @@ def test_f_estimate_requires_enough_indices(free_prob):
 
 def test_f_estimate_worked_midpoint(worked_synth_data):
     # f(pi/2) = -pi^2/16 - pi/4 for the linear-potential fixture
-    offset = calibrate_offset(worked_synth_data, math.pi / 2)
+    offset = calibrate_offset(worked_synth_data)
     fit = f_estimate(worked_synth_data, math.pi / 2, offset)
     want = -(math.pi ** 2) / 16 - math.pi / 4
     assert abs(fit.a0 - want) <= 1e-6
@@ -122,22 +126,17 @@ def test_worked_stage_limits_at_endpoints(worked_synth_recon):
 def test_differentiate_quadratic_exact():
     xs = np.linspace(0.0, math.pi, 33)
     curve = SampledCurve(x=xs, values=3.0 * xs * xs - 2.0 * xs + 1.0)
-    deriv = differentiate(curve, window=9)
+    deriv = differentiate(curve)
     assert sup(deriv.values, 6.0 * xs - 2.0) <= 1e-10
 
 
 def test_differentiate_guards():
     xs = np.linspace(0.0, math.pi, 33)
-    curve = SampledCurve(x=xs, values=np.sin(xs))
-    with pytest.raises(ValueError):
-        differentiate(curve, window=8)
-    with pytest.raises(ValueError):
-        differentiate(curve, window=1)
     with pytest.raises(InsufficientDataError):
-        differentiate(SampledCurve(x=xs[:8], values=np.sin(xs[:8])), window=9)
+        differentiate(SampledCurve(x=xs[:8], values=np.sin(xs[:8])))
     uneven = SampledCurve(x=np.sqrt(np.linspace(0.1, 9.0, 33)), values=np.zeros(33))
     with pytest.raises(ValueError):
-        differentiate(uneven, window=9)
+        differentiate(uneven)
 
 
 def test_mass_recovery_failure_carries_partial_result():
@@ -166,13 +165,23 @@ def test_nonfinite_known_mass_rejected(known_m):
         ReconstructOptions(known_m=known_m)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: node_asym and the g-stage mass formula keep an m^2 x*/2 term in the "
+    "1/n^2 node coefficient that the operator's nodes lack (numeric constant-mass nodes "
+    "are j pi/n to 1e-11), so m_hat reads about 1e-4; see ROADMAP"))
+def test_constant_mass_recovered_from_numeric_nodes():
+    # V = 0, chi = 0, theta = beta = 0, m = 1; synthetic nodes give m_hat = 1.015
+    rec = reconstruct(nodal_data(constant_mass_problem(1.0), (20, 120)))
+    assert abs(rec.m_hat - 1.0) <= 5e-2
+
+
 @covers("inverse.identity-V-from-f")
 def test_identity_V_from_f(cosine_recon):
     rec = cosine_recon
     f = rec.f_hat.values
     # endpoints define the angles, so f(pi) - f(0) = -(beta - theta) exactly
     assert f[-1] - f[0] == -(rec.beta_hat - rec.theta_hat)
-    want = differentiate(rec.f_hat, 9).values - (f[-1] - f[0]) / math.pi
+    want = differentiate(rec.f_hat).values - (f[-1] - f[0]) / math.pi
     assert np.array_equal(rec.V_hat.values, want)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,10 +114,10 @@ def test_p_minus_r_is_twice_m(m, a):
 @covers("problem.quadrature-doubling")
 def test_quadrature_doubling_factor():
     problem = cosine_roundtrip_problem()
-    ref = derived_integrals(problem, grid_size=4097)
+    ref = derived_integrals(dataclasses.replace(problem, quadrature_points=4097))
 
     def err(gs, field):
-        ints = derived_integrals(problem, grid_size=gs)
+        ints = derived_integrals(dataclasses.replace(problem, quadrature_points=gs))
         stride = 4096 // (gs - 1)
         return np.max(np.abs(getattr(ints, field) - getattr(ref, field)[::stride]))
 

@@ -6,7 +6,7 @@ import pytest
 import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
-from nodalrec.forward import integrate_ivp
+from nodalrec.forward import BatchSolution, integrate_ivp, solve_batch
 from nodalrec.spectrum import (
     NODE_TOL,
     NodalData,
@@ -159,6 +159,50 @@ def test_nodal_data_rejects_bad_ranges(free_prob):
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             nodal_data(free_prob, (5, 10), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# under-resolved columns
+
+
+def _plant_adjacent_sign_changes(sol, b):
+    """A copy of sol whose phi1 column b flips sign at the grid node where
+    |phi1| peaks, so two adjacent cells carry sign changes."""
+    Z = sol.Z.copy()
+    k = int(np.argmax(np.abs(Z[0, 1:-1, b]))) + 1
+    Z[0, k, b] = -Z[0, k, b]
+    return BatchSolution(lam=sol.lam, grid=sol.grid, Z=Z)
+
+
+def test_adjacent_sign_changes_fail_only_their_column(free_prob):
+    sol = solve_batch(free_prob, [5.0, 6.0, 7.0], points=1024)
+    clean = spectrum._nodes_from_solution(free_prob, sol)
+    assert [xs.size for xs in clean] == [4, 5, 6]
+    out = spectrum._nodes_from_solution(free_prob, _plant_adjacent_sign_changes(sol, 1))
+    assert isinstance(out[1], ResolutionError)
+    assert out[1].required_points == 2048
+    assert "lambda = 6;" in str(out[1])
+    for b in (0, 2):
+        assert np.array_equal(out[b], clean[b])
+
+
+def test_nodal_data_records_underresolved_column(free_prob, monkeypatch):
+    clean = nodal_data(free_prob, (5, 8))
+    sizes = []
+    original = spectrum.solve_batch
+
+    def planted(problem, lam, points=None):
+        sizes.append(len(lam))
+        return _plant_adjacent_sign_changes(original(problem, lam, points=points), 2)
+
+    monkeypatch.setattr(spectrum, "solve_batch", planted)
+    data = nodal_data(free_prob, (5, 8))
+    assert sizes == [4]  # one batched solve, no per-n re-solve
+    assert list(data.failures) == [7]
+    assert data.failures[7].startswith("ResolutionError: adjacent grid cells")
+    assert data.indices == [5, 6, 8]
+    for n in data.indices:
+        assert np.array_equal(data.nodes[n], clean.nodes[n])
 
 
 # ---------------------------------------------------------------------------
