@@ -17,15 +17,15 @@ Stepper: classical 4th-order Runge-Kutta on a uniform grid, batched over a
 vector of lambda values.  The memory term is carried by ODE states: for a
 degenerate kernel chi_{row,col}(x, t) = sum_s a_s(x) b_s(t) the integrals
 W_s(x) = int_0^x b_s(t) y_col(t) dt obey W_s' = b_s(x) y_col(x), and
-I_row = sum_s a_s W_s, so the whole problem is one linear system on the
-augmented state (y1, y2, W_1..W_S) (AugmentedSystem), O(N) per trajectory.
+I_row = sum_s a_s W_s, so the whole problem is one linear system
+Z' = (F(x) + lambda J) Z on Z = (y1, y2, W_1..W_S) (AugmentedSystem).
 Separable terms are used as declared; general entries are interpolated in
 t by Chebyshev polynomials first (a degenerate-kernel approximation whose
-degree is checked against the kernel, or the entry is refused).  A kernel
-that is structurally zero collapses each step to a closed-form 2x2
-propagator, algebraically identical to the RK4 update; endpoint-only
-evaluations then reduce the propagator chain by pairwise products, which
-also keeps the rounding error logarithmic in the step count.
+degree is checked against the kernel, or the entry is refused).  One RK4
+step is then a matrix polynomial of degree 4 in lambda whose coefficients
+depend only on the grid: _step_maps builds them for a block of steps, and
+every solve and node refinement applies them to its lambda batch
+(_advance), O(N) per trajectory.
 
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
@@ -47,10 +47,6 @@ DEFAULT_MIN_POINTS = 768
 GUARD_LIMIT = 0.2
 DEFAULT_GUARD = 0.05
 MAGNITUDE_LIMIT = 1e150
-
-# lambda-batch chunk cap for the zero-kernel propagator path (floats per
-# (steps x batch) work array; bounds peak memory at large step counts)
-_CHUNK_FLOATS = 2_000_000
 
 
 def _lam_max(lam):
@@ -199,8 +195,8 @@ class AugmentedSystem:
 
     def __init__(self, problem):
         self.V, self.m = problem.coeffs.V, problem.coeffs.m
-        self.cols = []
-        self._weights = []  # (first state, last state + 1, b(x) -> x.shape + (k,))
+        self.size = 2
+        self._weights = []  # (first state, last state + 1, col, b(x) -> x.shape + (k,))
         self._couplings = []  # (row, first state, last state + 1, a(x) -> x.shape + (k,))
         general = {}
         for row, col, k in problem.coeffs.chi.entries:
@@ -218,165 +214,151 @@ class AugmentedSystem:
                     _values(k.eval, x[..., None], nodes) @ to_coeffs.T)
                 for row, _, k in items
             ])
-        self.cols = np.array(self.cols, dtype=int)
-        self.size = 2 + self.cols.size
 
     def _add(self, col, k, weight, couplings):
-        lo, hi = len(self.cols), len(self.cols) + k
-        self.cols.extend([col] * k)
-        self._weights.append((lo, hi, weight))
+        lo, hi = self.size - 2, self.size - 2 + k
+        self.size += k
+        self._weights.append((lo, hi, col, weight))
         self._couplings.extend((row, lo, hi, a) for row, a in couplings)
 
     def coefficients(self, x):
-        """(F, b) at the points x: the y-rows of F, shape x.shape + (2, 2 + S),
-        and the weights b_s, shape x.shape + (S, 1)."""
+        """(F, B) at the points x: the y-rows of F, shape x.shape + (2, 2 + S),
+        and the weights as an S x 2 matrix with b_s in column c_s, so that
+        W' = B y; shape x.shape + (S, 2)."""
         x = np.asarray(x, dtype=float)
         F = np.zeros(x.shape + (2, self.size))
         v = _values(self.V, x)
         F[..., 0, 1] = v - self.m
         F[..., 1, 0] = -(v + self.m)
-        b = np.empty(x.shape + (self.cols.size, 1))
-        for lo, hi, weight in self._weights:
-            b[..., lo:hi, 0] = weight(x)
+        B = np.zeros(x.shape + (self.size - 2, 2))
+        for lo, hi, col, weight in self._weights:
+            B[..., lo:hi, col] = weight(x)
         for row, lo, hi, a in self._couplings:
             # I1 enters y2' with a minus sign, I2 enters y1' with a plus sign
             F[..., 1 - row, 2 + lo : 2 + hi] += (2 * row - 1) * a(x)
-        return F, b
-
-    def _deriv(self, z, lamJ, F, b):
-        dz = np.empty_like(z)
-        dz[..., :2, :] = F @ z + lamJ * z[..., 1::-1, :]
-        dz[..., 2:, :] = b * z[..., self.cols, :]
-        return dz
-
-    def step(self, z, lamJ, h, c0, cm, c1):
-        """One classical RK4 step of length h from z; c0, cm, c1 are the
-        coefficients() at the step's start, midpoint and end, and lamJ is
-        (-lambda, lambda) stacked on the axis of y1, y2.
-
-        Shapes: z (..., 2 + S, B), broadcasting against the coefficients'
-        leading axes, so the grid loop steps one (2 + S, B) batch and node
-        refinement steps one (2 + S, 1) state per query.
-        """
-        k1 = self._deriv(z, lamJ, *c0)
-        k2 = self._deriv(z + (0.5 * h) * k1, lamJ, *cm)
-        k3 = self._deriv(z + (0.5 * h) * k2, lamJ, *cm)
-        k4 = self._deriv(z + h * k3, lamJ, *c1)
-        return z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _grid_tables(system, n_steps):
-    """Grid, step, and the system's coefficients() at the nodes and midpoints."""
-    x = np.linspace(0.0, math.pi, n_steps + 1)
-    h = math.pi / n_steps
-    return x, h, system.coefficients(x), system.coefficients(x[:-1] + 0.5 * h)
+        return F, B
 
 
 # ---------------------------------------------------------------------------
-# zero-kernel path: closed-form per-step RK4 propagator
+# the stepper: each RK4 step as a polynomial map in lambda
+
+# steps (or node-refinement queries) whose maps are built at once; bounds
+# the builder's arrays independently of the step count
+_BLOCK = 128
 
 
-def _step_propagators(h, Fn, Fm, lam):
-    """Per-step 2x2 propagator entries for the linear (kernel-free) system.
+def _step_maps(system, x0, x1, h):
+    """RK4 steps from x0 to x1 (n steps; h = x1 - x0, or the grid step) as
+    maps polynomial of degree 4 in lambda, each with leading axis n.
 
-    Expanding the four RK4 stages of Y' = A(x) Y with A = ((0, u), (v, 0)),
-    u = r - lambda, v = lambda - p, gives Y_{i+1} = T_i Y_i with the entries
-    below; they are bit-for-bit the RK4 update, just reassociated.  Fn, Fm
-    are the coefficient tables at the nodes and midpoints.  Shapes: (N, B).
+    With F = (G, C), C the 2 x S couplings, and W' = B y, the memory states
+    reach the stages y_1..y_4 only through C W, so each stage is a 2 x 8
+    polynomial map of v = (y, C0 W, Cm W, C1 W) (C at the start, midpoint
+    and end), and W_new = W + B0 h/6 y_1 + Bm h/3 (y_2 + y_3) + B1 h/6 y_4.
+    Returns (P, CC, BB): P (8, 40) maps (lambda^k v, k = 0..4) to (y_new,
+    h/6 y_1, h/3 (y_2 + y_3), h/6 y_4), CC = (C0; Cm; C1), BB = (B0 Bm B1),
+    so a step costs O(S) per lambda.  When z = (y, W) is no longer than v,
+    the factors are multiplied out: (P,) with P (2 + S, 5 (2 + S)) mapping
+    (lambda^k z) to z_new (for S = 0, the 2 x 2 RK4 propagator).
     """
-    u0 = Fn[:-1, 0, 1, None] - lam
-    u1 = Fn[1:, 0, 1, None] - lam
-    um = Fm[:, 0, 1, None] - lam
-    v0 = lam + Fn[:-1, 1, 0, None]
-    v1 = lam + Fn[1:, 1, 0, None]
-    vm = lam + Fm[:, 1, 0, None]
-    h2 = h * h
-    alpha = 1.0 + h2 * um * v0 / 4.0
-    beta = 1.0 + h2 * vm * u0 / 4.0
-    gamma = 1.0 + h2 * um * vm / 2.0
-    t11 = 1.0 + h2 / 6.0 * (um * v0 + um * vm + u1 * vm * alpha)
-    t12 = h / 6.0 * (u0 + 2.0 * um + 2.0 * um * beta + u1 * gamma)
-    t21 = h / 6.0 * (v0 + 2.0 * vm + 2.0 * vm * alpha + v1 * gamma)
-    t22 = 1.0 + h2 / 6.0 * (vm * u0 + vm * um + v1 * um * beta)
-    return t11, t12, t21, t22
+    n = x0.size
+    F, B = system.coefficients(np.concatenate([x0, x0 + 0.5 * h, x1]))
+    S, G = B.shape[-2], F[:, [0, 1], [1, 0]].reshape(3, n, 2)  # (r, -p)
+    CC = np.concatenate(np.split(F[..., 2:], 3), axis=1)
+    BB = np.concatenate(np.split(B, 3), axis=2)
+    del F, B  # the maps' own arrays are all that outlives this point
+    (C0, Cm, C1), (B0, Bm, B1) = np.split(CC, 3, axis=1), np.split(BB, 3, axis=2)
+    coupled = S > 6  # z = (y, W) is longer than v = (y, C0 W, Cm W, C1 W)
+    D = 8 if coupled else 2 + S
+
+    # a linear form has axes (degree in lambda, row, entry of the input, step)
+    def plus(L, col, C=None):  # L plus the form of v[col:col + 2] (y, or C W)
+        if C is None or coupled:
+            L[0, 0, col] += 1.0
+            L[0, 1, col + 1] += 1.0
+        else:
+            L[0, :, 2:] += C.transpose(1, 2, 0)
+        return L
+
+    def mul(M, L):  # M L for matrices M of shape (n, rows, 2)
+        M = M.transpose(1, 2, 0)[None, :, :, None, :]
+        return M[:, :, 0] * L[:, None, 0] + M[:, :, 1] * L[:, None, 1]
+
+    def stage(g, y, col, C, dW=None):
+        """(G + lambda J) y + C W_i, J = ((0, -1), (1, 0)); dW = (c, B_j, y_j)
+        gives the stage's memory increment W_i - W = c h B_j y_j."""
+        k = np.zeros((y.shape[0] + 1, 2, D, n))
+        k[:-1, 0] = g[:, 0] * y[:, 1]
+        k[:-1, 1] = g[:, 1] * y[:, 0]
+        k[1:, 0] -= y[:, 1]
+        k[1:, 1] += y[:, 0]
+        if S and dW is not None:
+            k[: dW[2].shape[0]] += (dW[0] * h) * mul(C @ dW[1], dW[2])
+        return plus(k, col, C)
+
+    # forms keep only the degrees they can reach: y_i has degree i - 1
+    y1 = plus(np.zeros((1, 2, D, 1)), 0)
+    k1 = stage(G[0], y1, 2, C0)
+    y2 = plus(0.5 * h * k1, 0)
+    k2 = stage(G[1], y2, 4, Cm, (0.5, B0, y1))
+    y3 = plus(0.5 * h * k2, 0)
+    k3 = stage(G[1], y3, 4, Cm, (0.5, Bm, y2))
+    y4 = plus(h * k3, 0)
+    k4 = stage(G[2], y4, 6, C1, (1.0, Bm, y3))
+    k3[:3] += k2
+    k4[:4] += 2.0 * k3
+    k4[:2] += k1  # k4 is now k1 + 2 (k2 + k3) + k4
+    y3[:2] += y2  # and y3 is y2 + y3
+    rows = [plus((h / 6.0) * k4, 0)]
+    feeds = ((h / 6.0) * y1, (h / 3.0) * y3, (h / 6.0) * y4)
+    if coupled:
+        rows += feeds
+    elif S:
+        W = np.zeros((5, S, D, n))
+        for M, L in zip((B0, Bm, B1), feeds):
+            W[: L.shape[0]] += mul(M, L)
+        W[0, :, 2:] += np.eye(S)[..., None]
+        rows.append(W)
+    P = np.zeros((n, sum(L.shape[1] for L in rows), 5, D))
+    r = 0
+    for L in rows:
+        P[:, r : r + L.shape[1], : L.shape[0]] = L.transpose(3, 1, 0, 2)
+        r += L.shape[1]
+    return (P.reshape(n, r, 5 * D), CC, BB) if coupled else (P.reshape(n, r, 5 * D),)
 
 
-def _reduce_propagators(t11, t12, t21, t22):
-    """Pairwise product T_{N-1} ... T_1 T_0; returns four (B,) arrays."""
-    while t11.shape[0] > 1:
-        if t11.shape[0] % 2 == 1:
-            pad = np.zeros((1,) + t11.shape[1:])
-            one = pad + 1.0
-            t11 = np.concatenate([t11, one])
-            t12 = np.concatenate([t12, pad])
-            t21 = np.concatenate([t21, pad])
-            t22 = np.concatenate([t22, one])
-        a1, b1, c1, d1 = t11[0::2], t12[0::2], t21[0::2], t22[0::2]
-        a2, b2, c2, d2 = t11[1::2], t12[1::2], t21[1::2], t22[1::2]
-        t11 = a2 * a1 + b2 * c1
-        t12 = a2 * b1 + b2 * d1
-        t21 = c2 * a1 + d2 * c1
-        t22 = c2 * b1 + d2 * d1
-    return t11[0], t12[0], t21[0], t22[0]
+def _advance(z, lam_powers, P, CC=None, BB=None):
+    """One step of the maps from _step_maps on z (..., 2 + S, B); lam_powers
+    holds lambda^0..lambda^4 on an axis just before z's last two."""
+    y, W = z[..., :2, :], z[..., 2:, :]
+    v = z if CC is None else np.concatenate([y, CC @ W], axis=-2)
+    X = lam_powers * v[..., None, :, :]
+    out = P @ X.reshape(X.shape[:-3] + (P.shape[-1], X.shape[-1]))
+    return out if CC is None else np.concatenate([out[..., :2, :], W + BB @ out[..., 2:, :]], axis=-2)
 
 
-def _solve_zero(problem, lam, n_steps, want_trajectory):
-    x, h, (Fn, _), (Fm, _) = _grid_tables(AugmentedSystem(problem), n_steps)
-    B = lam.shape[0]
-    chunk = max(1, _CHUNK_FLOATS // max(1, n_steps))
-    if want_trajectory:
-        Y = np.empty((2, n_steps + 1, B))
-        for lo in range(0, B, chunk):
-            sl = slice(lo, min(lo + chunk, B))
-            t11, t12, t21, t22 = _step_propagators(h, Fn, Fm, lam[sl])
-            y = initial_state(problem.bc, lam[sl])
-            Y[:, 0, sl] = y
-            y1, y2 = y[0], y[1]
-            for i in range(n_steps):
-                y1, y2 = t11[i] * y1 + t12[i] * y2, t21[i] * y1 + t22[i] * y2
-                Y[0, i + 1, sl] = y1
-                Y[1, i + 1, sl] = y2
-        return BatchSolution(lam=lam, grid=x, Z=Y)
-    out = np.empty((2, B))
-    for lo in range(0, B, chunk):
-        sl = slice(lo, min(lo + chunk, B))
-        t11, t12, t21, t22 = _step_propagators(h, Fn, Fm, lam[sl])
-        a, b, c, d = _reduce_propagators(t11, t12, t21, t22)
-        y = initial_state(problem.bc, lam[sl])
-        out[0, sl] = a * y[0] + b * y[1]
-        out[1, sl] = c * y[0] + d * y[1]
+def single_steps(system, z, lam, x0, x1):
+    """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
+    at lambda = lam[q].  Used by node refinement."""
+    out = np.empty_like(z)
+    for lo in range(0, z.shape[1], _BLOCK):
+        sl = slice(lo, lo + _BLOCK)
+        powers = lam[sl, None, None, None] ** np.arange(5)[:, None, None]
+        out[:, sl] = _advance(z[:, sl].T[..., None], powers,
+                              *_step_maps(system, x0[sl], x1[sl], x1[sl] - x0[sl]))[..., 0].T
     return out
 
 
-# ---------------------------------------------------------------------------
-# kernel path: RK4 on the augmented state
-
-
-def _solve_kernel(problem, lam, n_steps, want_trajectory):
-    system = AugmentedSystem(problem)
-    x, h, (Fn, bn), (Fm, bm) = _grid_tables(system, n_steps)
-    lamJ = np.stack([-lam, lam])
-    z = np.zeros((system.size, lam.shape[0]))
-    z[:2] = initial_state(problem.bc, lam)
-    Z = np.empty((system.size, n_steps + 1) + lam.shape) if want_trajectory else None
-    for i in range(n_steps):
-        if Z is not None:
-            Z[:, i] = z
-        z = system.step(z, lamJ, h, (Fn[i], bn[i]), (Fm[i], bm[i]), (Fn[i + 1], bn[i + 1]))
-    if Z is None:
-        return z[:2]
-    Z[:, n_steps] = z
-    return BatchSolution(lam=lam, grid=x, Z=Z)
-
-
 def _check_magnitude(arr, lam):
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and need no temporary the size of arr
+    lo, hi = float(np.min(arr, initial=0.0)), float(np.max(arr, initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise MagnitudeError(
             "non-finite solution samples; the solution grew past floating-point "
             "range (the characteristic function is normalized by lambda^2, "
             "consider rescaling the problem)"
         )
-    peak = float(np.max(np.abs(arr), initial=0.0))
+    peak = max(hi, -lo)
     if peak > MAGNITUDE_LIMIT:
         raise MagnitudeError(
             f"solution magnitude {peak:.3g} exceeds {MAGNITUDE_LIMIT:.1e} "
@@ -399,18 +381,35 @@ def _check_resolution(lam, points):
 
 
 def _solve(problem, lam, points, want_trajectory):
-    """Check the arguments, then solve on the zero-kernel or the kernel path:
-    a BatchSolution, or the endpoint states (2, B)."""
+    """Check the arguments, then step over the uniform grid on [0, pi]: a
+    BatchSolution, or the endpoint states (2, B)."""
     ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
     n_steps = resolution_points(lam) if points is None else int(points)
     _check_resolution(lam, n_steps)
-    solve = _solve_zero if problem.coeffs.chi.mode == "zero" else _solve_kernel
-    out = solve(problem, lam, n_steps, want_trajectory)
-    _check_magnitude(out.Y if want_trajectory else out, lam)
-    return out
+    system, h = AugmentedSystem(problem), math.pi / n_steps
+    z = np.zeros((system.size, lam.size))
+    z[:2] = initial_state(problem.bc, lam)
+    Z = np.empty((system.size, n_steps + 1, lam.size)) if want_trajectory else None
+    powers = lam ** np.arange(5)[:, None, None]
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        x = np.arange(lo, hi + 1) * h  # the nodes of np.linspace(0, pi, n_steps + 1)
+        if hi == n_steps:
+            x[-1] = math.pi
+        for i, maps in enumerate(zip(*_step_maps(system, x[:-1], x[1:], h)), start=lo):
+            if Z is not None:
+                Z[:, i] = z
+            z = _advance(z, powers, *maps)
+        del maps  # free this block's maps before the next block's are built
+    if Z is None:
+        _check_magnitude(z[:2], lam)
+        return z[:2]
+    Z[:, n_steps] = z
+    _check_magnitude(Z[:2], lam)
+    return BatchSolution(lam=lam, grid=np.linspace(0.0, math.pi, n_steps + 1), Z=Z)
 
 
 def solve_batch(problem, lam, points=None):

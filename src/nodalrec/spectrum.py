@@ -21,7 +21,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_constants, lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
-from .forward import AugmentedSystem, char_fn_normalized, resolution_points, solve_batch
+from .forward import AugmentedSystem, char_fn_normalized, resolution_points, single_steps, solve_batch
 from .problem import derived_integrals, ensure_valid
 
 N_MIN = 5
@@ -66,11 +66,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class NodalData:
-    """Map n -> ascending node positions in the open interval (0, pi)."""
+    """Map n -> ascending node positions in the open interval (0, pi), and
+    for numeric data the eigenvalues and final brackets the search found."""
 
     nodes: dict
     source: str = "numeric"
     failures: dict = field(default_factory=dict)
+    eigenvalues: dict = field(default_factory=dict)
+    brackets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
@@ -249,19 +252,15 @@ def _refine_nodes(problem, sol, cols, cells):
     system = AugmentedSystem(problem)
     h = sol.step
     lam = sol.lam[cols]
-    lamJ = np.stack([-lam, lam], axis=-1)[..., None]
     xL = sol.grid[cells]
-    ZL = sol.Z[:, cells, cols].T[..., None]
+    ZL = sol.Z[:, cells, cols]
 
     def phi1_at(xq, idx):
         """phi1(xq) by one step from the left node of cells[idx]."""
-        x0 = xL[idx]
-        z = system.step(ZL[idx], lamJ[idx], (xq - x0)[:, None, None], system.coefficients(x0),
-                        system.coefficients(0.5 * (x0 + xq)), system.coefficients(xq))
-        return z[:, 0, 0]
+        return single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
 
     right = phi1_at(xL + h, slice(None))
-    return _bracketed_roots(phi1_at, xL, xL + h, ZL[:, 0, 0], right, NODE_TOL)[2]
+    return _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
 
 
 def _nodes_from_solution(problem, sol):
@@ -317,4 +316,6 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
                 failures[n] = f"ResolutionError: {xs}"
             else:
                 nodes[n] = xs
-    return NodalData(nodes=nodes, source="numeric", failures=failures)
+    return NodalData(nodes=nodes, source="numeric", failures=failures,
+                     eigenvalues={n: lam for n, (lam, _, _) in found.items()},
+                     brackets={n: bracket for n, (_, _, bracket) in found.items()})

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nodalrec.errors import InvalidProblemError, ResolutionError
+from nodalrec.errors import InvalidProblemError, MagnitudeError, ResolutionError
 from nodalrec.fixtures import (
     constant_mass_exact,
     constant_mass_problem,
@@ -13,6 +14,7 @@ from nodalrec.fixtures import (
 )
 from nodalrec.forward import (
     DEFAULT_MIN_POINTS,
+    _check_magnitude,
     char_fn,
     char_fn_normalized,
     initial_state,
@@ -28,8 +30,9 @@ from nodalrec.problem import (
     ProblemDefinition,
     problem_from_mapping,
 )
-from nodalrec.spectrum import compute_spectrum
+from nodalrec.spectrum import compute_spectrum, find_nodes
 
+import _rk4_oracle
 from _bullets import covers
 from _integral_oracle import integral_residual
 from conftest import EXP_KERNEL_DOC, EXP_KERNEL_SEPARABLE_DOC
@@ -96,8 +99,9 @@ def test_pure_rotation_exact():
 
 
 def test_zero_kernel_propagator_equals_general_path():
-    # the same problem routed through the closed-form propagator and through
-    # the kernel machinery (with a structurally zero general kernel) must agree
+    # the kernel-free problem (2 x 2 step maps on y) and the same problem with
+    # a structurally zero general kernel (Chebyshev memory states, step maps
+    # on the coupled input (y, C W)) must agree
     base = worked_example_problem()
     fast = ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(
         V=base.coeffs.V, m=base.coeffs.m))
@@ -178,3 +182,57 @@ def test_empty_lambda_batch(problem):
     out = char_fn(problem, np.array([]))
     assert isinstance(out, np.ndarray) and out.shape == (0,)
     assert char_fn_normalized(problem, []).shape == (0,)
+
+
+@pytest.mark.parametrize("phase", [0.05, 0.2])
+@pytest.mark.parametrize("kind", ["zero", "separable", "general"])
+def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_problem):
+    # the polynomial step maps against the four-stage RK4 of _rk4_oracle on
+    # the same grid (300 steps: two full blocks and a partial one), for a
+    # kernel-free problem, the separable cosine kernel (maps on (y, W)) and
+    # the general exponential kernel (32 memory states, maps on (y, C W))
+    base = worked_example_problem()
+    problem = {
+        "zero": ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(V=base.coeffs.V, m=base.coeffs.m)),
+        "separable": cosine_problem,
+        "general": exp_kernel_problem,
+    }[kind]
+    n_steps = 300
+    lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
+    lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0])
+    bound = 1e-12 * max(1.0, lam * lam)
+    Z = _rk4_oracle.solve(problem, lams, n_steps)
+    assert sup_err(solve_batch(problem, lams, points=n_steps).Z, Z) <= bound
+    assert sup_err(char_fn(problem, lams, points=n_steps),
+                   _rk4_oracle.char_fn(problem, lams, n_steps)) <= bound
+    nodes = find_nodes(problem, lam, points=n_steps)
+    ref = _rk4_oracle.nodes(problem, lam, n_steps)
+    assert nodes.size == ref.size > 0
+    assert sup_err(nodes, ref) <= bound
+
+
+def test_char_fn_memory_flat_in_step_count(cosine_problem):
+    # step maps are built a block of steps at a time, so no array grows with
+    # the grid: the traced peak of one 1212-lambda evaluation (less the
+    # returned array) stays flat when the step count is quadrupled, where
+    # tables over the full grid would grow with it
+    lams = np.linspace(19.0, 121.0, 1212)
+    char_fn(cosine_problem, lams, points=2048)
+    peaks = []
+    for points in (2048, 8192):
+        tracemalloc.start()
+        try:
+            out = char_fn(cosine_problem, lams, points=points)
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.2 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e150, -2e150])
+def test_magnitude_check(bad):
+    lam = np.array([1.0, 2.0])
+    _check_magnitude(np.array([[1.0, -1e150], [0.0, 3.0]]), lam)
+    _check_magnitude(np.empty((2, 0)), lam[:0])
+    with pytest.raises(MagnitudeError):
+        _check_magnitude(np.array([[1.0, bad], [0.0, 3.0]]), lam)

@@ -7,6 +7,7 @@ import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
 from nodalrec.forward import BatchSolution, integrate_ivp, solve_batch
+from nodalrec.io import read_nodal_csv, write_nodal_csv
 from nodalrec.spectrum import (
     NODE_TOL,
     NodalData,
@@ -356,3 +357,19 @@ def test_general_kernel_nodes_converge(exp_kernel_problem):
     fine = find_nodes(exp_kernel_problem, lam, points=1536)
     assert coarse.size == fine.size
     assert sup(coarse, fine) <= 3e-7
+
+
+def test_nodal_data_carries_its_spectrum(worked_problem, worked_numeric_nodes, worked_synth_data,
+                                        tmp_path):
+    # nodal_data keeps the eigenvalues and final brackets of its own search;
+    # synthetic data and CSV read-back have none, and the CSV is unchanged
+    spec = compute_spectrum(worked_problem, (20, 60))
+    assert worked_numeric_nodes.eigenvalues == spec.entries
+    assert worked_numeric_nodes.brackets == spec.brackets
+    assert worked_synth_data.eigenvalues == {} and worked_synth_data.brackets == {}
+    with_spectrum, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_nodal_csv(worked_numeric_nodes, str(with_spectrum))
+    write_nodal_csv(NodalData(nodes=worked_numeric_nodes.nodes), str(without))
+    assert with_spectrum.read_bytes() == without.read_bytes()
+    back = read_nodal_csv(str(with_spectrum))
+    assert back.eigenvalues == {} and back.brackets == {}
