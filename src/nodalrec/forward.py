@@ -245,11 +245,12 @@ class AugmentedSystem:
 # steps (or node-refinement queries) whose maps are built at once; bounds
 # the builder's arrays independently of the step count
 _BLOCK = 128
+_J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
 
-def _step_maps(system, x0, x1, h):
-    """RK4 steps from x0 to x1 (n steps; h = x1 - x0, or the grid step) as
-    maps polynomial of degree 4 in lambda, each with leading axis n.
+def _step_maps(system, x0, x1, h, lam=None):
+    """RK4 steps from x0 to x1 (n steps; h = x1 - x0, or the grid step) as maps
+    with leading axis n, polynomial of degree 4 in lambda or evaluated at lam.
 
     With F = (G, C), C the 2 x S couplings, and W' = B y, the memory states
     reach the stages y_1..y_4 only through C W, so each stage is a 2 x 8
@@ -264,6 +265,8 @@ def _step_maps(system, x0, x1, h):
     n = x0.size
     F, B = system.coefficients(np.concatenate([x0, x0 + 0.5 * h, x1]))
     S, G = B.shape[-2], F[:, [0, 1], [1, 0]].reshape(3, n, 2)  # (r, -p)
+    # lambda J raises a form's degree by E = 1, or is folded into G at lam (one per step)
+    E, G = (1, G) if lam is None else (0, G + lam[:, None] * np.array([-1.0, 1.0]))
     CC = np.concatenate(np.split(F[..., 2:], 3), axis=1)
     BB = np.concatenate(np.split(B, 3), axis=2)
     del F, B  # the maps' own arrays are all that outlives this point
@@ -287,11 +290,10 @@ def _step_maps(system, x0, x1, h):
     def stage(g, y, col, C, dW=None):
         """(G + lambda J) y + C W_i, J = ((0, -1), (1, 0)); dW = (c, B_j, y_j)
         gives the stage's memory increment W_i - W = c h B_j y_j."""
-        k = np.zeros((y.shape[0] + 1, 2, D, n))
-        k[:-1, 0] = g[:, 0] * y[:, 1]
-        k[:-1, 1] = g[:, 1] * y[:, 0]
-        k[1:, 0] -= y[:, 1]
-        k[1:, 1] += y[:, 0]
+        k = np.zeros((y.shape[0] + E, 2, D, n))
+        k[: y.shape[0]] = g.T[:, None] * y[:, ::-1]  # G y with G = ((0, r), (-p, 0))
+        if E:
+            k[1:] += _J * y[:, ::-1]
         if S and dW is not None:
             k[: dW[2].shape[0]] += (dW[0] * h) * mul(C @ dW[1], dW[2])
         return plus(k, col, C)
@@ -314,22 +316,22 @@ def _step_maps(system, x0, x1, h):
     if coupled:
         rows += feeds
     elif S:
-        W = np.zeros((5, S, D, n))
+        W = np.zeros((k4.shape[0], S, D, n))
         for M, L in zip((B0, Bm, B1), feeds):
             W[: L.shape[0]] += mul(M, L)
         W[0, :, 2:] += np.eye(S)[..., None]
         rows.append(W)
-    P = np.zeros((n, sum(L.shape[1] for L in rows), 5, D))
+    P = np.zeros((n, sum(L.shape[1] for L in rows), k4.shape[0], D))
     r = 0
     for L in rows:
         P[:, r : r + L.shape[1], : L.shape[0]] = L.transpose(3, 1, 0, 2)
         r += L.shape[1]
-    return (P.reshape(n, r, 5 * D), CC, BB) if coupled else (P.reshape(n, r, 5 * D),)
+    return (P.reshape(n, r, -1), CC, BB) if coupled else (P.reshape(n, r, -1),)
 
 
 def _advance(z, lam_powers, P, CC=None, BB=None):
     """One step of the maps from _step_maps on z (..., 2 + S, B); lam_powers
-    holds lambda^0..lambda^4 on an axis just before z's last two."""
+    holds lambda^0..lambda^4 on an axis just before z's last two, or is 1.0."""
     y, W = z[..., :2, :], z[..., 2:, :]
     v = z if CC is None else np.concatenate([y, CC @ W], axis=-2)
     X = lam_powers * v[..., None, :, :]
@@ -337,15 +339,14 @@ def _advance(z, lam_powers, P, CC=None, BB=None):
     return out if CC is None else np.concatenate([out[..., :2, :], W + BB @ out[..., 2:, :]], axis=-2)
 
 
-def single_steps(system, z, lam, x0, x1):
+def _single_steps(system, z, lam, x0, x1):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
     at lambda = lam[q].  Used by node refinement."""
     out = np.empty_like(z)
-    for lo in range(0, z.shape[1], _BLOCK):
-        sl = slice(lo, lo + _BLOCK)
-        powers = lam[sl, None, None, None] ** np.arange(5)[:, None, None]
-        out[:, sl] = _advance(z[:, sl].T[..., None], powers,
-                              *_step_maps(system, x0[sl], x1[sl], x1[sl] - x0[sl]))[..., 0].T
+    for lo in range(0, z.shape[1], 4 * _BLOCK):  # maps at one lambda are about 5 times smaller
+        sl = slice(lo, lo + 4 * _BLOCK)
+        maps = _step_maps(system, x0[sl], x1[sl], x1[sl] - x0[sl], lam[sl])
+        out[:, sl] = _advance(z[:, sl].T[..., None], 1.0, *maps)[..., 0].T
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_constants, lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
-from .forward import AugmentedSystem, char_fn_normalized, resolution_points, single_steps, solve_batch
+from .forward import AugmentedSystem, _single_steps, char_fn_normalized, resolution_points, solve_batch
 from .problem import derived_integrals, ensure_valid
 
 N_MIN = 5
@@ -249,15 +249,12 @@ def _refine_nodes(problem, sol, cols, cells):
     cols, cells: parallel int arrays naming (lambda column, left node index).
     Returns refined positions, same length.
     """
-    system = AugmentedSystem(problem)
-    h = sol.step
-    lam = sol.lam[cols]
-    xL = sol.grid[cells]
-    ZL = sol.Z[:, cells, cols]
+    system, h = AugmentedSystem(problem), sol.step
+    lam, xL, ZL = sol.lam[cols], sol.grid[cells], sol.Z[:, cells, cols]
 
     def phi1_at(xq, idx):
         """phi1(xq) by one step from the left node of cells[idx]."""
-        return single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
+        return _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
 
     right = phi1_at(xL + h, slice(None))
     return _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
