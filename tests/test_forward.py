@@ -190,7 +190,8 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     # the polynomial step maps against the four-stage RK4 of _rk4_oracle on
     # the same grid (300 steps: two full blocks and a partial one), for a
     # kernel-free problem, the separable cosine kernel (maps on (y, W)) and
-    # the general exponential kernel (32 memory states, maps on (y, C W))
+    # the general exponential kernel (32 memory states, maps on (y, C W));
+    # find_nodes refines with maps evaluated at each query's lambda
     base = worked_example_problem()
     problem = {
         "zero": ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(V=base.coeffs.V, m=base.coeffs.m)),
