@@ -141,14 +141,11 @@ def _indexed_samples(data, ns, x, offset):
     collinear with the intercept and destabilizes the fit exactly where the
     endpoint values theta, beta, m are read off.
     """
-    pos = np.empty(len(ns), dtype=int)
-    val = np.empty(len(ns), dtype=float)
-    for k, n in enumerate(ns):
-        xs = np.asarray(data.nodes[n], dtype=float)
-        p = int(round(x * n / math.pi)) - offset
-        p = min(max(p, 0), xs.size - 1)
-        pos[k] = p
-        val[k] = xs[p]
+    lists = [data.nodes[n] for n in ns]
+    last = np.array([len(xs) - 1 for xs in lists])
+    # np.rint rounds half to even, as round does
+    pos = np.clip(np.rint(x * np.asarray(ns) / math.pi).astype(int) - offset, 0, last)
+    val = np.array([xs[p] for xs, p in zip(lists, pos.tolist())], dtype=float)
     return pos, val
 
 

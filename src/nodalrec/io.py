@@ -3,9 +3,20 @@
 All numeric cells use ``repr(float(...))``, the shortest representation that
 round-trips the binary value (at least 15 significant digits).  Bodies contain
 no timestamps, so identical inputs produce byte-identical files.
+
+CSV rows end in ``\\r\\n``, the line end of ``csv.writer``; comment lines
+(``# ...``) end in a bare ``\\n``.  The nodal CSV is written as one joined
+string of ``n,j,x`` rows per n, the same bytes ``csv.writer`` gives for these
+cells.  Its reader strips each line, skips blank lines and comments wherever
+they stand (noting a ``# source=synthetic`` tag), checks the header, and
+parses the rows with ``np.loadtxt``, which rounds decimal strings correctly,
+so every written float reads back bit for bit.  Rows may come in any order:
+they are sorted by (n, j), and the positions j of each n must be
+0..len-1.  LF and CRLF files read the same.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -29,48 +40,69 @@ def write_nodal_csv(data, path):
     with open(path, "w", newline="") as fh:
         if data.source == "synthetic":
             fh.write("# source=synthetic\n")
-        writer = csv.writer(fh)
-        writer.writerow(["n", "j", "x"])
-        for n, j, x in data.rows():
-            writer.writerow([n, j, format_float(x)])
+        fh.write("n,j,x\r\n")
+        for n in data.indices:
+            xs = np.asarray(data.nodes[n], dtype=float).tolist()
+            fh.write("".join([f"{n},{j},{x!r}\r\n" for j, x in enumerate(xs)]))
+
+
+_NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
 
 
 def read_nodal_csv(path):
     """Inverse of write_nodal_csv; unknown comments are ignored."""
     source = "numeric"
-    nodes = {}
-    with open(path, newline="") as fh:
-        rows = []
+    count = 0  # rows handed to the parser, header included
+
+    def rows(fh):
+        nonlocal source, count
         for raw in fh:
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body == "source=synthetic":
+            if line[0] == "#":
+                if line[1:].strip() == "source=synthetic":
                     source = "synthetic"
                 continue
-            rows.append(line)
-    if not rows:
-        raise ProblemFormatError(f"{path}: no rows")
-    header = [c.strip() for c in rows[0].split(",")]
-    if header != ["n", "j", "x"]:
-        raise ProblemFormatError(f"{path}: expected header n,j,x, got {rows[0]!r}")
-    staged = {}
-    for k, line in enumerate(rows[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 3:
-            raise ProblemFormatError(f"{path}:{k}: expected 3 cells, got {len(cells)}")
+            count += 1
+            yield line
+
+    with open(path, newline="") as fh:
+        lines = rows(fh)
+        header = next(lines, None)
+        if header is None:
+            raise ProblemFormatError(f"{path}: no rows")
+        if [c.strip() for c in header.split(",")] != ["n", "j", "x"]:
+            raise ProblemFormatError(f"{path}: expected header n,j,x, got {header!r}")
+        first = next(lines, None)
+        if first is None:
+            return NodalData(nodes={}, source=source)
         try:
-            n, j, x = int(cells[0]), int(cells[1]), float(cells[2])
+            table = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
+                               comments=None, dtype=_NODAL_ROW, ndmin=1)
         except ValueError as exc:
-            raise ProblemFormatError(f"{path}:{k}: {exc}") from None
-        staged.setdefault(n, []).append((j, x))
-    for n, pairs in staged.items():
-        pairs.sort()
-        if [j for j, _ in pairs] != list(range(len(pairs))):
-            raise ProblemFormatError(f"{path}: node positions for n = {n} are not 0..{len(pairs)-1}")
-        nodes[n] = np.array([x for _, x in pairs])
+            # the parser pulls one line at a time, so count is the faulty
+            # row; numpy's own row number counts from 0 or 1 by fault kind
+            reason = str(exc).split(" at row ")[0]
+            raise ProblemFormatError(f"{path}:{count}: {reason}") from None
+
+    # a repeated (n, j) is an error, so (n, j) alone fixes the order
+    order = np.lexsort((table["j"], table["n"]))
+    n, j, x = table["n"][order], table["j"][order], table["x"][order]
+    del table
+    new = np.concatenate(([True], n[1:] != n[:-1]))  # first row of each n
+    starts = np.flatnonzero(new)
+    stops = np.append(starts[1:], n.size)
+    first_row = np.minimum.reduceat(order, starts)  # where each n first appears
+    bad = np.flatnonzero(np.where(new, j != 0, np.diff(j, prepend=-1) != 1))
+    if bad.size:
+        groups = np.unique(np.searchsorted(starts, bad, side="right") - 1)
+        k = groups[np.argmin(first_row[groups])]
+        raise ProblemFormatError(
+            f"{path}: node positions for n = {n[starts[k]]} are not 0..{stops[k] - starts[k] - 1}"
+        )
+    starts, stops = starts.tolist(), stops.tolist()
+    nodes = {int(n[starts[k]]): x[starts[k]:stops[k]] for k in np.argsort(first_row).tolist()}
     try:
         return NodalData(nodes=nodes, source=source)
     except ValueError as exc:

@@ -89,11 +89,6 @@ class NodalData:
     def indices(self):
         return sorted(self.nodes)
 
-    def rows(self):
-        for n in self.indices:
-            for j, x in enumerate(self.nodes[n]):
-                yield n, j, float(x)
-
 
 # ---------------------------------------------------------------------------
 # bracketed roots

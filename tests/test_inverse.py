@@ -18,6 +18,7 @@ from nodalrec.fixtures import (
 from nodalrec.inverse import (
     ReconstructOptions,
     SampledCurve,
+    _indexed_samples,
     calibrate_offset,
     differentiate,
     f_estimate,
@@ -60,6 +61,56 @@ def _unit_kernel_problem():
             ),
         ),
     )
+
+
+def _indexed_samples_loop(data, ns, x, offset):
+    # the scalar loop the vectorized gather replaced, kept as its reference
+    pos = np.empty(len(ns), dtype=int)
+    val = np.empty(len(ns), dtype=float)
+    for k, n in enumerate(ns):
+        xs = np.asarray(data.nodes[n], dtype=float)
+        p = int(round(x * n / math.pi)) - offset
+        p = min(max(p, 0), xs.size - 1)
+        pos[k] = p
+        val[k] = xs[p]
+    return pos, val
+
+
+def _tie(n, k):
+    """x with x n / pi == k + 1/2 exactly, or None."""
+    x = (k + 0.5) * math.pi / n
+    for cand in (x, np.nextafter(x, 0.0), np.nextafter(x, 4.0)):
+        if float(cand) * n / math.pi == k + 0.5:
+            return float(cand)
+    return None
+
+
+def test_indexed_samples_match_scalar_loop():
+    rng = np.random.default_rng(3)
+    # short lists clip at the top, offsets up to 2 at the bottom
+    nodes = {
+        int(n): np.sort(rng.uniform(0.01, math.pi - 0.01, size=rng.integers(1, n + 2)))
+        for n in rng.choice(np.arange(5, 400), size=60, replace=False)
+    }
+    data = NodalData(nodes=nodes)
+    ns = sorted(nodes)
+    xs = [0.0, math.pi, *rng.uniform(0.0, math.pi, size=20)]
+    ties = [(n, k, _tie(n, k)) for n in ns[:20] for k in (0, 1, n // 3, n // 2, n - 1)]
+    ties = [(n, k, x) for n, k, x in ties if x is not None]
+    # both parities of k, so round half to even matters
+    assert {k % 2 for _, k, _ in ties} == {0, 1}
+    xs += [x for _, _, x in ties]
+    for x in xs:
+        for offset in range(-2, 3):
+            pos, val = _indexed_samples(data, ns, x, offset)
+            ref_pos, ref_val = _indexed_samples_loop(data, ns, x, offset)
+            assert np.array_equal(pos, ref_pos) and pos.dtype == ref_pos.dtype
+            assert np.array_equal(val, ref_val)
+    # the clipping was reached at both ends
+    pos, _ = _indexed_samples(data, ns, 0.0, 2)
+    assert np.all(pos == 0)
+    pos, _ = _indexed_samples(data, ns, math.pi, -2)
+    assert np.array_equal(pos, [len(nodes[n]) - 1 for n in ns])
 
 
 def test_calibration_offset_on_fixtures(worked_synth_data, free_numeric_data):
