@@ -25,10 +25,9 @@ pollutes g by n·1e-4, which at n ~ 400 would dominate the mass budget.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import savgol_filter
 
 from .errors import (
     CalibrationError,
@@ -48,26 +47,91 @@ MAX_OFFSET = 2
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Function samples on a shared grid, with spline point evaluation."""
+    """Function samples on a shared grid, with point evaluation by the
+    not-a-knot cubic spline through them (de Boor, A Practical Guide to
+    Splines, ch. IV)."""
 
     x: np.ndarray
     values: np.ndarray
     dispersion: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        # read-only copies, so the spline pieces cached by `at` stay valid
+        for name in ("x", "values"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.x.shape != self.values.shape or self.x.ndim != 1:
             raise ValueError("x and values must be 1-d arrays of equal length")
 
     def at(self, xq):
-        spline = CubicSpline(self.x, self.values)
-        out = spline(np.asarray(xq, dtype=float))
+        """Spline value at xq (a number or an array); outside [x[0], x[-1]]
+        the end pieces extrapolate."""
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        c3, c2, c1, c0 = self._pieces[:, i]
+        t = xq - self.x[i]
+        out = ((c3 * t + c2) * t + c1) * t + c0
         return float(out) if out.ndim == 0 else out
+
+    @cached_property
+    def _pieces(self):
+        """Spline coefficients per interval [x_i, x_i+1], in powers of
+        (x - x_i), highest first; shape (4, len(x) - 1)."""
+        x, y = self.x, self.values
+        if x.size < 2:
+            raise ValueError(f"a spline needs at least 2 samples, have {x.size}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("spline samples must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0):
+            raise ValueError("spline abscissae must be strictly increasing")
+        chord = np.diff(y) / h
+        s = _spline_slopes(h, chord)
+        t = (s[:-1] + s[1:] - 2.0 * chord) / h
+        return np.stack([t / h, (chord - s[:-1]) / h - t, s[:-1], y[:-1]])
 
     @property
     def step(self):
         return float(self.x[1] - self.x[0])
+
+
+def _spline_slopes(h, chord):
+    """Node slopes of the not-a-knot cubic spline, given the interval widths
+    h and the chord slopes (divided differences) of the samples.
+
+    Two samples give the chord and three the parabola through them (both
+    end conditions then concern the one interior knot).  Otherwise the
+    slopes solve a tridiagonal system: continuity of the second derivative
+    at each interior knot, and of the third at the second and next-to-last
+    knots.  It is solved by elimination without pivoting in O(n): the
+    interior rows are diagonally dominant, and every pivot, the two end
+    rows' included, stays positive.
+    """
+    if h.size == 1:
+        return np.array([chord[0], chord[0]])
+    if h.size == 2:
+        c = (chord[1] - chord[0]) / (h[0] + h[1])
+        return np.array([chord[0] - c * h[0], chord[0] + c * h[0], chord[1] + c * h[1]])
+    d0, d1 = h[0] + h[1], h[-2] + h[-1]
+    lower = [0.0] + h[1:].tolist() + [d1]
+    diag = [h[1]] + (2.0 * (h[:-1] + h[1:])).tolist() + [h[-2]]
+    upper = [d0] + h[:-1].tolist() + [0.0]
+    rhs = (
+        [((h[0] + 2.0 * d0) * h[1] * chord[0] + h[0] ** 2 * chord[1]) / d0]
+        + (3.0 * (h[1:] * chord[:-1] + h[:-1] * chord[1:])).tolist()
+        + [(h[-1] ** 2 * chord[-2] + (2.0 * d1 + h[-1]) * h[-2] * chord[-1]) / d1]
+    )
+    n = len(diag)
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * n
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    return np.array(s)
 
 
 @dataclass(frozen=True)
@@ -260,18 +324,25 @@ def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat, n_min=DEFAULT_N_MIN)
 
 def differentiate(curve):
     """Derivative by sliding least-squares quadratic over WINDOW samples on
-    the uniform grid; endpoint windows are one-sided (polynomial fit
-    extended to the edge)."""
+    the uniform grid (Savitzky & Golay 1964).  At interior points that is
+    the centred stencil sum_k k y_{i+k} / (h sum_k k^2); the WINDOW // 2
+    points at each end take the derivative of the quadratic fitted to the
+    first or last WINDOW samples."""
     n = curve.values.size
     if n < WINDOW + 1:
         raise InsufficientDataError(f"need at least {WINDOW + 1} samples, have {n}")
     steps = np.diff(curve.x)
     if not np.allclose(steps, steps[0], rtol=1e-10, atol=1e-12):
         raise ValueError("differentiate requires a uniform grid")
-    deriv = savgol_filter(
-        curve.values, window_length=WINDOW, polyorder=2, deriv=1,
-        delta=float(steps[0]), mode="interp",
-    )
+    h = float(steps[0])
+    y = curve.values
+    half = WINDOW // 2
+    k = np.arange(-half, half + 1, dtype=float)
+    u = np.arange(WINDOW, dtype=float)
+    deriv = np.empty(n)
+    deriv[half:-half] = np.correlate(y, k, mode="valid") / (h * (k @ k))
+    deriv[:half] = np.polyval(np.polyder(np.polyfit(u, y[:WINDOW], 2)), u[:half]) / h
+    deriv[-half:] = np.polyval(np.polyder(np.polyfit(u, y[-WINDOW:], 2)), u[-half:]) / h
     return SampledCurve(x=curve.x, values=deriv)
 
 

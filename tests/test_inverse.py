@@ -299,3 +299,17 @@ def test_sampled_curve_guards(worked_synth_recon):
         SampledCurve(x=np.linspace(0, 1, 5), values=np.zeros(4))
     f_hat = worked_synth_recon.f_hat
     assert sup(f_hat.at(f_hat.x), f_hat.values) <= 1e-12
+
+
+def test_sampled_curve_owns_its_samples():
+    # `at` caches the spline pieces, so later writes to the caller's arrays
+    # must not reach the curve, and the curve's own arrays are read-only
+    x = np.linspace(0.0, math.pi, 17)
+    y = np.sin(x)
+    curve = SampledCurve(x=x, values=y)
+    before = curve.at(1.0)
+    y[:] = 0.0
+    x[:] = np.linspace(1.0, 2.0, 17)
+    assert curve.at(1.0) == before
+    with pytest.raises(ValueError):
+        curve.values[0] = 1.0
