@@ -25,7 +25,11 @@ degree is checked against the kernel, or the entry is refused).  One RK4
 step is then a matrix polynomial of degree 4 in lambda whose coefficients
 depend only on the grid: _step_maps builds them for a block of steps, and
 every solve and node refinement applies them to its lambda batch
-(_advance), O(N) per trajectory.
+(_stepper), O(N) per trajectory.  An eigenvalue search builds its grid's
+maps once (grid_maps) and passes them as maps= to each of its batched
+evaluations and to the trajectory solve that follows; a standalone call
+builds them lazily, one block at a time, so its memory does not grow with
+the grid.
 
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
@@ -329,14 +333,27 @@ def _step_maps(system, x0, x1, h, lam=None):
     return (P.reshape(n, r, -1), CC, BB) if coupled else (P.reshape(n, r, -1),)
 
 
-def _advance(z, lam_powers, P, CC=None, BB=None):
-    """One step of the maps from _step_maps on z (..., 2 + S, B); lam_powers
-    holds lambda^0..lambda^4 on an axis just before z's last two, or is 1.0."""
-    y, W = z[..., :2, :], z[..., 2:, :]
-    v = z if CC is None else np.concatenate([y, CC @ W], axis=-2)
-    X = lam_powers * v[..., None, :, :]
-    out = P @ X.reshape(X.shape[:-3] + (P.shape[-1], X.shape[-1]))
-    return out if CC is None else np.concatenate([out[..., :2, :], W + BB @ out[..., 2:, :]], axis=-2)
+def _stepper(maps, powers=None):
+    """step(z, i) applying map i of one block of maps from _step_maps to z.
+    Polynomial maps take z (2 + S, B) and powers = lambda^0..lambda^4 of
+    shape (5, 1, B); maps built at each query's lambda (powers None) take a
+    slice i of queries and z (Q, 2 + S, 1).  The maps' form is read here,
+    once per block, not at every step."""
+    P = maps[0]
+    if powers is None:
+        lift = lambda v: v
+    else:
+        lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
+    if len(maps) == 1:  # the maps act on z itself
+        return lambda z, i: P[i] @ lift(z)
+    _, CC, BB = maps
+
+    def coupled(z, i):  # the maps act on v = (y, C W), then W is advanced
+        W = z[..., 2:, :]
+        out = P[i] @ lift(np.concatenate([z[..., :2, :], CC[i] @ W], axis=-2))
+        return np.concatenate([out[..., :2, :], W + BB[i] @ out[..., 2:, :]], axis=-2)
+
+    return coupled
 
 
 def _single_steps(system, z, lam, x0, x1):
@@ -346,7 +363,7 @@ def _single_steps(system, z, lam, x0, x1):
     for lo in range(0, z.shape[1], 4 * _BLOCK):  # maps at one lambda are about 5 times smaller
         sl = slice(lo, lo + 4 * _BLOCK)
         maps = _step_maps(system, x0[sl], x1[sl], x1[sl] - x0[sl], lam[sl])
-        out[:, sl] = _advance(z[:, sl].T[..., None], 1.0, *maps)[..., 0].T
+        out[:, sl] = _stepper(maps)(z[:, sl].T[..., None], slice(None))[..., 0].T
     return out
 
 
@@ -381,30 +398,71 @@ def _check_resolution(lam, points):
         )
 
 
-def _solve(problem, lam, points, want_trajectory):
+def _map_blocks(system, n_steps):
+    """(first step, maps from _step_maps) for each block of _BLOCK steps of
+    the uniform grid of n_steps steps on [0, pi], built as they are taken."""
+    h = math.pi / n_steps
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        x = np.arange(lo, hi + 1) * h  # the nodes of np.linspace(0, pi, n_steps + 1)
+        if hi == n_steps:
+            x[-1] = math.pi
+        yield lo, _step_maps(system, x[:-1], x[1:], h)
+
+
+@dataclass(frozen=True)
+class GridMaps:
+    """Every block of step maps of one problem on the grid of `points`
+    steps, for reuse by all solves on that grid (maps= of solve_batch,
+    endpoint_states, char_fn and char_fn_normalized).  blocks holds
+    (first step, maps) as _map_blocks yields them; size is 2 + S."""
+
+    problem: object
+    points: int
+    size: int
+    blocks: tuple
+
+
+def grid_maps(problem, points):
+    """The step maps of problem on the uniform grid of points steps."""
+    ensure_valid(problem)
+    points = int(points)
+    _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
+    system = AugmentedSystem(problem)
+    return GridMaps(problem, points, system.size, tuple(_map_blocks(system, points)))
+
+
+def _solve(problem, lam, points, maps, want_trajectory):
     """Check the arguments, then step over the uniform grid on [0, pi]: a
-    BatchSolution, or the endpoint states (2, B)."""
+    BatchSolution, or the endpoint states (2, B).  The step maps come from
+    maps (a GridMaps of this problem and step count), or are built a block
+    at a time, so no array grows with the grid."""
     ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
     n_steps = resolution_points(lam) if points is None else int(points)
     _check_resolution(lam, n_steps)
-    system, h = AugmentedSystem(problem), math.pi / n_steps
-    z = np.zeros((system.size, lam.size))
+    if maps is None:
+        system = AugmentedSystem(problem)
+        size, blocks = system.size, _map_blocks(system, n_steps)
+    elif maps.problem is not problem:
+        raise ValueError("maps were built for another problem")
+    elif maps.points != n_steps:
+        raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
+    else:
+        size, blocks = maps.size, maps.blocks
+    z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)
-    Z = np.empty((system.size, n_steps + 1, lam.size)) if want_trajectory else None
+    Z = np.empty((size, n_steps + 1, lam.size)) if want_trajectory else None
     powers = lam ** np.arange(5)[:, None, None]
-    for lo in range(0, n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, n_steps)
-        x = np.arange(lo, hi + 1) * h  # the nodes of np.linspace(0, pi, n_steps + 1)
-        if hi == n_steps:
-            x[-1] = math.pi
-        for i, maps in enumerate(zip(*_step_maps(system, x[:-1], x[1:], h)), start=lo):
+    for lo, block in blocks:
+        step = _stepper(block, powers)
+        for i in range(block[0].shape[0]):
             if Z is not None:
-                Z[:, i] = z
-            z = _advance(z, powers, *maps)
-        del maps  # free this block's maps before the next block's are built
+                Z[:, lo + i] = z
+            z = step(z, i)
+        del block, step  # free a built block's maps before the next is built
     if Z is None:
         _check_magnitude(z[:2], lam)
         return z[:2]
@@ -413,15 +471,16 @@ def _solve(problem, lam, points, want_trajectory):
     return BatchSolution(lam=lam, grid=np.linspace(0.0, math.pi, n_steps + 1), Z=Z)
 
 
-def solve_batch(problem, lam, points=None):
-    """Integrate the IVP for a batch of lambda values; returns BatchSolution."""
-    return _solve(problem, lam, points, want_trajectory=True)
+def solve_batch(problem, lam, points=None, *, maps=None):
+    """Integrate the IVP for a batch of lambda values; returns BatchSolution.
+    maps: a GridMaps of this problem and step count, or None to build them."""
+    return _solve(problem, lam, points, maps, want_trajectory=True)
 
 
-def endpoint_states(problem, lam, points=None):
+def endpoint_states(problem, lam, points=None, *, maps=None):
     """phi(pi, lambda) for a batch of lambda; shape (2, B).  Avoids storing
     trajectories."""
-    return _solve(problem, lam, points, want_trajectory=False)
+    return _solve(problem, lam, points, maps, want_trajectory=False)
 
 
 def integrate_ivp(problem, lam, points=None):
@@ -431,14 +490,14 @@ def integrate_ivp(problem, lam, points=None):
     return solve_batch(problem, float(lam), points=points).trajectory(0)
 
 
-def char_fn(problem, lam, points=None):
+def char_fn(problem, lam, points=None, *, maps=None):
     """Delta(lambda) = phi1(pi)(lambda cos beta + d1) + phi2(pi)(lambda sin beta + d2).
 
     Scalar in, float out; array in, array out.
     """
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    end = endpoint_states(problem, lam_arr, points=points)
+    end = endpoint_states(problem, lam_arr, points=points, maps=maps)
     bc = problem.bc
     val = end[0] * (lam_arr * math.cos(bc.beta) + bc.d1) + end[1] * (
         lam_arr * math.sin(bc.beta) + bc.d2
@@ -446,11 +505,11 @@ def char_fn(problem, lam, points=None):
     return float(val[0]) if scalar else val
 
 
-def char_fn_normalized(problem, lam, points=None):
+def char_fn_normalized(problem, lam, points=None, *, maps=None):
     """Delta(lambda) / max(1, lambda^2); bounded near roots, used for bracketing."""
     scalar = np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    val = char_fn(problem, lam_arr, points=points)
+    val = char_fn(problem, lam_arr, points=points, maps=maps)
     out = val / np.maximum(1.0, lam_arr * lam_arr)
     return float(out[0]) if scalar else out
 

@@ -24,7 +24,7 @@ pollutes g by n·1e-4, which at n ~ 400 would dominate the mass budget.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,10 +90,6 @@ class SampledCurve:
         s = _spline_slopes(h, chord)
         t = (s[:-1] + s[1:] - 2.0 * chord) / h
         return np.stack([t / h, (chord - s[:-1]) / h - t, s[:-1], y[:-1]])
-
-    @property
-    def step(self):
-        return float(self.x[1] - self.x[0])
 
 
 def _spline_slopes(h, chord):

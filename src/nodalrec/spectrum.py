@@ -21,7 +21,9 @@ import numpy as np
 
 from .asymptotics import asymptotic_constants, lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
-from .forward import AugmentedSystem, _single_steps, char_fn_normalized, resolution_points, solve_batch
+from .forward import (
+    AugmentedSystem, _single_steps, char_fn_normalized, grid_maps, resolution_points, solve_batch,
+)
 from .problem import derived_integrals, ensure_valid
 
 N_MIN = 5
@@ -142,9 +144,11 @@ def _bracketed_roots(f, a, b, fa, fb, width):
 
 def _scan_and_refine(problem, n_range, tol, points):
     """Shared engine: argument checks, per-n window scan, sign-change audit,
-    joint bracketed refinement to width tol/4.
+    joint bracketed refinement to width tol/4.  The grid's step maps are
+    built once and serve every batched evaluation.
 
-    Returns (found: dict n -> (lam, residual, bracket), failures: dict, n_steps).
+    Returns (found: dict n -> (lam, residual, bracket), failures: dict, maps),
+    maps being the GridMaps of the grid searched on.
     """
     ensure_valid(problem)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -161,10 +165,11 @@ def _scan_and_refine(problem, n_range, tol, points):
     n_steps = points if points is not None else resolution_points(
         float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH
     )
+    maps = grid_maps(problem, n_steps)
 
     offsets = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
     grid = (seeds[:, None] + offsets[None, :]).ravel()
-    vals = char_fn_normalized(problem, grid, points=n_steps).reshape(
+    vals = char_fn_normalized(problem, grid, points=n_steps, maps=maps).reshape(
         len(ns), SCAN_POINTS
     )
 
@@ -199,7 +204,7 @@ def _scan_and_refine(problem, n_range, tol, points):
     if keep:
         rows, c = np.array(keep).T
         lo, hi, root, froot = _bracketed_roots(
-            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps),
+            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps, maps=maps),
             seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
             vals[rows, c], vals[rows, c + 1], tol / 4.0,
         )
@@ -208,7 +213,7 @@ def _scan_and_refine(problem, n_range, tol, points):
             found[ns[row]] = (
                 float(root[k]), abs(float(froot[k])) * scale, (float(lo[k]), float(hi[k]))
             )
-    return found, failures, n_steps
+    return found, failures, maps
 
 
 def compute_spectrum(problem, n_range, tol=1e-9, points=None):
@@ -297,12 +302,12 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    found, failures, n_steps = _scan_and_refine(problem, n_range, tol, points)
+    found, failures, maps = _scan_and_refine(problem, n_range, tol, points)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
     if found:
         order = sorted(found)
-        sol = solve_batch(problem, [found[n][0] for n in order], points=n_steps)
+        sol = solve_batch(problem, [found[n][0] for n in order], points=maps.points, maps=maps)
         for n, xs in zip(order, _nodes_from_solution(problem, sol)):
             if isinstance(xs, ResolutionError):
                 failures[n] = f"ResolutionError: {xs}"

@@ -9,6 +9,7 @@ from nodalrec.errors import InvalidProblemError, MagnitudeError, ResolutionError
 from nodalrec.fixtures import (
     constant_mass_exact,
     constant_mass_problem,
+    cosine_roundtrip_problem,
     free_problem,
     worked_example_problem,
 )
@@ -17,6 +18,8 @@ from nodalrec.forward import (
     _check_magnitude,
     char_fn,
     char_fn_normalized,
+    endpoint_states,
+    grid_maps,
     initial_state,
     integrate_ivp,
     resolution_points,
@@ -184,6 +187,16 @@ def test_empty_lambda_batch(problem):
     assert char_fn_normalized(problem, []).shape == (0,)
 
 
+def _kernel_kinds(cosine_problem, exp_kernel_problem):
+    """One problem per kind of kernel, by name."""
+    base = worked_example_problem()
+    return {
+        "zero": ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(V=base.coeffs.V, m=base.coeffs.m)),
+        "separable": cosine_problem,
+        "general": exp_kernel_problem,
+    }
+
+
 @pytest.mark.parametrize("phase", [0.05, 0.2])
 @pytest.mark.parametrize("kind", ["zero", "separable", "general"])
 def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_problem):
@@ -192,12 +205,7 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     # kernel-free problem, the separable cosine kernel (maps on (y, W)) and
     # the general exponential kernel (32 memory states, maps on (y, C W));
     # find_nodes refines with maps evaluated at each query's lambda
-    base = worked_example_problem()
-    problem = {
-        "zero": ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(V=base.coeffs.V, m=base.coeffs.m)),
-        "separable": cosine_problem,
-        "general": exp_kernel_problem,
-    }[kind]
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0])
@@ -210,6 +218,42 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     ref = _rk4_oracle.nodes(problem, lam, n_steps)
     assert nodes.size == ref.size > 0
     assert sup_err(nodes, ref) <= bound
+
+
+@pytest.mark.parametrize("kind", ["zero", "separable", "general"])
+def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
+    # maps built once for the grid (300 steps: two full blocks and a partial
+    # one) give exactly what a call building its own maps gives
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    n_steps = 300
+    maps = grid_maps(problem, n_steps)
+    lams = np.array([17.5, -9.0, 4.25, 1.0, 0.0])
+    for fn in (char_fn, char_fn_normalized, endpoint_states):
+        assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
+                              fn(problem, lams, points=n_steps))
+    assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
+                          solve_batch(problem, lams, points=n_steps).Z)
+    assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0, points=n_steps)
+
+
+def test_grid_maps_refused_for_another_problem(cosine_problem):
+    # maps belong to one problem object: an equal copy is refused too
+    maps = grid_maps(cosine_problem, 300)
+    for other in (free_problem(), cosine_roundtrip_problem()):
+        with pytest.raises(ValueError, match="another problem"):
+            char_fn(other, [3.0], points=300, maps=maps)
+        with pytest.raises(ValueError, match="another problem"):
+            solve_batch(other, [3.0], points=300, maps=maps)
+
+
+def test_grid_maps_refused_for_another_step_count(cosine_problem):
+    maps = grid_maps(cosine_problem, 300)
+    with pytest.raises(ValueError, match="300 steps, not 301"):
+        char_fn(cosine_problem, [3.0], points=301, maps=maps)
+    with pytest.raises(ValueError, match=f"300 steps, not {DEFAULT_MIN_POINTS}"):
+        solve_batch(cosine_problem, [3.0], maps=maps)
+    with pytest.raises(ResolutionError, match="at least 2"):
+        grid_maps(cosine_problem, 1)
 
 
 def test_char_fn_memory_flat_in_step_count(cosine_problem):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nodalrec.forward as forward
 import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
@@ -192,9 +193,9 @@ def test_nodal_data_records_underresolved_column(free_prob, monkeypatch):
     sizes = []
     original = spectrum.solve_batch
 
-    def planted(problem, lam, points=None):
+    def planted(problem, lam, points=None, *, maps=None):
         sizes.append(len(lam))
-        return _plant_adjacent_sign_changes(original(problem, lam, points=points), 2)
+        return _plant_adjacent_sign_changes(original(problem, lam, points=points, maps=maps), 2)
 
     monkeypatch.setattr(spectrum, "solve_batch", planted)
     data = nodal_data(free_prob, (5, 8))
@@ -290,6 +291,27 @@ def test_search_makes_few_delta_evaluations(worked_problem, worked_spectrum_3060
         lo, hi = spec.brackets[n]
         assert hi - lo <= 1e-9 / 4.0
         assert spec.entries[n] in (lo, hi)
+
+
+def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
+    # the search grid's step maps are built once, 128 steps at a time, and
+    # serve the scan, every update and nodal_data's trajectory solve; node
+    # refinement builds its own maps at each query's lambda
+    grid, refine = [], []
+    original = forward._step_maps
+
+    def counted(system, x0, x1, h, lam=None):
+        (grid if lam is None else refine).append(x0.size)
+        return original(system, x0, x1, h, lam)
+
+    monkeypatch.setattr(forward, "_step_maps", counted)
+    blocks = [128] * 7 + [104]  # ceil(1000 / 128) blocks
+    compute_spectrum(worked_problem, (20, 30), points=1000)
+    assert grid == blocks and refine == []
+    grid.clear()
+    data = nodal_data(worked_problem, (20, 30), points=1000)
+    assert grid == blocks and len(refine) > 0
+    assert data.indices == list(range(20, 31)) and not data.failures
 
 
 def test_shifted_seed_raises_bracketing(free_prob, monkeypatch):
