@@ -184,11 +184,14 @@ def char_fn_asym(problem, lam, integrals=None):
     return float(out) if out.ndim == 0 else out
 
 
-def lambda_asym(problem, n, constants=None, integrals=None):
-    """Eigenvalue seed lambda_n ~ n + (beta-theta)/pi + C_hat/(n pi)."""
-    consts = constants if constants is not None else asymptotic_constants(problem, integrals)
+def lambda_asym(problem, n, integrals=None):
+    """Eigenvalue seed lambda_n ~ n + (beta-theta)/pi + C_hat/(n pi); n may
+    be an array of indices, none of them 0."""
     n_arr = np.asarray(n, dtype=float)
-    out = n_arr + (problem.bc.beta - problem.bc.theta) / math.pi + consts.C_hat / (n_arr * math.pi)
+    if (n_arr == 0).any():
+        raise ValueError("the eigenvalue seed needs n != 0, got n = 0")
+    C_hat = asymptotic_constants(problem, integrals).C_hat
+    out = n_arr + (problem.bc.beta - problem.bc.theta) / math.pi + C_hat / (n_arr * math.pi)
     return float(out) if out.ndim == 0 else out
 
 

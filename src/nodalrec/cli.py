@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,10 @@ from . import io as formats
 from .asymptotics import synthesize_nodal_data
 from .errors import ConfigError, FixtureMismatchError, NodalrecError
 from .fixtures import worked_example_problem, worked_example_reference
-from .forward import integrate_ivp
+from .forward import solve_batch
 from .inverse import ReconstructOptions, reconstruct
 from .problem import ensure_valid, load_problem
 from .spectrum import compute_spectrum, nodal_data
-
-COMMANDS = (
-    "forward", "spectrum", "nodes", "synth-nodes",
-    "reconstruct", "roundtrip", "paper-example",
-)
 
 _EXIT_BY_CATEGORY = {
     "config": 2,
@@ -48,41 +42,6 @@ PAPER_EXAMPLE_BUDGETS = {
     "m_hat": 1e-2,
     "Lprime_sup": 5e-2,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    problem_path: str = None
-    n_min: int = 5
-    n_max: int = 30
-    grid_points: int = 65
-    tol: float = 1e-9
-    mode: str = "numeric"
-    known_m: float = None
-    output_dir: str = "."
-    lam: tuple = ()
-    points: int = None
-    data_path: str = None
-    allow_large: bool = False
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.n_min < 5:
-            raise ConfigError(f"n-min must be >= 5, got {self.n_min}")
-        if self.n_max < self.n_min:
-            raise ConfigError(f"n-max must be >= n-min, got {self.n_max} < {self.n_min}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if not all(math.isfinite(lam) for lam in self.lam):
-            raise ConfigError(f"lam must be finite, got {' '.join(map(str, self.lam))}")
-        if self.known_m is not None and not math.isfinite(self.known_m):
-            raise ConfigError(f"known-m must be finite, got {self.known_m}")
-        if self.grid_points < 16:
-            raise ConfigError(f"grid-points must be >= 16, got {self.grid_points}")
-        if self.mode not in ("numeric", "synthetic"):
-            raise ConfigError(f"mode must be numeric or synthetic, got {self.mode!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,31 +104,36 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    defaults = {"n_min": 5, "n_max": 30}
-    if args.command == "roundtrip":
-        defaults = {"n_min": 20, "n_max": 120} if args.mode == "numeric" \
-            else {"n_min": 50, "n_max": 400}
-    elif args.command == "paper-example":
-        defaults = {"n_min": 50, "n_max": 400}
-    n_min = getattr(args, "n_min", None)
-    n_max = getattr(args, "n_max", None)
-    return RunConfig(
-        command=args.command,
-        problem_path=getattr(args, "problem", None),
-        n_min=defaults["n_min"] if n_min is None else n_min,
-        n_max=defaults["n_max"] if n_max is None else n_max,
-        grid_points=getattr(args, "grid_points", 65),
-        tol=getattr(args, "tol", 1e-9),
-        mode=getattr(args, "mode", "numeric"),
-        known_m=getattr(args, "known_m", None),
-        output_dir=getattr(args, "out", None) or
-            ("" if args.command == "paper-example" else "."),
-        lam=tuple(getattr(args, "lam", ()) or ()),
-        points=getattr(args, "points", None),
-        data_path=getattr(args, "data", None),
-        allow_large=getattr(args, "allow_large", False),
-    )
+def _check_args(args):
+    """Fill the n-range defaults of the commands that have those options,
+    then check the options; raises ConfigError."""
+    opts = vars(args)
+    if args.command == "roundtrip" and args.mode == "numeric":
+        n_range = (20, 120)
+    elif args.command in ("roundtrip", "paper-example"):
+        n_range = (50, 400)
+    else:
+        n_range = (5, 30)
+    for key, default in zip(("n_min", "n_max"), n_range):
+        if key in opts and opts[key] is None:
+            opts[key] = default
+    if args.command != "paper-example":  # paper-example writes files only when given --out
+        args.out = args.out or "."
+    if opts.get("n_min", 5) < 5:
+        raise ConfigError(f"n-min must be >= 5, got {args.n_min}")
+    if "n_max" in opts and args.n_max < args.n_min:
+        raise ConfigError(f"n-max must be >= n-min, got {args.n_max} < {args.n_min}")
+    tol = opts.get("tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    lam = opts.get("lam", ())
+    if not all(math.isfinite(x) for x in lam):
+        raise ConfigError(f"lam must be finite, got {' '.join(map(str, lam))}")
+    known_m = opts.get("known_m")
+    if known_m is not None and not math.isfinite(known_m):
+        raise ConfigError(f"known-m must be finite, got {known_m}")
+    if opts.get("grid_points", 16) < 16:
+        raise ConfigError(f"grid-points must be >= 16, got {args.grid_points}")
 
 
 def _out_path(output_dir, default_name):
@@ -183,51 +147,51 @@ def _out_path(output_dir, default_name):
     return os.path.join(output_dir, default_name)
 
 
-def _load(config):
-    problem = load_problem(config.problem_path)
+def _load(args):
+    problem = load_problem(args.problem)
     ensure_valid(problem)
     return problem
 
 
-def _run_forward(config):
-    problem = _load(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    for i, lam in enumerate(config.lam):
-        traj = integrate_ivp(problem, lam, points=config.points)
-        path = os.path.join(config.output_dir, f"trajectory_{i}.csv")
+def _run_forward(args):
+    problem = _load(args)
+    os.makedirs(args.out, exist_ok=True)
+    for i, lam in enumerate(args.lam):
+        sol = solve_batch(problem, [lam], points=args.points)
+        path = os.path.join(args.out, f"trajectory_{i}.csv")
         formats.write_trajectory_csv(
-            traj, path, comment=f"lambda={formats.format_float(lam)}")
+            sol, path, comment=f"lambda={formats.format_float(lam)}")
         print(f"wrote {path}")
 
 
-def _run_spectrum(config):
-    problem = _load(config)
-    spec = compute_spectrum(problem, (config.n_min, config.n_max), tol=config.tol)
-    path = _out_path(config.output_dir, "spectrum.csv")
+def _run_spectrum(args):
+    problem = _load(args)
+    spec = compute_spectrum(problem, (args.n_min, args.n_max), tol=args.tol)
+    path = _out_path(args.out, "spectrum.csv")
     formats.write_spectrum_csv(spec, path)
     print(f"wrote {path} ({len(spec.entries)} eigenvalues)")
 
 
-def _run_nodes(config):
-    problem = _load(config)
-    data = nodal_data(problem, (config.n_min, config.n_max), tol=config.tol)
+def _run_nodes(args):
+    problem = _load(args)
+    data = nodal_data(problem, (args.n_min, args.n_max), tol=args.tol)
     for n, msg in sorted(data.failures.items()):
         print(f"warning: n={n}: {msg}", file=sys.stderr)
-    path = _out_path(config.output_dir, "nodes.csv")
+    path = _out_path(args.out, "nodes.csv")
     formats.write_nodal_csv(data, path)
     print(f"wrote {path} ({len(data.nodes)} eigenfunctions)")
 
 
-def _run_synth_nodes(config):
-    problem = _load(config)
-    data = synthesize_nodal_data(problem, (config.n_min, config.n_max))
-    path = _out_path(config.output_dir, "nodes.csv")
+def _run_synth_nodes(args):
+    problem = _load(args)
+    data = synthesize_nodal_data(problem, (args.n_min, args.n_max))
+    path = _out_path(args.out, "nodes.csv")
     formats.write_nodal_csv(data, path)
     print(f"wrote {path} ({len(data.nodes)} eigenfunctions, synthetic)")
 
 
-def _reconstruct_options(config):
-    return ReconstructOptions(n_min=config.n_min, known_m=config.known_m)
+def _reconstruct_options(args):
+    return ReconstructOptions(n_min=args.n_min, known_m=args.known_m)
 
 
 def _print_summary(result):
@@ -238,11 +202,11 @@ def _print_summary(result):
           f"stage2_dispersion={d['stage2_dispersion']:.3e}")
 
 
-def _run_reconstruct(config):
-    data = formats.read_nodal_csv(config.data_path)
-    result = reconstruct(data, grid_size=config.grid_points,
-                         options=_reconstruct_options(config))
-    summary_path, curves_path = formats.write_reconstruction(result, config.output_dir)
+def _run_reconstruct(args):
+    data = formats.read_nodal_csv(args.data)
+    result = reconstruct(data, grid_size=args.grid_points,
+                         options=_reconstruct_options(args))
+    summary_path, curves_path = formats.write_reconstruction(result, args.out)
     _print_summary(result)
     print(f"wrote {summary_path}")
     print(f"wrote {curves_path}")
@@ -263,28 +227,28 @@ def _roundtrip_errors(problem, result):
     }
 
 
-def _run_roundtrip(config):
-    cap = ROUNDTRIP_NUMERIC_CAP if config.mode == "numeric" else ROUNDTRIP_SYNTHETIC_CAP
-    if config.n_max > cap and not config.allow_large:
+def _run_roundtrip(args):
+    cap = ROUNDTRIP_NUMERIC_CAP if args.mode == "numeric" else ROUNDTRIP_SYNTHETIC_CAP
+    if args.n_max > cap and not args.allow_large:
         raise ConfigError(
-            f"n-max {config.n_max} exceeds the {config.mode} cap {cap}; "
+            f"n-max {args.n_max} exceeds the {args.mode} cap {cap}; "
             f"pass --allow-large to proceed")
-    problem = _load(config)
-    if config.mode == "numeric":
-        data = nodal_data(problem, (config.n_min, config.n_max), tol=config.tol)
+    problem = _load(args)
+    if args.mode == "numeric":
+        data = nodal_data(problem, (args.n_min, args.n_max), tol=args.tol)
         for n, msg in sorted(data.failures.items()):
             print(f"warning: n={n}: {msg}", file=sys.stderr)
     else:
-        data = synthesize_nodal_data(problem, (config.n_min, config.n_max))
-    result = reconstruct(data, grid_size=config.grid_points,
-                         options=_reconstruct_options(config))
+        data = synthesize_nodal_data(problem, (args.n_min, args.n_max))
+    result = reconstruct(data, grid_size=args.grid_points,
+                         options=_reconstruct_options(args))
     errors = _roundtrip_errors(problem, result)
-    os.makedirs(config.output_dir, exist_ok=True)
-    summary_path, curves_path = formats.write_reconstruction(result, config.output_dir)
-    report_path = os.path.join(config.output_dir, "report.json")
+    os.makedirs(args.out, exist_ok=True)
+    summary_path, curves_path = formats.write_reconstruction(result, args.out)
+    report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
-        json.dump({"mode": config.mode,
-                   "n_min": config.n_min, "n_max": config.n_max,
+        json.dump({"mode": args.mode,
+                   "n_min": args.n_min, "n_max": args.n_max,
                    "errors": errors}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _print_summary(result)
@@ -293,11 +257,11 @@ def _run_roundtrip(config):
     print(f"wrote {report_path}")
 
 
-def _run_paper_example(config):
+def _run_paper_example(args):
     problem = worked_example_problem()
     ref = worked_example_reference()
-    data = synthesize_nodal_data(problem, (config.n_min, config.n_max))
-    result = reconstruct(data, grid_size=config.grid_points)
+    data = synthesize_nodal_data(problem, (args.n_min, args.n_max))
+    result = reconstruct(data)
     grid = result.V_hat.x
     values = {
         "theta_hat": (result.theta_hat, math.pi / 4,
@@ -322,9 +286,9 @@ def _run_paper_example(config):
                   f"budget {budget:g})")
         if not ok:
             failed.append(name)
-    if config.output_dir:
-        formats.write_reconstruction(result, config.output_dir)
-        print(f"wrote reconstruction files to {config.output_dir}")
+    if args.out:
+        formats.write_reconstruction(result, args.out)
+        print(f"wrote reconstruction files to {args.out}")
     if failed:
         raise FixtureMismatchError(
             f"built-in example out of budget: {', '.join(failed)}")
@@ -345,8 +309,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        _RUNNERS[config.command](config)
+        _check_args(args)
+        _RUNNERS[args.command](args)
     except NodalrecError as exc:
         print(f"error-category: {exc.category}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

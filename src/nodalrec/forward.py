@@ -74,29 +74,6 @@ def initial_state(bc, lam):
     return np.stack([y1, y2])
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled solution pair for one lambda on the uniform grid over [0, pi]."""
-
-    lam: float
-    grid: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-
-    @property
-    def step(self):
-        return float(self.grid[1] - self.grid[0])
-
-    @property
-    def endpoint(self):
-        return float(self.phi1[-1]), float(self.phi2[-1])
-
-    def bc_residual(self, bc):
-        return (self.lam * math.cos(bc.theta) + bc.b1) * float(self.phi1[0]) + (
-            self.lam * math.sin(bc.theta) + bc.b2
-        ) * float(self.phi2[0])
-
-
 @dataclass
 class BatchSolution:
     """Trajectories for a batch of lambda values on a shared grid.
@@ -116,14 +93,6 @@ class BatchSolution:
     @property
     def step(self):
         return float(self.grid[1] - self.grid[0])
-
-    def trajectory(self, b):
-        return Trajectory(
-            lam=float(self.lam[b]),
-            grid=self.grid,
-            phi1=self.Y[0, :, b].copy(),
-            phi2=self.Y[1, :, b].copy(),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +450,6 @@ def endpoint_states(problem, lam, points=None, *, maps=None):
     """phi(pi, lambda) for a batch of lambda; shape (2, B).  Avoids storing
     trajectories."""
     return _solve(problem, lam, points, maps, want_trajectory=False)
-
-
-def integrate_ivp(problem, lam, points=None):
-    """Trajectory of the IVP solution phi(., lambda) for a single real lambda."""
-    if np.ndim(lam) != 0:
-        raise TypeError("integrate_ivp takes a scalar lambda; use solve_batch for batches")
-    return solve_batch(problem, float(lam), points=points).trajectory(0)
 
 
 def char_fn(problem, lam, points=None, *, maps=None):

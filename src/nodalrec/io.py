@@ -117,13 +117,14 @@ def write_spectrum_csv(spectrum, path):
             writer.writerow([n, format_float(lam), format_float(resid)])
 
 
-def write_trajectory_csv(traj, path, comment=None):
+def write_trajectory_csv(sol, path, comment=None):
+    """CSV "x,phi1,phi2" of the first lambda of a forward BatchSolution."""
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["x", "phi1", "phi2"])
-        for x, p1, p2 in zip(traj.grid, traj.phi1, traj.phi2):
+        for x, p1, p2 in zip(sol.grid, sol.Y[0, :, 0], sol.Y[1, :, 0]):
             writer.writerow([format_float(x), format_float(p1), format_float(p2)])
 
 

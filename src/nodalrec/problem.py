@@ -10,9 +10,9 @@ conditions carry the spectral parameter linearly:
     (lambda cos(theta) + b1) y1(0) + (lambda sin(theta) + b2) y2(0) = 0,
     (lambda cos(beta)  + d1) y1(pi) + (lambda sin(beta)  + d2) y2(pi) = 0.
 
-Standing assumptions enforced by :func:`validate`: V has zero mean on
-(0, pi), every coefficient evaluates finite, angles sit on the canonical
-branch (-pi/2, pi/2].
+Standing assumptions: V has zero mean on (0, pi) and every coefficient
+evaluates finite (both checked by :func:`ensure_valid`), and angles sit on
+the canonical branch (-pi/2, pi/2] (checked by BoundaryParams).
 """
 
 import math
@@ -142,16 +142,6 @@ class KernelMatrix:
     def entries(self):
         return ((1, 1, self.k11), (1, 2, self.k12), (2, 1, self.k21), (2, 2, self.k22))
 
-    @property
-    def mode(self):
-        """'zero' | 'separable' | 'general' for the whole matrix."""
-        kinds = {type(k) for _, _, k in self.entries}
-        if kinds == {ZeroKernel}:
-            return "zero"
-        if GeneralKernel not in kinds:
-            return "separable"
-        return "general"
-
     def diag_trace(self, t):
         """(chi11 + chi22)(t, t); integrand of the trace integral."""
         t = np.asarray(t, dtype=float)
@@ -177,8 +167,9 @@ def _as_coefficient(V):
 class CoefficientSet:
     """Potential V, mass m and the kernel matrix.
 
-    The diagonal potentials of the first-order system are derived, not
-    stored: p = V + m and r = V - m, so p - r = 2m holds by construction.
+    The diagonal potentials of the first-order system, p = V + m and
+    r = V - m, are not stored: the forward solver derives them from V and m
+    (AugmentedSystem), so p - r = 2m holds by construction.
     """
 
     V: object = None
@@ -190,12 +181,6 @@ class CoefficientSet:
         object.__setattr__(self, "m", _finite("m", self.m))
         if not isinstance(self.chi, KernelMatrix):
             object.__setattr__(self, "chi", KernelMatrix(*self.chi))
-
-    def p(self, x):
-        return np.asarray(self.V(x), dtype=float) + self.m
-
-    def r(self, x):
-        return np.asarray(self.V(x), dtype=float) - self.m
 
 
 @dataclass(frozen=True)
@@ -210,94 +195,48 @@ class ProblemDefinition:
         object.__setattr__(self, "quadrature_points", int(self.quadrature_points))
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
-    def __str__(self):
-        return "\n".join(
-            f"[{'ok' if c.ok else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks
-        )
-
-
-def validate(problem):
-    """Check the standing assumptions; returns a report, raises nothing.
+def ensure_valid(problem):
+    """Check the standing assumptions; raise InvalidProblemError naming
+    every failed check.
 
     The zero-mean check integrates V with the composite trapezoid rule on
     the problem's own quadrature grid, so MEAN_TOLERANCE has to absorb that
     rule's O(h^2) bias on rough potentials.
     """
-    checks = []
+    failures = []
     grid = np.linspace(0.0, math.pi, problem.quadrature_points)
 
     v = None
     try:
-        v = np.asarray(problem.coeffs.V(grid), dtype=float)
-        if v.shape != grid.shape:
-            v = np.broadcast_to(v, grid.shape)
+        v = np.broadcast_to(np.asarray(problem.coeffs.V(grid), dtype=float), grid.shape)
         bad = ~np.isfinite(v)
         if bad.any():
-            x_bad = grid[bad][0]
-            checks.append(ValidationCheck("V finite", False, f"V({x_bad:.6g}) is not finite"))
-        else:
-            checks.append(ValidationCheck("V finite", True, "finite on the quadrature grid"))
+            failures.append(f"V finite: V({grid[bad][0]:.6g}) is not finite")
     except Exception as exc:  # noqa: BLE001 - user callable, anything can happen
-        checks.append(ValidationCheck("V finite", False, f"V raised {exc!r}"))
+        failures.append(f"V finite: V raised {exc!r}")
 
     if v is not None and np.isfinite(v).all():
         mean_residual = float(np.trapezoid(v, grid))
-        ok = abs(mean_residual) <= MEAN_TOLERANCE
-        checks.append(
-            ValidationCheck(
-                "V zero mean",
-                ok,
-                f"integral over (0, pi) = {mean_residual:.3e} (tolerance {MEAN_TOLERANCE:.1e})",
-            )
-        )
+        if not abs(mean_residual) <= MEAN_TOLERANCE:
+            failures.append(f"V zero mean: integral over (0, pi) = {mean_residual:.3e} "
+                            f"(tolerance {MEAN_TOLERANCE:.1e})")
     else:
-        checks.append(ValidationCheck("V zero mean", False, "skipped: V not evaluable"))
+        failures.append("V zero mean: skipped: V not evaluable")
 
     probe_x = np.array([0.1, 1.3, 2.9, math.pi])
     probe_t = np.array([0.05, 0.9, 2.0, 3.0])
     for row, col, entry in problem.coeffs.chi.entries:
-        name = f"chi{row}{col} finite"
         try:
             vals = entry.eval(probe_x, probe_t)
-            if np.isfinite(vals).all():
-                checks.append(ValidationCheck(name, True, "finite at probe points"))
-            else:
+            if not np.isfinite(vals).all():
                 k = int(np.flatnonzero(~np.isfinite(np.atleast_1d(vals)))[0])
-                checks.append(
-                    ValidationCheck(
-                        name, False, f"non-finite at (x, t) = ({probe_x[k]:.3g}, {probe_t[k]:.3g})"
-                    )
-                )
+                failures.append(f"chi{row}{col} finite: non-finite at (x, t) = "
+                                f"({probe_x[k]:.3g}, {probe_t[k]:.3g})")
         except Exception as exc:  # noqa: BLE001
-            checks.append(ValidationCheck(name, False, f"raised {exc!r}"))
+            failures.append(f"chi{row}{col} finite: raised {exc!r}")
 
-    return ValidationReport(tuple(checks))
-
-
-def ensure_valid(problem):
-    report = validate(problem)
-    if not report.ok:
-        lines = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
-        raise InvalidProblemError(f"invalid problem: {lines}")
-    return report
+    if failures:
+        raise InvalidProblemError(f"invalid problem: {'; '.join(failures)}")
 
 
 @dataclass(frozen=True)
@@ -325,10 +264,6 @@ class DerivedIntegrals:
 
     def L_at(self, x):
         return np.interp(x, self.grid, self.L)
-
-    @property
-    def nu_end(self):
-        return float(self.nu[-1])
 
     @property
     def K_end(self):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import asymptotic_constants, lambda_asym
+from .asymptotics import lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
     AugmentedSystem, _single_steps, char_fn_normalized, grid_maps, resolution_points, solve_batch,
@@ -159,9 +159,7 @@ def _scan_and_refine(problem, n_range, tol, points):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ns = list(range(n_lo, n_hi + 1))
-    ints = derived_integrals(problem)
-    consts = asymptotic_constants(problem, integrals=ints)
-    seeds = np.array([lambda_asym(problem, n, constants=consts) for n in ns])
+    seeds = lambda_asym(problem, np.array(ns), integrals=derived_integrals(problem))
     n_steps = points if points is not None else resolution_points(
         float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH
     )

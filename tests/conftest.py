@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +12,7 @@ from nodalrec.fixtures import (
     worked_example_problem,
     worked_example_reference,
 )
+from nodalrec.forward import solve_batch
 from nodalrec.inverse import reconstruct
 from nodalrec.problem import problem_from_mapping
 from nodalrec.spectrum import compute_spectrum, nodal_data
@@ -109,3 +112,11 @@ def cosine_recon(cosine_numeric_data):
 
 def sup(a, b=0.0):
     return float(np.max(np.abs(np.asarray(a) - b)))
+
+
+def trajectory(problem, lam, points=None):
+    """The solution pair phi(., lam) of one real lambda, as column 0 of
+    solve_batch: lam, grid, step, phi1 and phi2."""
+    sol = solve_batch(problem, [lam], points=points)
+    return SimpleNamespace(lam=float(sol.lam[0]), grid=sol.grid, step=sol.step,
+                           phi1=sol.Y[0, :, 0], phi2=sol.Y[1, :, 0])

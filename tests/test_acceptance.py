@@ -14,11 +14,11 @@ from nodalrec.fixtures import (
     constant_mass_problem,
     worked_example_problem,
 )
-from nodalrec.forward import integrate_ivp, resolution_points
+from nodalrec.forward import resolution_points
 from nodalrec.inverse import ReconstructOptions, reconstruct
 from nodalrec.spectrum import compute_spectrum
 
-from conftest import sup
+from conftest import sup, trajectory
 
 
 def _verdict(capfd, tag, ok, detail):
@@ -70,7 +70,7 @@ def test_criterion_3_constant_mass_oracle(capfd):
     base_points = resolution_points(lam)
     errs = {}
     for pts in (base_points, 2 * base_points):
-        traj = integrate_ivp(prob, lam, points=pts)
+        traj = trajectory(prob, lam, points=pts)
         exact1, _ = constant_mass_exact(1.0, lam, traj.grid)
         errs[pts] = sup(traj.phi1, exact1)
     ratio = errs[base_points] / errs[2 * base_points]
@@ -137,7 +137,7 @@ def test_criterion_7_expansion_remainder(worked_problem, capfd):
     """
     sups = {}
     for lam in (20.0, 40.0, 80.0):
-        traj = integrate_ivp(worked_problem, lam, points=16384)
+        traj = trajectory(worked_problem, lam, points=16384)
         a1, _ = phi_asym(worked_problem, traj.grid, lam)
         sups[lam] = sup(traj.phi1, a1) * lam
     ok = sups[20.0] >= sups[40.0] >= sups[80.0]

@@ -18,7 +18,7 @@ from nodalrec.fixtures import (
     free_problem,
     worked_example_problem,
 )
-from nodalrec.forward import char_fn_normalized, initial_state, integrate_ivp
+from nodalrec.forward import char_fn_normalized, initial_state
 from nodalrec.inverse import calibrate_offset, f_estimate
 from nodalrec.problem import (
     BoundaryParams,
@@ -30,7 +30,7 @@ from nodalrec.problem import (
 )
 
 from _bullets import covers
-from conftest import sup
+from conftest import sup, trajectory
 
 
 def _bc_problem(theta, b1, b2, m=0.0, q=0.0):
@@ -134,7 +134,7 @@ def test_expansion_remainder_is_second_order(make_problem, points, bound, extra_
     prob = make_problem()
     scaled = {}
     for lam in (20.0, 40.0, 80.0) + extra_lams:
-        traj = integrate_ivp(prob, lam, points=points)
+        traj = trajectory(prob, lam, points=points)
         a1, _ = phi_asym(prob, traj.grid, lam)
         scaled[lam] = sup(traj.phi1, a1) * lam * lam
     assert max(scaled.values()) <= bound
@@ -207,6 +207,15 @@ def test_node_prediction_rejects_bad_indices(worked_problem):
         node_asym(worked_problem, 10, -1)
     with pytest.raises(ValueError):
         node_asym(worked_problem, 10, 11)
+
+
+def test_eigenvalue_seed_rejects_index_zero(worked_problem):
+    with pytest.raises(ValueError, match="n != 0"):
+        lambda_asym(worked_problem, 0)
+    with pytest.raises(ValueError, match="n != 0"):
+        lambda_asym(worked_problem, np.array([5, 0, 7]))
+    seeds = lambda_asym(worked_problem, np.arange(5, 9))
+    assert seeds.tolist() == [lambda_asym(worked_problem, n) for n in range(5, 9)]
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 333, 1000])

@@ -177,6 +177,22 @@ def test_synth_then_reconstruct_chain(tmp_path, capsys):
     assert curves[0] == "x,f,g,V,Lprime"
 
 
+def test_reconstruct_n_min_above_thirty(tmp_path, capsys):
+    # reconstruct has no --n-max, so no n-max default may be checked against
+    # its --n-min
+    rc = main([
+        "synth-nodes", "--problem", WORKED_YAML,
+        "--n-min", "50", "--n-max", "400", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rc = main([
+        "reconstruct", "--data", str(tmp_path / "nodes.csv"), "--n-min", "40",
+        "--out", str(tmp_path / "rec"),
+    ])
+    assert rc == 0
+    assert (tmp_path / "rec" / "summary.json").exists()
+
+
 def test_roundtrip_synthetic_free(tmp_path, capsys):
     rc = main([
         "roundtrip", "--problem", FREE_YAML, "--mode", "synthetic",

@@ -21,7 +21,6 @@ from nodalrec.forward import (
     endpoint_states,
     grid_maps,
     initial_state,
-    integrate_ivp,
     resolution_points,
     solve_batch,
 )
@@ -38,7 +37,7 @@ from nodalrec.spectrum import compute_spectrum, find_nodes
 import _rk4_oracle
 from _bullets import covers
 from _integral_oracle import integral_residual
-from conftest import EXP_KERNEL_DOC, EXP_KERNEL_SEPARABLE_DOC
+from conftest import EXP_KERNEL_DOC, EXP_KERNEL_SEPARABLE_DOC, trajectory
 
 PI = math.pi
 
@@ -73,20 +72,22 @@ def test_initial_state_kills_left_bc(theta, b1, b2, lam):
 @covers("forward.bc-residual-zero")
 def test_trajectory_bc_residual_zero():
     problem = worked_example_problem()
-    traj = integrate_ivp(problem, 7.3)
-    assert abs(traj.bc_residual(problem.bc)) <= 1e-12 * 7.3**2
+    bc, lam = problem.bc, 7.3
+    y1, y2 = solve_batch(problem, [lam]).Y[:, 0, 0]
+    resid = (lam * math.cos(bc.theta) + bc.b1) * y1 + (lam * math.sin(bc.theta) + bc.b2) * y2
+    assert abs(resid) <= 1e-12 * 7.3**2
 
 
 @covers("forward.halving-order")
 def test_constant_mass_closed_form_and_order():
     problem = constant_mass_problem(1.0)
     lam = 5.0
-    coarse = integrate_ivp(problem, lam)
+    coarse = trajectory(problem, lam)
     exact1, _ = constant_mass_exact(1.0, lam, coarse.grid)
     e_coarse = sup_err(coarse.phi1, exact1)
     assert e_coarse <= 1e-6
 
-    fine = integrate_ivp(problem, lam, points=2 * (coarse.grid.size - 1))
+    fine = trajectory(problem, lam, points=2 * (coarse.grid.size - 1))
     exact1f, _ = constant_mass_exact(1.0, lam, fine.grid)
     e_fine = sup_err(fine.phi1, exact1f)
     assert e_coarse / e_fine >= 8.0
@@ -96,7 +97,7 @@ def test_pure_rotation_exact():
     # V = 0, m = 0, no kernel: phi1 = lam sin(theta + lam x), phi2 = -lam cos(theta + lam x)
     problem = free_problem(theta=0.4)
     lam = 3.0
-    traj = integrate_ivp(problem, lam)
+    traj = trajectory(problem, lam)
     assert sup_err(traj.phi1, lam * np.sin(0.4 + lam * traj.grid)) < 1e-7
     assert sup_err(traj.phi2, -lam * np.cos(0.4 + lam * traj.grid)) < 1e-7
 
@@ -112,8 +113,8 @@ def test_zero_kernel_propagator_equals_general_path():
         V=base.coeffs.V, m=base.coeffs.m,
         chi=KernelMatrix(k12=GeneralKernel(lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))))))
     lam = 9.5
-    a = integrate_ivp(fast, lam, points=1024)
-    b = integrate_ivp(slow, lam, points=1024)
+    a = trajectory(fast, lam, points=1024)
+    b = trajectory(slow, lam, points=1024)
     assert sup_err(a.phi1, b.phi1) < 1e-12 * lam
     assert sup_err(a.phi2, b.phi2) < 1e-12 * lam
 
@@ -134,8 +135,8 @@ def test_separable_equals_general_kernel():
               1e-13)]
     lam = 6.0
     for separable, general, bound in pairs:
-        a = integrate_ivp(separable, lam, points=768)
-        b = integrate_ivp(general, lam, points=768)
+        a = trajectory(separable, lam, points=768)
+        b = trajectory(general, lam, points=768)
         assert sup_err(a.phi1, b.phi1) < bound
         assert sup_err(a.phi2, b.phi2) < bound
 
@@ -144,8 +145,8 @@ def test_separable_equals_general_kernel():
 def test_integral_equation_self_consistency():
     problem = worked_example_problem()
     lam = 6.0
-    r1 = integral_residual(problem, integrate_ivp(problem, lam, points=1536))
-    r2 = integral_residual(problem, integrate_ivp(problem, lam, points=3072))
+    r1 = integral_residual(problem, trajectory(problem, lam, points=1536))
+    r2 = integral_residual(problem, trajectory(problem, lam, points=3072))
     assert r1 <= 1e-4
     assert r1 / r2 > 3.0  # the oracle's second-order trapezoid rule
 
@@ -155,7 +156,7 @@ def test_batch_matches_scalar():
     lams = np.array([4.0, 7.5, 11.25])
     sol = solve_batch(problem, lams, points=1024)
     for b, lam in enumerate(lams):
-        traj = integrate_ivp(problem, lam, points=1024)
+        traj = trajectory(problem, lam, points=1024)
         assert sup_err(sol.Y[0, :, b], traj.phi1) < 1e-13 * max(1, lam**2)
         assert sup_err(sol.Y[1, :, b], traj.phi2) < 1e-13 * max(1, lam**2)
 
@@ -169,13 +170,13 @@ def test_unrepresentable_general_kernel_refused(chi):
     with pytest.raises(InvalidProblemError, match="chi12.*chi_separable"):
         compute_spectrum(problem, (5, 6))
     with pytest.raises(InvalidProblemError, match="chi12"):
-        integrate_ivp(problem, 3.0)
+        trajectory(problem, 3.0)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_nonfinite_lambda_rejected(lam):
     with pytest.raises(ValueError, match="finite"):
-        integrate_ivp(free_problem(), lam)
+        trajectory(free_problem(), lam)
     with pytest.raises(ValueError, match="finite"):
         char_fn(worked_example_problem(), [2.0, lam])
 

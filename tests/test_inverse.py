@@ -217,9 +217,10 @@ def test_nonfinite_known_mass_rejected(known_m):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "known defect: node_asym and the g-stage mass formula keep an m^2 x*/2 term in the "
-    "1/n^2 node coefficient that the operator's nodes lack (numeric constant-mass nodes "
-    "are j pi/n to 1e-11), so m_hat reads about 1e-4; see ROADMAP"))
+    "known defect: node_asym's 1/n^2 node coefficient, which the g-stage mass formula "
+    "inverts, misses two 1/n^2 terms (ROADMAP item 7), and at theta = beta = 0 the nodes "
+    "do not depend on m (m = 1 and m = 2 agree to 1.1e-11 for n <= 120), so no estimator "
+    "that reads only nodes can pass; m_hat reads about 1e-4"))
 def test_constant_mass_recovered_from_numeric_nodes():
     # V = 0, chi = 0, theta = beta = 0, m = 1; synthetic nodes give m_hat = 1.015
     rec = reconstruct(nodal_data(constant_mass_problem(1.0), (20, 120)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nodalrec.errors import ProblemFormatError
-from nodalrec.forward import integrate_ivp
+from nodalrec.forward import solve_batch
 from nodalrec.io import (
     format_float,
     read_nodal_csv,
@@ -225,17 +225,17 @@ def test_spectrum_csv_cells_round_trip(tmp_path, worked_spectrum_3060):
 
 
 def test_trajectory_csv(tmp_path, free_prob):
-    traj = integrate_ivp(free_prob, 4.0)
+    sol = solve_batch(free_prob, [4.0])
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, comment="lambda=4.0")
+    write_trajectory_csv(sol, path, comment="lambda=4.0")
     lines = path.read_text().splitlines()
     assert lines[0] == "# lambda=4.0"
     assert lines[1] == "x,phi1,phi2"
-    assert len(lines) == 2 + traj.grid.size
+    assert len(lines) == 2 + sol.grid.size
     x, p1, p2 = lines[2].split(",")
     assert float(x) == 0.0
-    assert float(p1) == traj.phi1[0]
-    assert float(p2) == traj.phi2[0]
+    assert float(p1) == sol.Y[0, 0, 0]
+    assert float(p2) == sol.Y[1, 0, 0]
 
 
 def test_write_reconstruction(tmp_path, worked_synth_recon):

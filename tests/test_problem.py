@@ -23,7 +23,6 @@ from nodalrec.problem import (
     derived_integrals,
     ensure_valid,
     problem_from_mapping,
-    validate,
 )
 
 from _bullets import covers
@@ -46,21 +45,37 @@ def test_nonfinite_rejected():
 
 def test_zero_mean_potential_enforced():
     bad = ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.cos(x) + 0.5))
-    report = validate(bad)
-    assert not report.ok
-    assert report.failures()
     with pytest.raises(InvalidProblemError):
         ensure_valid(bad)
     ensure_valid(cosine_roundtrip_problem())
 
 
+def test_wrong_shape_potential_is_invalid():
+    bad = ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.zeros(3)))
+    with pytest.raises(InvalidProblemError, match="V finite: V raised ValueError"):
+        ensure_valid(bad)
+
+
 def test_kernel_matrix_modes():
-    assert KernelMatrix().mode == "zero"
+    assert all(isinstance(k, ZeroKernel) for _, _, k in KernelMatrix().entries)
     sep = KernelMatrix(k12=SeparableKernel([(lambda x: x, lambda t: t)]))
-    assert sep.mode == "separable"
+    assert isinstance(sep.k12, SeparableKernel) and isinstance(sep.k21, ZeroKernel)
     gen = KernelMatrix(k21=GeneralKernel(lambda x, t: x * t))
-    assert gen.mode == "general"
+    assert isinstance(gen.k21, GeneralKernel)
     assert isinstance(KernelMatrix(k11=0).k11, ZeroKernel)
+
+
+def test_ensure_valid_names_every_failed_check():
+    # V = cos(x) + 0.5 integrates to pi/2; chi21 is NaN from the third probe on
+    bad = ProblemDefinition(coeffs=CoefficientSet(
+        V=lambda x: np.cos(x) + 0.5,
+        chi=KernelMatrix(k21=GeneralKernel(lambda x, t: np.where(x > 2.5, np.nan, x * t)))))
+    with pytest.raises(InvalidProblemError) as info:
+        ensure_valid(bad)
+    assert str(info.value) == (
+        "invalid problem: "
+        "V zero mean: integral over (0, pi) = 1.571e+00 (tolerance 1.0e-06); "
+        "chi21 finite: non-finite at (x, t) = (2.9, 2)")
 
 
 def test_diag_trace_and_skew():

@@ -7,7 +7,7 @@ import nodalrec.forward as forward
 import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
-from nodalrec.forward import BatchSolution, integrate_ivp, solve_batch
+from nodalrec.forward import BatchSolution, solve_batch
 from nodalrec.io import read_nodal_csv, write_nodal_csv
 from nodalrec.spectrum import (
     NODE_TOL,
@@ -21,7 +21,7 @@ from nodalrec.spectrum import (
 )
 
 from _bullets import covers
-from conftest import sup
+from conftest import sup, trajectory
 
 
 @covers("spectrum.delta-residual-bound")
@@ -59,7 +59,7 @@ def test_nodes_increasing_and_phi1_alternates(worked_problem):
     nodes = find_nodes(worked_problem, lam)
     assert np.all(np.diff(nodes) > 0)
     assert 0.0 < nodes[0] and nodes[-1] < math.pi
-    traj = integrate_ivp(worked_problem, lam)
+    traj = trajectory(worked_problem, lam)
     edges = np.concatenate(([0.0], nodes, [math.pi]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     idx = np.rint(mids / traj.step).astype(int)
