@@ -114,15 +114,19 @@ def _check_args(args):
         n_range = (50, 400)
     else:
         n_range = (5, 30)
+    defaulted = set()
     for key, default in zip(("n_min", "n_max"), n_range):
         if key in opts and opts[key] is None:
             opts[key] = default
+            defaulted.add(key)
     if args.command != "paper-example":  # paper-example writes files only when given --out
         args.out = args.out or "."
     if opts.get("n_min", 5) < 5:
         raise ConfigError(f"n-min must be >= 5, got {args.n_min}")
     if "n_max" in opts and args.n_max < args.n_min:
-        raise ConfigError(f"n-max must be >= n-min, got {args.n_max} < {args.n_min}")
+        hint = (f"; {args.n_max} is the default n-max of {args.command}, give --n-max"
+                if "n_max" in defaulted else "")
+        raise ConfigError(f"n-max must be >= n-min, got {args.n_max} < {args.n_min}{hint}")
     tol = opts.get("tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be positive and finite, got {tol}")

@@ -24,12 +24,18 @@ t by Chebyshev polynomials first (a degenerate-kernel approximation whose
 degree is checked against the kernel, or the entry is refused).  One RK4
 step is then a matrix polynomial of degree 4 in lambda whose coefficients
 depend only on the grid: _step_maps builds them for a block of steps, and
-every solve and node refinement applies them to its lambda batch
-(_stepper), O(N) per trajectory.  An eigenvalue search builds its grid's
-maps once (grid_maps) and passes them as maps= to each of its batched
-evaluations and to the trajectory solve that follows; a standalone call
-builds them lazily, one block at a time, so its memory does not grow with
-the grid.
+trajectory solves and node refinement apply them to their lambda batch
+(_stepper), O(N) per trajectory.  A product of consecutive step maps is
+again an exact polynomial map in lambda (a propagator matrix), so the
+endpoint-only solves behind char_fn step over runs of _SPAN = 8 steps
+multiplied out (_compose, degree 32): the same RK4 grid in 8 times fewer
+numpy calls, with results that differ from single steps by rounding only.
+States longer than _SPAN_SIZE = 5 take single steps there too, because
+composing them was measured to gain nothing.  An eigenvalue search builds
+its grid's maps, single and composed, once (grid_maps) and passes them as
+maps= to each of its batched evaluations; it releases the composed ones
+before the trajectory solve that follows.  A standalone call builds them
+lazily, one block at a time, so its memory does not grow with the grid.
 
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
@@ -40,7 +46,7 @@ closed-form oracle checks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,6 +224,12 @@ class AugmentedSystem:
 # steps (or node-refinement queries) whose maps are built at once; bounds
 # the builder's arrays independently of the step count
 _BLOCK = 128
+# consecutive steps multiplied into one map for endpoint-only solves (a
+# power of two dividing _BLOCK), when the state has at most _SPAN_SIZE
+# entries; chosen by timing searches at 2 + S = 2..8: 4 and 8 tie, 16 doubles
+# the cost of composing, and from 2 + S = 6 composing stops paying
+_SPAN = 8
+_SPAN_SIZE = 5
 _J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
 
@@ -325,6 +337,31 @@ def _stepper(maps, powers=None):
     return coupled
 
 
+def _compose(maps):
+    """The single-step maps (P,) of one block from _step_maps multiplied in
+    runs of _SPAN consecutive steps: shape (ceil(n / _SPAN), 2 + S,
+    (4 _SPAN + 1)(2 + S)), maps of degree 4 _SPAN in lambda in the layout of
+    P, which _stepper applies alike.  A short last run is padded with
+    identity steps.  Neighbours are multiplied pairwise, one batched
+    product of lambda polynomials per level."""
+    P = maps[0]
+    n, D = P.shape[:2]
+    M = P.reshape(n, D, -1, D).transpose(0, 2, 1, 3)  # (step, degree, row, col)
+    pad = -n % _SPAN
+    if pad:
+        identity = np.zeros((pad,) + M.shape[1:])
+        identity[:, 0] = np.eye(D)
+        M = np.concatenate([M, identity])
+    for _ in range(_SPAN.bit_length() - 1):
+        early, late = M[0::2], M[1::2]
+        p = M.shape[1]
+        out = np.zeros((early.shape[0], 2 * p - 1, D, D))
+        for k in range(p):  # late_k early_j is the term of degree k + j
+            out[:, k : k + p] += late[:, k, None] @ early
+        M = out
+    return M.transpose(0, 2, 1, 3).reshape(M.shape[0], D, -1)
+
+
 def _single_steps(system, z, lam, x0, x1):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
     at lambda = lam[q].  Used by node refinement."""
@@ -368,28 +405,38 @@ def _check_resolution(lam, points):
 
 
 def _map_blocks(system, n_steps):
-    """(first step, maps from _step_maps) for each block of _BLOCK steps of
-    the uniform grid of n_steps steps on [0, pi], built as they are taken."""
+    """The maps from _step_maps of each block of _BLOCK steps of the uniform
+    grid of n_steps steps on [0, pi], built as they are taken."""
     h = math.pi / n_steps
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
         x = np.arange(lo, hi + 1) * h  # the nodes of np.linspace(0, pi, n_steps + 1)
         if hi == n_steps:
             x[-1] = math.pi
-        yield lo, _step_maps(system, x[:-1], x[1:], h)
+        yield _step_maps(system, x[:-1], x[1:], h)
 
 
 @dataclass(frozen=True)
 class GridMaps:
     """Every block of step maps of one problem on the grid of `points`
     steps, for reuse by all solves on that grid (maps= of solve_batch,
-    endpoint_states, char_fn and char_fn_normalized).  blocks holds
-    (first step, maps) as _map_blocks yields them; size is 2 + S."""
+    endpoint_states, char_fn and char_fn_normalized).  blocks holds the
+    maps of each block as _map_blocks yields them, for trajectory solves;
+    spans holds their products in runs of _SPAN steps (_compose) in one
+    array, for endpoint-only solves.  spans is None when size = 2 + S
+    exceeds _SPAN_SIZE (those solves take single steps), or when released by
+    without_spans (they compose a block at a time)."""
 
     problem: object
     points: int
     size: int
     blocks: tuple
+    spans: np.ndarray = None
+
+    def without_spans(self):
+        """These maps without the composed ones, whose memory goes back to
+        the system once no other reference holds them."""
+        return replace(self, spans=None)
 
 
 def grid_maps(problem, points):
@@ -398,14 +445,20 @@ def grid_maps(problem, points):
     points = int(points)
     _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
     system = AugmentedSystem(problem)
-    return GridMaps(problem, points, system.size, tuple(_map_blocks(system, points)))
+    blocks = tuple(_map_blocks(system, points))
+    spans = None
+    if system.size <= _SPAN_SIZE:  # one array, which returns to the system in one piece
+        spans = np.concatenate([_compose(block) for block in blocks])
+    return GridMaps(problem, points, system.size, blocks, spans)
 
 
 def _solve(problem, lam, points, maps, want_trajectory):
     """Check the arguments, then step over the uniform grid on [0, pi]: a
-    BatchSolution, or the endpoint states (2, B).  The step maps come from
-    maps (a GridMaps of this problem and step count), or are built a block
-    at a time, so no array grows with the grid."""
+    BatchSolution over the single-step maps, or the endpoint states (2, B)
+    over the maps composed in runs of _SPAN steps (single steps when 2 + S
+    exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
+    problem and step count), or are built a block at a time, so no array
+    grows with the grid."""
     ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
@@ -414,24 +467,30 @@ def _solve(problem, lam, points, maps, want_trajectory):
     _check_resolution(lam, n_steps)
     if maps is None:
         system = AugmentedSystem(problem)
-        size, blocks = system.size, _map_blocks(system, n_steps)
+        size, blocks, spans = system.size, _map_blocks(system, n_steps), None
     elif maps.problem is not problem:
         raise ValueError("maps were built for another problem")
     elif maps.points != n_steps:
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
-        size, blocks = maps.size, maps.blocks
+        size, blocks, spans = maps.size, maps.blocks, maps.spans
+    if not want_trajectory and size <= _SPAN_SIZE:
+        blocks = [(spans,)] if spans is not None else ((_compose(block),) for block in blocks)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)
     Z = np.empty((size, n_steps + 1, lam.size)) if want_trajectory else None
-    powers = lam ** np.arange(5)[:, None, None]
-    for lo, block in blocks:
+    powers, first = None, 0
+    for block in blocks:
+        P = block[0]
+        if powers is None:  # lambda^0..lambda^degree, the degree read off the maps
+            powers = lam ** np.arange(P.shape[-1] // P.shape[1])[:, None, None]
         step = _stepper(block, powers)
-        for i in range(block[0].shape[0]):
+        for i in range(P.shape[0]):
             if Z is not None:
-                Z[:, lo + i] = z
+                Z[:, first + i] = z
             z = step(z, i)
-        del block, step  # free a built block's maps before the next is built
+        first += P.shape[0]
+        del block, P, step  # free a built block's maps before the next is built
     if Z is None:
         _check_magnitude(z[:2], lam)
         return z[:2]

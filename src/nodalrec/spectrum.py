@@ -148,7 +148,8 @@ def _scan_and_refine(problem, n_range, tol, points):
     built once and serve every batched evaluation.
 
     Returns (found: dict n -> (lam, residual, bracket), failures: dict, maps),
-    maps being the GridMaps of the grid searched on.
+    maps being the GridMaps of the grid searched on, without the composed
+    maps that only the search's endpoint solves use.
     """
     ensure_valid(problem)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
@@ -211,7 +212,7 @@ def _scan_and_refine(problem, n_range, tol, points):
             found[ns[row]] = (
                 float(root[k]), abs(float(froot[k])) * scale, (float(lo[k]), float(hi[k]))
             )
-    return found, failures, maps
+    return found, failures, maps.without_spans()
 
 
 def compute_spectrum(problem, n_range, tol=1e-9, points=None):

@@ -193,6 +193,24 @@ def test_reconstruct_n_min_above_thirty(tmp_path, capsys):
     assert (tmp_path / "rec" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "nodes", "synth-nodes"])
+def test_n_min_above_n_max_default_names_the_default(command, tmp_path, capsys):
+    # an --n-min above the n-max default (30) without --n-max is refused with
+    # a message that says where the 30 comes from; an explicit --n-max below
+    # --n-min gets the plain message
+    rc = main([command, "--problem", FREE_YAML, "--n-min", "40", "--out", str(tmp_path)])
+    assert rc == 2
+    cat, captured = _category(capsys)
+    assert cat == "config"
+    assert "got 30 < 40; 30 is the default n-max of " + command + ", give --n-max" in captured.err
+    rc = main([command, "--problem", FREE_YAML, "--n-min", "40", "--n-max", "35",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    cat, captured = _category(capsys)
+    assert cat == "config"
+    assert "got 35 < 40" in captured.err and "default" not in captured.err
+
+
 def test_roundtrip_synthetic_free(tmp_path, capsys):
     rc = main([
         "roundtrip", "--problem", FREE_YAML, "--mode", "synthetic",

@@ -13,9 +13,11 @@ from nodalrec.fixtures import (
     free_problem,
     worked_example_problem,
 )
+from nodalrec import forward
 from nodalrec.forward import (
     DEFAULT_MIN_POINTS,
     _check_magnitude,
+    _compose,
     char_fn,
     char_fn_normalized,
     endpoint_states,
@@ -235,6 +237,43 @@ def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
     assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
                           solve_batch(problem, lams, points=n_steps).Z)
     assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0, points=n_steps)
+
+
+@pytest.mark.parametrize("n_steps, lams", [
+    (300, [0.0, 1.0, -1.0, 17.5]),
+    (1000, [0.0, 1.0, -1.0, 17.5]),
+    (7565, [0.0, 1.0, -1.0, 17.5, 120.4]),
+    # the guard admits +-1000.2 from 15712 steps on; at that length the
+    # single-step endpoint's own rounding reaches 2.4e-12 at lambda = 1
+    # (measured against the same maps applied in long double)
+    (15721, [1000.2, -1000.2]),
+])
+@pytest.mark.parametrize("kind", ["zero", "separable"])
+def test_composed_endpoint_matches_single_steps(kind, n_steps, lams, cosine_problem,
+                                                exp_kernel_problem, monkeypatch):
+    # endpoint_states steps over maps composed of _SPAN steps each, and
+    # solve_batch over the single-step maps of the same RK4 grid: the two
+    # endpoints agree to rounding.  300, 7565 and 15721 are not multiples
+    # of _SPAN, so the padded last run is covered
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    lams = np.array(lams)
+    composed = []
+    monkeypatch.setattr(forward, "_compose", lambda maps: composed.append(1) or _compose(maps))
+    end = endpoint_states(problem, lams, points=n_steps)
+    assert len(composed) == -(-n_steps // forward._BLOCK)  # every block was composed
+    last = solve_batch(problem, lams, points=n_steps).Z[:2, -1]
+    assert np.all(np.abs(end - last) <= 1e-12 * np.maximum(1.0, lams * lams))
+
+
+def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):
+    # above _SPAN_SIZE states (here the 32 Chebyshev states of the general
+    # exponential kernel) composing is not done: endpoint_states then takes
+    # the very steps of solve_batch, and grid_maps stores no composed maps
+    monkeypatch.setattr(forward, "_compose", None)
+    lams = np.array([17.5, -9.0, 1.0])
+    assert np.array_equal(endpoint_states(exp_kernel_problem, lams, points=300),
+                          solve_batch(exp_kernel_problem, lams, points=300).Z[:2, -1])
+    assert grid_maps(exp_kernel_problem, 300).spans is None
 
 
 def test_grid_maps_refused_for_another_problem(cosine_problem):

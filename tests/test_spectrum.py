@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +312,28 @@ def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
     grid.clear()
     data = nodal_data(worked_problem, (20, 30), points=1000)
     assert grid == blocks and len(refine) > 0
+    assert data.indices == list(range(20, 31)) and not data.failures
+
+
+def test_nodal_data_frees_composed_maps_before_trajectories(worked_problem, monkeypatch):
+    # the composed maps serve the search's endpoint solves only; they are
+    # freed before nodal_data's trajectory solve, so they are not resident
+    # beside its stored trajectories
+    spans, freed = [], []
+    evaluate, solve = spectrum.char_fn_normalized, spectrum.solve_batch
+
+    def evaluating(problem, lam, points=None, *, maps=None):
+        spans.append(weakref.ref(maps.spans))
+        return evaluate(problem, lam, points=points, maps=maps)
+
+    def solving(problem, lam, points=None, *, maps=None):
+        freed.append(maps.spans is None and all(ref() is None for ref in spans))
+        return solve(problem, lam, points=points, maps=maps)
+
+    monkeypatch.setattr(spectrum, "char_fn_normalized", evaluating)
+    monkeypatch.setattr(spectrum, "solve_batch", solving)
+    data = nodal_data(worked_problem, (20, 30), points=1000)
+    assert len(spans) > 1 and freed == [True]
     assert data.indices == list(range(20, 31)) and not data.failures
 
 
