@@ -29,7 +29,7 @@ from .errors import (
     StageQualityError,
 )
 from .forward import char_fn_normalized
-from .inverse import ReconstructOptions, SampledCurve, reconstruct
+from .inverse import SampledCurve, reconstruct
 from .io import read_nodal_csv, write_nodal_csv
 from .problem import ensure_valid, load_problem, problem_from_mapping
 from .spectrum import compute_spectrum, nodal_data
@@ -48,7 +48,6 @@ __all__ = [
     "synthesize_nodal_data",
     # inverse direction
     "reconstruct",
-    "ReconstructOptions",
     "SampledCurve",
     # nodal CSV files
     "read_nodal_csv",

@@ -9,7 +9,6 @@ acceptance tests bound the dropped remainder against the direct integrator.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,32 +16,15 @@ from .forward import initial_state
 from .problem import derived_integrals
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """n-independent parts of the two 1/lambda_n coefficients entering the
-    characteristic-function expansion and the eigenvalue formula."""
-
-    B_hat: float
-    C_hat: float
-
-
 def asymptotic_constants(problem, integrals=None):
-    """B_hat, C_hat from the boundary data, m, and K(pi), L(pi)."""
+    """C_hat, the n-independent part of the 1/lambda_n coefficient in the
+    eigenvalue formula, from the boundary data, m and L(pi)."""
     ints = integrals if integrals is not None else derived_integrals(problem)
     bc = problem.bc
     m = problem.coeffs.m
     th, be = bc.theta, bc.beta
-    cross = math.cos(be - th) * math.cos(th + be)
     skew_cross = math.sin(be - th) * math.cos(th + be)
-    B_hat = (
-        bc.b1 * math.cos(th)
-        + bc.b2 * math.sin(th)
-        + m * cross
-        - ints.K_end / 2.0
-        + bc.d1 * math.cos(be)
-        + bc.d2 * math.sin(be)
-    )
-    C_hat = (
+    return (
         bc.b1 * math.sin(th)
         - bc.b2 * math.cos(th)
         - m * skew_cross
@@ -51,7 +33,6 @@ def asymptotic_constants(problem, integrals=None):
         - bc.d1 * math.sin(be)
         + bc.d2 * math.cos(be)
     )
-    return AsymptoticConstants(B_hat=B_hat, C_hat=C_hat)
 
 
 def _complex_kernels(chi, x, t):
@@ -190,7 +171,7 @@ def lambda_asym(problem, n, integrals=None):
     n_arr = np.asarray(n, dtype=float)
     if (n_arr == 0).any():
         raise ValueError("the eigenvalue seed needs n != 0, got n = 0")
-    C_hat = asymptotic_constants(problem, integrals).C_hat
+    C_hat = asymptotic_constants(problem, integrals)
     out = n_arr + (problem.bc.beta - problem.bc.theta) / math.pi + C_hat / (n_arr * math.pi)
     return float(out) if out.ndim == 0 else out
 

@@ -19,7 +19,7 @@ from .asymptotics import synthesize_nodal_data
 from .errors import ConfigError, FixtureMismatchError, NodalrecError
 from .fixtures import worked_example_problem, worked_example_reference
 from .forward import solve_batch
-from .inverse import ReconstructOptions, reconstruct
+from .inverse import reconstruct
 from .problem import ensure_valid, load_problem
 from .spectrum import compute_spectrum, nodal_data
 
@@ -194,10 +194,6 @@ def _run_synth_nodes(args):
     print(f"wrote {path} ({len(data.nodes)} eigenfunctions, synthetic)")
 
 
-def _reconstruct_options(args):
-    return ReconstructOptions(n_min=args.n_min, known_m=args.known_m)
-
-
 def _print_summary(result):
     d = result.diagnostics
     print(f"theta_hat={result.theta_hat!r} beta_hat={result.beta_hat!r} "
@@ -209,7 +205,7 @@ def _print_summary(result):
 def _run_reconstruct(args):
     data = formats.read_nodal_csv(args.data)
     result = reconstruct(data, grid_size=args.grid_points,
-                         options=_reconstruct_options(args))
+                         n_min=args.n_min, known_m=args.known_m)
     summary_path, curves_path = formats.write_reconstruction(result, args.out)
     _print_summary(result)
     print(f"wrote {summary_path}")
@@ -245,7 +241,7 @@ def _run_roundtrip(args):
     else:
         data = synthesize_nodal_data(problem, (args.n_min, args.n_max))
     result = reconstruct(data, grid_size=args.grid_points,
-                         options=_reconstruct_options(args))
+                         n_min=args.n_min, known_m=args.known_m)
     errors = _roundtrip_errors(problem, result)
     os.makedirs(args.out, exist_ok=True)
     summary_path, curves_path = formats.write_reconstruction(result, args.out)

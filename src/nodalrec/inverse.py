@@ -131,28 +131,6 @@ def _spline_slopes(h, chord):
 
 
 @dataclass(frozen=True)
-class LimitFit:
-    """One accelerated limit: samples (n, value), the fitted coefficients,
-    and the extrapolated limit a0 with residual RMS as dispersion."""
-
-    x: float
-    samples: tuple
-    model: dict
-    a0: float
-    dispersion: float
-
-
-@dataclass(frozen=True)
-class ReconstructOptions:
-    n_min: int = DEFAULT_N_MIN
-    known_m: float = None
-
-    def __post_init__(self):
-        if self.known_m is not None and not math.isfinite(self.known_m):
-            raise ValueError(f"known_m must be finite, got {self.known_m!r}")
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     theta_hat: float
     beta_hat: float
@@ -171,8 +149,9 @@ def _usable_indices(data, n_min):
 def _nearest_samples(data, ns, x):
     """Per n: the node nearest x and its 0-based position in the sorted list.
 
-    Returns (positions, node_values) arrays aligned with ns.  Used only for
-    calibration, where the index origin is still unknown.
+    Returns (positions, node_values) arrays aligned with ns.  Used for
+    calibration, where the index origin is still unknown, and for the
+    brute-force check against the raw data.
     """
     pos = np.empty(len(ns), dtype=int)
     val = np.empty(len(ns), dtype=float)
@@ -190,10 +169,11 @@ def _nearest_samples(data, ns, x):
     return pos, val
 
 
-def _indexed_samples(data, ns, x, offset):
-    """Per n: the node whose calibrated index j targets x, i.e.
-    j = round(x n / pi) clipped to the available positions.
+def _indexed_samples(data, ns, grid, offset):
+    """Per grid point x and per n: the node whose calibrated index j targets
+    x, i.e. j = round(x n / pi) clipped to the available positions.
 
+    Returns (positions, node_values), both of shape (len(grid), len(ns)).
     This keeps |j pi/n - x| <= pi/(2n) wherever the target index exists, and
     guarantees the expansion abscissa x* = j pi/n moves with n; selecting the
     node nearest x instead lets x* pin to a constant near the endpoints
@@ -201,11 +181,12 @@ def _indexed_samples(data, ns, x, offset):
     collinear with the intercept and destabilizes the fit exactly where the
     endpoint values theta, beta, m are read off.
     """
-    lists = [data.nodes[n] for n in ns]
-    last = np.array([len(xs) - 1 for xs in lists])
+    lists = [np.asarray(data.nodes[n], dtype=float) for n in ns]
+    last = np.array([xs.size - 1 for xs in lists])
     # np.rint rounds half to even, as round does
-    pos = np.clip(np.rint(x * np.asarray(ns) / math.pi).astype(int) - offset, 0, last)
-    val = np.array([xs[p] for xs, p in zip(lists, pos.tolist())], dtype=float)
+    pos = np.rint(np.multiply.outer(np.asarray(grid, dtype=float), ns) / math.pi)
+    pos = np.clip(pos.astype(int) - offset, 0, last)
+    val = np.column_stack([xs[p] for xs, p in zip(lists, pos.T)])
     return pos, val
 
 
@@ -241,46 +222,36 @@ def calibrate_offset(data):
     return s
 
 
-def _fit(samples_n, values, regressors, names):
-    """Least squares over rows [1, regressors...]; returns (coefs, rms)."""
-    A = np.column_stack([np.ones_like(values)] + regressors)
-    coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-    resid = values - A @ coef
-    dof = max(1, len(values) - A.shape[1])
-    rms = float(np.sqrt(np.sum(resid * resid) / dof))
-    model = dict(zip(names, (float(c) for c in coef)))
-    return model, rms
+def _limits(grid, samples, regressors):
+    """Accelerated limits on the grid: at each grid point, the intercept of
+    the least-squares fit of that row of samples over the columns
+    [1, regressors...] (each broadcast to the samples' shape).  The curve's
+    dispersion is the largest residual RMS."""
+    columns = np.broadcast_arrays(np.ones_like(samples), *regressors)
+    a0 = np.empty(len(grid))
+    rms = np.empty(len(grid))
+    for i, values in enumerate(samples):
+        A = np.column_stack([c[i] for c in columns])
+        coef, *_ = np.linalg.lstsq(A, values, rcond=None)
+        resid = values - A @ coef
+        dof = max(1, len(values) - A.shape[1])
+        a0[i] = coef[0]
+        rms[i] = np.sqrt(np.sum(resid * resid) / dof)
+    return SampledCurve(x=grid, values=a0, dispersion=float(np.max(rms)))
 
 
-def f_estimate(data, x, offset, n_min=DEFAULT_N_MIN):
-    """Accelerated limit of n(x_n^j - j pi/n) at the node targeting x."""
-    ns = _usable_indices(data, n_min)
-    if len(ns) < MIN_DISTINCT_N:
-        raise InsufficientDataError(
-            f"need at least {MIN_DISTINCT_N} usable indices n >= {n_min}, have {len(ns)}"
-        )
-    pos, val = _indexed_samples(data, ns, x, offset)
+def f_estimate(data, grid, offset, ns):
+    """Accelerated limits of n(x_n^j - j pi/n) at the nodes targeting each
+    grid point, over the indices ns."""
+    pos, val = _indexed_samples(data, ns, grid, offset)
     narr = np.asarray(ns, dtype=float)
-    j = pos + offset
-    xstar = j * math.pi / narr
+    xstar = (pos + offset) * math.pi / narr
     fn = (val - xstar) * narr
-    model, rms = _fit(
-        narr,
-        fn,
-        [xstar - x, 1.0 / narr, 1.0 / (narr * narr)],
-        ("a0", "drift", "a1", "a2"),
-    )
-    return LimitFit(
-        x=float(x),
-        samples=tuple(zip(ns, fn.tolist())),
-        model=model,
-        a0=model["a0"],
-        dispersion=rms,
-    )
+    return _limits(grid, fn, [xstar - grid[:, None], 1.0 / narr, 1.0 / (narr * narr)])
 
 
-def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat, n_min=DEFAULT_N_MIN):
-    """Accelerated limit of the second-order scaled residual at x.
+def g_estimate(data, grid, offset, theta_hat, beta_hat, f_hat, ns):
+    """Accelerated limits of the second-order scaled residual on the grid.
 
     nu_hat(x*) is reproduced from stage 1 as f_hat(x*) + x*(beta-theta)/pi
     + theta; the curvature corrections are evaluated at x* = j pi/n, the
@@ -291,31 +262,14 @@ def g_estimate(data, x, offset, theta_hat, beta_hat, f_hat, n_min=DEFAULT_N_MIN)
             f"stage-1 dispersion {f_hat.dispersion:.4g} exceeds "
             f"{STAGE1_DISPERSION_LIMIT:.4g}; refusing the second-stage limit"
         )
-    ns = _usable_indices(data, n_min)
-    if len(ns) < MIN_DISTINCT_N:
-        raise InsufficientDataError(
-            f"need at least {MIN_DISTINCT_N} usable indices n >= {n_min}, have {len(ns)}"
-        )
     skew = beta_hat - theta_hat
-    pos, val = _indexed_samples(data, ns, x, offset)
+    pos, val = _indexed_samples(data, ns, grid, offset)
     narr = np.asarray(ns, dtype=float)
     j = pos + offset
     xstar = j * math.pi / narr
     nu_star = f_hat.at(xstar) + xstar * skew / math.pi + theta_hat
     gn = narr * narr * (val - xstar) + j * skew - narr * (nu_star - theta_hat)
-    model, rms = _fit(
-        narr,
-        gn,
-        [xstar - x, 1.0 / narr, narr],
-        ("a0", "drift", "a1", "bias_n"),
-    )
-    return LimitFit(
-        x=float(x),
-        samples=tuple(zip(ns, gn.tolist())),
-        model=model,
-        a0=model["a0"],
-        dispersion=rms,
-    )
+    return _limits(grid, gn, [xstar - grid[:, None], 1.0 / narr, narr])
 
 
 def differentiate(curve):
@@ -342,17 +296,20 @@ def differentiate(curve):
     return SampledCurve(x=curve.x, values=deriv)
 
 
-def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
+def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=None):
     """Full pipeline: calibrate, f-limits on a grid, angles, V by
-    differentiation, g-limits, mass, kernel skew derivative."""
-    options = options if options is not None else ReconstructOptions()
+    differentiation, g-limits, mass, kernel skew derivative.  Nodes of
+    index n < n_min are left out; a given known_m replaces the recovered
+    mass."""
+    if known_m is not None and not math.isfinite(known_m):
+        raise ValueError(f"known_m must be finite, got {known_m!r}")
     grid_size = int(grid_size)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
-    ns = _usable_indices(data, options.n_min)
+    ns = _usable_indices(data, n_min)
     if len(ns) < MIN_DISTINCT_N:
         raise InsufficientDataError(
-            f"need at least {MIN_DISTINCT_N} usable indices n >= {options.n_min}, have {len(ns)}"
+            f"need at least {MIN_DISTINCT_N} usable indices n >= {n_min}, have {len(ns)}"
         )
     offset = calibrate_offset(data)
     grid = np.linspace(0.0, math.pi, grid_size)
@@ -360,14 +317,8 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
     # The index-targeted node selection keeps the fits well posed at the
     # endpoints too (x* = j pi/n still moves with n there), so every grid
     # point is fitted directly; the endpoint values feed theta, beta, m.
-    f_vals = np.empty(grid_size)
-    f_disp = np.empty(grid_size)
-    for i in range(grid_size):
-        fit = f_estimate(data, grid[i], offset, n_min=options.n_min)
-        f_vals[i] = fit.a0
-        f_disp[i] = fit.dispersion
-    stage1_dispersion = float(np.max(f_disp))
-    f_hat = SampledCurve(x=grid, values=f_vals, dispersion=stage1_dispersion)
+    f_hat = f_estimate(data, grid, offset, ns)
+    f_vals = f_hat.values
 
     theta_hat = -f_vals[0]
     beta_hat = -f_vals[-1]
@@ -376,28 +327,22 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
     V_vals = differentiate(f_hat).values + skew / math.pi
     V_hat = SampledCurve(x=grid, values=V_vals)
 
-    g_vals = np.empty(grid_size)
-    g_disp = np.empty(grid_size)
-    for i in range(grid_size):
-        fit = g_estimate(data, grid[i], offset, theta_hat, beta_hat, f_hat, n_min=options.n_min)
-        g_vals[i] = fit.a0
-        g_disp[i] = fit.dispersion
-    stage2_dispersion = float(np.max(g_disp))
-    g_hat = SampledCurve(x=grid, values=g_vals, dispersion=stage2_dispersion)
+    g_hat = g_estimate(data, grid, offset, theta_hat, beta_hat, f_hat, ns)
+    g_vals = g_hat.values
 
     diagnostics = {
         "offset": offset,
         "n_used": len(ns),
         "n_max": max(ns),
-        "stage1_dispersion": stage1_dispersion,
-        "stage2_dispersion": stage2_dispersion,
+        "stage1_dispersion": f_hat.dispersion,
+        "stage2_dispersion": g_hat.dispersion,
         "V_mean_integral": float(np.trapezoid(V_vals, grid)),
-        "brute_force_agreement": _brute_force_check(data, grid, f_vals, offset, options.n_min),
+        "brute_force_agreement": _brute_force_check(data, grid, f_vals, offset, max(ns)),
     }
 
     radicand = 2.0 * (g_vals[-1] - g_vals[0]) / math.pi
-    if options.known_m is not None:
-        m_hat = float(options.known_m)
+    if known_m is not None:
+        m_hat = float(known_m)
         diagnostics["m_radicand"] = radicand
         diagnostics["m_mode"] = "known"
     else:
@@ -441,17 +386,14 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, options=None):
     )
 
 
-def _brute_force_check(data, grid, f_vals, offset, n_min):
-    """Largest-n raw sample vs the fitted limit at a few probe points; the
-    fit must not drift away from the data it extrapolates."""
-    n_top = max(_usable_indices(data, n_min))
+def _brute_force_check(data, grid, f_vals, offset, n_top):
+    """Raw sample of index n_top vs the fitted limit at a few probe points;
+    the fit must not drift away from the data it extrapolates."""
     worst = 0.0
     for frac in (0.25, 0.5, 0.75):
         x = float(grid[int(round(frac * (grid.size - 1)))])
-        xs = np.asarray(data.nodes[n_top], dtype=float)
-        i = int(np.clip(np.searchsorted(xs, x), 1, xs.size - 1))
-        j = i if xs[i] - x < x - xs[i - 1] else i - 1
-        raw = (xs[j] - (j + offset) * math.pi / n_top) * n_top
+        pos, val = _nearest_samples(data, [n_top], x)
+        raw = (val[0] - (pos[0] + offset) * math.pi / n_top) * n_top
         fitted = float(np.interp(x, grid, f_vals))
         worst = max(worst, abs(raw - fitted))
     return worst

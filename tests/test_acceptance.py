@@ -15,7 +15,7 @@ from nodalrec.fixtures import (
     worked_example_problem,
 )
 from nodalrec.forward import resolution_points
-from nodalrec.inverse import ReconstructOptions, reconstruct
+from nodalrec.inverse import reconstruct
 from nodalrec.spectrum import compute_spectrum
 
 from conftest import sup, trajectory
@@ -53,7 +53,7 @@ def test_criterion_2_free_operator_exactness(free_prob, free_spectrum_fine, free
     counts_ok = all(
         len(free_numeric_data.nodes[n]) == n - 1 for n in free_numeric_data.indices
     )
-    rec = reconstruct(free_numeric_data, options=ReconstructOptions(known_m=0.0))
+    rec = reconstruct(free_numeric_data, known_m=0.0)
     f_sup = float(np.max(np.abs(rec.f_hat.values)))
     g_sup = float(np.max(np.abs(rec.g_hat.values)))
     ok = lam_err <= 1e-10 and node_err <= 1e-10 and counts_ok and f_sup <= 1e-6 and g_sup <= 1e-6

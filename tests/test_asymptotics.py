@@ -143,20 +143,16 @@ def test_expansion_remainder_is_second_order(make_problem, points, bound, extra_
 
 
 def test_constants_worked_closed_form(worked_problem):
-    # b1 = 0.3, b2 = -0.2, theta = beta = pi/4, m = 1, K(pi) = 0, L(pi) = 0:
-    # B = (b1+b2) sqrt(2)/2, C = (b1-b2) sqrt(2)/2 + pi/2
-    consts = asymptotic_constants(worked_problem)
-    assert abs(consts.B_hat - 0.07071067811865477) <= 1e-12
-    assert abs(consts.C_hat - 1.9243497173881703) <= 1e-12
+    # b1 = 0.3, b2 = -0.2, theta = beta = pi/4, m = 1, L(pi) = 0:
+    # C = (b1-b2) sqrt(2)/2 + pi/2
+    assert abs(asymptotic_constants(worked_problem) - 1.9243497173881703) <= 1e-12
 
 
 def test_constants_cosine_closed_form(cosine_problem):
-    # m cos(beta-theta) cos(theta+beta) and the m^2 pi/2 term; K(pi) and
-    # L(pi) both vanish exactly but only up to cumulative-trapezoid error
+    # m sin(beta-theta) cos(theta+beta) and the m^2 pi/2 term; L(pi)
+    # vanishes exactly but only up to cumulative-trapezoid error
     # in the tabulated integrals, hence the 5e-7
-    consts = asymptotic_constants(cosine_problem)
-    assert abs(consts.B_hat - 0.45135054818773) <= 5e-7
-    assert abs(consts.C_hat - 0.4841923673487177) <= 5e-7
+    assert abs(asymptotic_constants(cosine_problem) - 0.4841923673487177) <= 5e-7
 
 
 def test_char_fn_expansion_tracks_integrator(worked_problem):
@@ -251,8 +247,5 @@ def test_free_synthetic_f_estimate_vanishes(free_prob):
     # every fitted f value must be zero to rounding
     synth = synthesize_nodal_data(free_prob, (5, 40))
     offset = calibrate_offset(synth)
-    worst = 0.0
-    for x in np.linspace(0.0, math.pi, 33):
-        fit = f_estimate(synth, float(x), offset)
-        worst = max(worst, abs(fit.a0))
-    assert worst <= 1e-9
+    f_hat = f_estimate(synth, np.linspace(0.0, math.pi, 33), offset, sorted(synth.nodes))
+    assert float(np.max(np.abs(f_hat.values))) <= 1e-9

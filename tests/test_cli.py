@@ -193,6 +193,22 @@ def test_reconstruct_n_min_above_thirty(tmp_path, capsys):
     assert (tmp_path / "rec" / "summary.json").exists()
 
 
+def test_reconstruct_known_mass(tmp_path, capsys):
+    rc = main([
+        "synth-nodes", "--problem", WORKED_YAML,
+        "--n-min", "50", "--n-max", "200", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    rc = main([
+        "reconstruct", "--data", str(tmp_path / "nodes.csv"), "--known-m", "1.0",
+        "--out", str(tmp_path / "rec"),
+    ])
+    assert rc == 0
+    summary = json.loads((tmp_path / "rec" / "summary.json").read_text())
+    assert summary["m_hat"] == 1.0
+    assert summary["diagnostics"]["m_mode"] == "known"
+
+
 @pytest.mark.parametrize("command", ["spectrum", "nodes", "synth-nodes"])
 def test_n_min_above_n_max_default_names_the_default(command, tmp_path, capsys):
     # an --n-min above the n-max default (30) without --n-max is refused with

@@ -16,8 +16,8 @@ from nodalrec.fixtures import (
     worked_example_reference,
 )
 from nodalrec.inverse import (
-    ReconstructOptions,
     SampledCurve,
+    _brute_force_check,
     _indexed_samples,
     calibrate_offset,
     differentiate,
@@ -100,17 +100,18 @@ def test_indexed_samples_match_scalar_loop():
     # both parities of k, so round half to even matters
     assert {k % 2 for _, k, _ in ties} == {0, 1}
     xs += [x for _, _, x in ties]
-    for x in xs:
-        for offset in range(-2, 3):
-            pos, val = _indexed_samples(data, ns, x, offset)
+    for offset in range(-2, 3):
+        pos, val = _indexed_samples(data, ns, xs, offset)
+        assert pos.shape == val.shape == (len(xs), len(ns))
+        for i, x in enumerate(xs):
             ref_pos, ref_val = _indexed_samples_loop(data, ns, x, offset)
-            assert np.array_equal(pos, ref_pos) and pos.dtype == ref_pos.dtype
-            assert np.array_equal(val, ref_val)
+            assert np.array_equal(pos[i], ref_pos) and pos.dtype == ref_pos.dtype
+            assert np.array_equal(val[i], ref_val)
     # the clipping was reached at both ends
-    pos, _ = _indexed_samples(data, ns, 0.0, 2)
-    assert np.all(pos == 0)
-    pos, _ = _indexed_samples(data, ns, math.pi, -2)
-    assert np.array_equal(pos, [len(nodes[n]) - 1 for n in ns])
+    pos, _ = _indexed_samples(data, ns, [0.0, math.pi], 2)
+    assert np.all(pos[0] == 0)
+    pos, _ = _indexed_samples(data, ns, [0.0, math.pi], -2)
+    assert np.array_equal(pos[1], [len(nodes[n]) - 1 for n in ns])
 
 
 def test_calibration_offset_on_fixtures(worked_synth_data, free_numeric_data):
@@ -141,28 +142,22 @@ def test_calibration_rejects_inconsistent_data():
         calibrate_offset(wild)
 
 
-def test_f_estimate_requires_enough_indices(free_prob):
-    sparse = synthesize_nodal_data(free_prob, (5, 10))
-    with pytest.raises(InsufficientDataError):
-        f_estimate(sparse, math.pi / 2, 1)
-
-
 def test_f_estimate_worked_midpoint(worked_synth_data):
     # f(pi/2) = -pi^2/16 - pi/4 for the linear-potential fixture
     offset = calibrate_offset(worked_synth_data)
-    fit = f_estimate(worked_synth_data, math.pi / 2, offset)
+    grid = np.linspace(0.0, math.pi, 65)
+    f_hat = f_estimate(worked_synth_data, grid, offset, sorted(worked_synth_data.nodes))
     want = -(math.pi ** 2) / 16 - math.pi / 4
-    assert abs(fit.a0 - want) <= 1e-6
-    assert len(fit.samples) == len(worked_synth_data.nodes)
-    assert set(fit.model) == {"a0", "drift", "a1", "a2"}
-    assert 0.0 <= fit.dispersion <= 1e-3
+    assert abs(f_hat.at(math.pi / 2) - want) <= 1e-6
+    assert np.array_equal(f_hat.x, grid)
+    assert 0.0 <= f_hat.dispersion <= 1e-3
 
 
 def test_g_estimate_gated_on_stage1_quality(worked_synth_data):
     grid = np.linspace(0.0, math.pi, 33)
     bad_f = SampledCurve(x=grid, values=np.zeros(33), dispersion=0.5)
     with pytest.raises(StageQualityError):
-        g_estimate(worked_synth_data, 1.0, 1, 0.0, 0.0, bad_f)
+        g_estimate(worked_synth_data, grid, 1, 0.0, 0.0, bad_f, sorted(worked_synth_data.nodes))
 
 
 def test_worked_stage_limits_at_endpoints(worked_synth_recon):
@@ -203,7 +198,7 @@ def test_mass_recovery_failure_carries_partial_result():
 
 def test_known_mass_bypasses_radicand():
     data = synthesize_nodal_data(_unit_kernel_problem(), (50, 200))
-    rec = reconstruct(data, options=ReconstructOptions(known_m=0.0))
+    rec = reconstruct(data, known_m=0.0)
     assert rec.m_hat == 0.0
     assert rec.diagnostics["m_mode"] == "known"
     assert abs(rec.diagnostics["m_radicand"] - (-1.0)) <= 1e-2
@@ -211,9 +206,9 @@ def test_known_mass_bypasses_radicand():
 
 
 @pytest.mark.parametrize("known_m", [math.nan, math.inf])
-def test_nonfinite_known_mass_rejected(known_m):
+def test_nonfinite_known_mass_rejected(known_m, worked_synth_data):
     with pytest.raises(ValueError, match="known_m must be finite"):
-        ReconstructOptions(known_m=known_m)
+        reconstruct(worked_synth_data, known_m=known_m)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -287,12 +282,25 @@ def test_reconstruct_input_guards(free_prob, worked_synth_data):
     sparse = synthesize_nodal_data(free_prob, (5, 10))
     with pytest.raises(InsufficientDataError):
         reconstruct(sparse)
+    # n = 394..400 leaves 7 usable indices, one short of MIN_DISTINCT_N
+    with pytest.raises(InsufficientDataError, match="have 7"):
+        reconstruct(worked_synth_data, n_min=394)
 
 
 def test_brute_force_check_agrees(worked_synth_recon, cosine_recon):
     # the fitted limit must stay close to the rawest data it extrapolates
     assert worked_synth_recon.diagnostics["brute_force_agreement"] <= 0.05
     assert cosine_recon.diagnostics["brute_force_agreement"] <= 0.05
+
+
+def test_brute_force_check_reads_a_single_node():
+    # the top index holds one node, right of every probe point: the raw
+    # sample is that node at position 0, n (x - 0 pi/n) = 20 * 2.9
+    nodes = {n: np.arange(1, n + 1) * math.pi / (n + 1) for n in range(5, 20)}
+    nodes[20] = np.array([2.9])
+    grid = np.linspace(0.0, math.pi, 65)
+    worst = _brute_force_check(NodalData(nodes=nodes), grid, np.zeros(65), 0, 20)
+    assert abs(worst - 58.0) <= 1e-12
 
 
 def test_sampled_curve_guards(worked_synth_recon):

@@ -72,7 +72,7 @@ def test_nodes_increasing_and_phi1_alternates(worked_problem):
 def _predicted_count(problem, n):
     # leading node phase runs from theta to n pi + beta + C_hat / n, one
     # node per integer multiple of pi strictly inside
-    C = asymptotic_constants(problem).C_hat
+    C = asymptotic_constants(problem)
     upper = n * math.pi + problem.bc.beta + C / n
     return sum(1 for j in range(0, 2 * n + 2) if problem.bc.theta < j * math.pi < upper)
 
@@ -105,7 +105,7 @@ def test_free_nodes_uniform(free_numeric_data):
 @covers("spectrum.corridor-cauchy")
 def test_corridor_limit_is_C_hat(worked_problem, worked_spectrum_3060):
     # (lambda_n - n - (beta-theta)/pi) * n pi settles onto C_hat
-    consts = asymptotic_constants(worked_problem)
+    C_hat = asymptotic_constants(worked_problem)
     off = worked_spectrum_3060.offset
     vals = np.array(
         [
@@ -115,7 +115,7 @@ def test_corridor_limit_is_C_hat(worked_problem, worked_spectrum_3060):
     )
     top = vals[-16:]
     assert (top.max() - top.min()) <= 0.1 * abs(np.mean(top))
-    assert abs(vals[-1] - consts.C_hat) <= 0.01
+    assert abs(vals[-1] - C_hat) <= 0.01
 
 
 def test_compute_spectrum_rejects_bad_ranges(free_prob):
