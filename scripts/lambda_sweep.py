@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from nodalrec import char_fn_normalized, ensure_valid, load_problem
+from nodalrec import char_fn_normalized, load_problem
 
 
 def main():
@@ -24,7 +24,6 @@ def main():
     args = ap.parse_args()
 
     problem = load_problem(args.problem)
-    ensure_valid(problem)
     lams = np.linspace(args.lo, args.hi, args.steps)
     vals = np.array([char_fn_normalized(problem, lam) for lam in lams])
 

@@ -16,10 +16,10 @@ from .forward import initial_state
 from .problem import derived_integrals
 
 
-def asymptotic_constants(problem, integrals=None):
+def asymptotic_constants(problem):
     """C_hat, the n-independent part of the 1/lambda_n coefficient in the
     eigenvalue formula, from the boundary data, m and L(pi)."""
-    ints = integrals if integrals is not None else derived_integrals(problem)
+    ints = derived_integrals(problem)
     bc = problem.bc
     m = problem.coeffs.m
     th, be = bc.theta, bc.beta
@@ -80,7 +80,7 @@ def _diagonal_phase(problem, grid):
     return out
 
 
-def phi_asym(problem, x, lam, integrals=None):
+def phi_asym(problem, x, lam):
     """Expansion of (phi1, phi2)(x, lambda) with all terms through 1/lambda.
 
     Vectorized over x; lam is a nonzero scalar.  In the complex form
@@ -101,7 +101,7 @@ def phi_asym(problem, x, lam, integrals=None):
     """
     if lam == 0:
         raise ValueError("expansion requires lambda != 0")
-    ints = integrals if integrals is not None else derived_integrals(problem)
+    ints = derived_integrals(problem)
     m = problem.coeffs.m
     chi = problem.coeffs.chi
     lam = float(lam)
@@ -138,13 +138,13 @@ def phi_asym(problem, x, lam, integrals=None):
     return z.real, z.imag
 
 
-def char_fn_asym(problem, lam, integrals=None):
+def char_fn_asym(problem, lam):
     """Expansion of Delta(lambda)/lambda^2 with all terms through 1/lambda.
 
     Vectorized over lam.  Leading term sin(lambda pi + theta - beta); the
     1/lambda terms carry b's, d's, m, K(pi), L(pi).
     """
-    ints = integrals if integrals is not None else derived_integrals(problem)
+    ints = derived_integrals(problem)
     bc = problem.bc
     m = problem.coeffs.m
     th, be = bc.theta, bc.beta
@@ -165,13 +165,13 @@ def char_fn_asym(problem, lam, integrals=None):
     return float(out) if out.ndim == 0 else out
 
 
-def lambda_asym(problem, n, integrals=None):
+def lambda_asym(problem, n):
     """Eigenvalue seed lambda_n ~ n + (beta-theta)/pi + C_hat/(n pi); n may
     be an array of indices, none of them 0."""
     n_arr = np.asarray(n, dtype=float)
     if (n_arr == 0).any():
         raise ValueError("the eigenvalue seed needs n != 0, got n = 0")
-    C_hat = asymptotic_constants(problem, integrals)
+    C_hat = asymptotic_constants(problem)
     out = n_arr + (problem.bc.beta - problem.bc.theta) / math.pi + C_hat / (n_arr * math.pi)
     return float(out) if out.ndim == 0 else out
 

@@ -15,14 +15,9 @@ from .errors import ExpressionError
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_SCOPE = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def _reject(node, message, source):
@@ -35,7 +30,7 @@ def _check(node, variables, source):
     if isinstance(node, ast.Expression):
         _check(node.body, variables, source)
     elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+        if not isinstance(node.op, _BINOPS):
             _reject(node, f"operator {type(node.op).__name__} not allowed", source)
         _check(node.left, variables, source)
         _check(node.right, variables, source)
@@ -46,6 +41,10 @@ def _check(node, variables, source):
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             _reject(node, f"literal {node.value!r} not allowed", source)
+        try:
+            node.value = float(node.value)
+        except OverflowError:
+            _reject(node, "literal out of the float range", source)
     elif isinstance(node, ast.Name):
         if node.id not in variables and node.id not in _CONSTANTS:
             _reject(node, f"unknown name '{node.id}'", source)
@@ -59,41 +58,14 @@ def _check(node, variables, source):
         _reject(node, f"{type(node).__name__} not allowed", source)
 
 
-def _evaluate(node, env):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _evaluate(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else +val
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        return _CONSTANTS[node.id]
-    if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
-    raise AssertionError("unreachable after _check")
-
-
-def _fold(node):
-    """Constant value of a variable-free subtree, or None."""
-    try:
-        _check(ast.Expression(body=node), (), "")
-    except ExpressionError:
-        return None
-    return float(_evaluate(node, {}))
-
-
 def compile_expression(source, variables=("x",), name="<expression>"):
     """Compile an expression string into a numpy-broadcasting callable.
 
     The callable takes one positional argument per entry of ``variables``
     (scalars or arrays) and returns a float array of the broadcast shape
     (a float for all-scalar input).  Raises ExpressionError with 1-based
-    line/column on any construct outside the grammar.
+    line/column on any construct outside the grammar, and when an expression
+    without variables (evaluated here, once) has no real value.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"{name}: expression must be a string, got {type(source).__name__}")
@@ -106,23 +78,29 @@ def compile_expression(source, variables=("x",), name="<expression>"):
             f"{name}: {exc.msg}", line=exc.lineno or 1, column=exc.offset or 1, source=source
         ) from None
     _check(tree, variables, source)
+    code = compile(tree, name, "eval")
 
-    constant = _fold(tree.body)
+    constant = None
+    if not any(isinstance(node, ast.Name) and node.id in variables for node in ast.walk(tree)):
+        try:
+            constant = eval(code, _SCOPE)
+            if isinstance(constant, complex):
+                raise ArithmeticError(f"complex value {constant!r}")
+        except ArithmeticError as exc:
+            raise ExpressionError(f"{name}: cannot evaluate {source!r} ({exc.args[-1]})",
+                                  source=source) from None
+        constant = float(constant)
 
     def fn(*args):
         if len(args) != len(variables):
             raise TypeError(f"{name} expects {len(variables)} argument(s), got {len(args)}")
         arrays = [np.asarray(a, dtype=float) for a in args]
         shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
-        env = dict(zip(variables, arrays))
-        out = _evaluate(tree, env)
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(eval(code, _SCOPE, dict(zip(variables, arrays))), dtype=float)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return float(out) if out.ndim == 0 else out
 
-    fn.source = source
-    fn.variables = tuple(variables)
     fn.constant_value = constant
     fn.__name__ = name
     return fn

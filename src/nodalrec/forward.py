@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidProblemError, MagnitudeError, ResolutionError
-from .problem import SeparableKernel, ZeroKernel, ensure_valid
+from .problem import SeparableKernel, ZeroKernel
 
 DEFAULT_MIN_POINTS = 768
 GUARD_LIMIT = 0.2
@@ -441,7 +441,6 @@ class GridMaps:
 
 def grid_maps(problem, points):
     """The step maps of problem on the uniform grid of points steps."""
-    ensure_valid(problem)
     points = int(points)
     _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
     system = AugmentedSystem(problem)
@@ -459,7 +458,6 @@ def _solve(problem, lam, points, maps, want_trajectory):
     exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
     grows with the grid."""
-    ensure_valid(problem)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")

@@ -240,18 +240,20 @@ def _limits(grid, samples, regressors):
     return SampledCurve(x=grid, values=a0, dispersion=float(np.max(rms)))
 
 
-def f_estimate(data, grid, offset, ns):
-    """Accelerated limits of n(x_n^j - j pi/n) at the nodes targeting each
-    grid point, over the indices ns."""
-    pos, val = _indexed_samples(data, ns, grid, offset)
+def f_estimate(grid, ns, j, val):
+    """Accelerated limits of n(x_n^j - j pi/n) on the grid, from the sample
+    table of the indices ns: the calibrated indices j and the nodes val,
+    each of shape (len(grid), len(ns)), of the nodes targeting each grid
+    point."""
     narr = np.asarray(ns, dtype=float)
-    xstar = (pos + offset) * math.pi / narr
+    xstar = j * math.pi / narr
     fn = (val - xstar) * narr
     return _limits(grid, fn, [xstar - grid[:, None], 1.0 / narr, 1.0 / (narr * narr)])
 
 
-def g_estimate(data, grid, offset, theta_hat, beta_hat, f_hat, ns):
-    """Accelerated limits of the second-order scaled residual on the grid.
+def g_estimate(grid, ns, j, val, theta_hat, beta_hat, f_hat):
+    """Accelerated limits of the second-order scaled residual on the grid,
+    from the sample table of f_estimate.
 
     nu_hat(x*) is reproduced from stage 1 as f_hat(x*) + x*(beta-theta)/pi
     + theta; the curvature corrections are evaluated at x* = j pi/n, the
@@ -263,9 +265,7 @@ def g_estimate(data, grid, offset, theta_hat, beta_hat, f_hat, ns):
             f"{STAGE1_DISPERSION_LIMIT:.4g}; refusing the second-stage limit"
         )
     skew = beta_hat - theta_hat
-    pos, val = _indexed_samples(data, ns, grid, offset)
     narr = np.asarray(ns, dtype=float)
-    j = pos + offset
     xstar = j * math.pi / narr
     nu_star = f_hat.at(xstar) + xstar * skew / math.pi + theta_hat
     gn = narr * narr * (val - xstar) + j * skew - narr * (nu_star - theta_hat)
@@ -317,7 +317,9 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
     # The index-targeted node selection keeps the fits well posed at the
     # endpoints too (x* = j pi/n still moves with n there), so every grid
     # point is fitted directly; the endpoint values feed theta, beta, m.
-    f_hat = f_estimate(data, grid, offset, ns)
+    pos, val = _indexed_samples(data, ns, grid, offset)
+    j = pos + offset
+    f_hat = f_estimate(grid, ns, j, val)
     f_vals = f_hat.values
 
     theta_hat = -f_vals[0]
@@ -327,7 +329,7 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
     V_vals = differentiate(f_hat).values + skew / math.pi
     V_hat = SampledCurve(x=grid, values=V_vals)
 
-    g_hat = g_estimate(data, grid, offset, theta_hat, beta_hat, f_hat, ns)
+    g_hat = g_estimate(grid, ns, j, val, theta_hat, beta_hat, f_hat)
     g_vals = g_hat.values
 
     diagnostics = {

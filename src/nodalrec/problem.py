@@ -10,9 +10,11 @@ conditions carry the spectral parameter linearly:
     (lambda cos(theta) + b1) y1(0) + (lambda sin(theta) + b2) y2(0) = 0,
     (lambda cos(beta)  + d1) y1(pi) + (lambda sin(beta)  + d2) y2(pi) = 0.
 
-Standing assumptions: V has zero mean on (0, pi) and every coefficient
-evaluates finite (both checked by :func:`ensure_valid`), and angles sit on
-the canonical branch (-pi/2, pi/2] (checked by BoundaryParams).
+Standing assumptions: V has zero mean on (0, pi), every coefficient
+evaluates finite, and angles sit on the canonical branch (-pi/2, pi/2].
+A problem is checked once, when it is built or loaded (BoundaryParams checks
+the angles, :func:`ensure_valid` the rest), so the solvers take it as valid.
+A constant expression in a problem file with no real value is a parse error.
 """
 
 import math
@@ -193,15 +195,18 @@ class ProblemDefinition:
         if int(self.quadrature_points) < 17:
             raise InvalidProblemError("quadrature_points must be at least 17")
         object.__setattr__(self, "quadrature_points", int(self.quadrature_points))
+        ensure_valid(self)
 
 
 def ensure_valid(problem):
     """Check the standing assumptions; raise InvalidProblemError naming
-    every failed check.
+    every failed check.  ProblemDefinition calls it when it is built.
 
-    The zero-mean check integrates V with the composite trapezoid rule on
-    the problem's own quadrature grid, so MEAN_TOLERANCE has to absorb that
-    rule's O(h^2) bias on rough potentials.
+    V must be finite and of zero mean on the problem's own quadrature grid;
+    the trapezoid rule takes the mean, so MEAN_TOLERANCE has to absorb its
+    O(h^2) bias on rough potentials.  Each kernel entry must be finite at
+    four probe points and on the grid's diagonal, which derived_integrals
+    integrates.
     """
     failures = []
     grid = np.linspace(0.0, math.pi, problem.quadrature_points)
@@ -223,8 +228,8 @@ def ensure_valid(problem):
     else:
         failures.append("V zero mean: skipped: V not evaluable")
 
-    probe_x = np.array([0.1, 1.3, 2.9, math.pi])
-    probe_t = np.array([0.05, 0.9, 2.0, 3.0])
+    probe_x = np.concatenate([[0.1, 1.3, 2.9, math.pi], grid])
+    probe_t = np.concatenate([[0.05, 0.9, 2.0, 3.0], grid])
     for row, col, entry in problem.coeffs.chi.entries:
         try:
             vals = entry.eval(probe_x, probe_t)
@@ -283,16 +288,12 @@ def _cumtrapz0(y, x):
 
 
 def derived_integrals(problem):
-    """Compute nu, K, L on the uniform grid of the problem's
-    quadrature_points samples."""
+    """Compute nu, K, L on the problem's quadrature grid, where ensure_valid
+    found every integrand finite."""
     grid = np.linspace(0.0, math.pi, problem.quadrature_points)
     v = np.broadcast_to(np.asarray(problem.coeffs.V(grid), dtype=float), grid.shape)
     tr = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_trace(grid), dtype=float), grid.shape)
     sk = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_skew(grid), dtype=float), grid.shape)
-    for name, arr in (("V", v), ("chi trace", tr), ("chi skew", sk)):
-        if not np.isfinite(arr).all():
-            k = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise InvalidProblemError(f"{name} not finite at x = {grid[k]:.6g}")
     return DerivedIntegrals(grid=grid, nu=_cumtrapz0(v, grid), K=_cumtrapz0(tr, grid), L=_cumtrapz0(sk, grid))
 
 

@@ -24,7 +24,6 @@ from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
     AugmentedSystem, _single_steps, char_fn_normalized, grid_maps, resolution_points, solve_batch,
 )
-from .problem import derived_integrals, ensure_valid
 
 N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
@@ -151,7 +150,6 @@ def _scan_and_refine(problem, n_range, tol, points):
     maps being the GridMaps of the grid searched on, without the composed
     maps that only the search's endpoint solves use.
     """
-    ensure_valid(problem)
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < N_MIN:
         raise ValueError(f"eigenvalue indexing starts at n = {N_MIN} (got {n_lo})")
@@ -160,7 +158,7 @@ def _scan_and_refine(problem, n_range, tol, points):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ns = list(range(n_lo, n_hi + 1))
-    seeds = lambda_asym(problem, np.array(ns), integrals=derived_integrals(problem))
+    seeds = lambda_asym(problem, np.array(ns))
     n_steps = points if points is not None else resolution_points(
         float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH
     )

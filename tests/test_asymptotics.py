@@ -19,7 +19,7 @@ from nodalrec.fixtures import (
     worked_example_problem,
 )
 from nodalrec.forward import char_fn_normalized, initial_state
-from nodalrec.inverse import calibrate_offset, f_estimate
+from nodalrec.inverse import _indexed_samples, calibrate_offset, f_estimate
 from nodalrec.problem import (
     BoundaryParams,
     CoefficientSet,
@@ -247,5 +247,7 @@ def test_free_synthetic_f_estimate_vanishes(free_prob):
     # every fitted f value must be zero to rounding
     synth = synthesize_nodal_data(free_prob, (5, 40))
     offset = calibrate_offset(synth)
-    f_hat = f_estimate(synth, np.linspace(0.0, math.pi, 33), offset, sorted(synth.nodes))
+    grid, ns = np.linspace(0.0, math.pi, 33), sorted(synth.nodes)
+    pos, val = _indexed_samples(synth, ns, grid, offset)
+    f_hat = f_estimate(grid, ns, pos + offset, val)
     assert float(np.max(np.abs(f_hat.values))) <= 1e-9

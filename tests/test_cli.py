@@ -75,6 +75,19 @@ def test_unrepresentable_kernel_exits_invalid_problem(chi, tmp_path, capsys):
     assert "chi_separable" in captured.err
 
 
+@pytest.mark.parametrize("coeffs", [
+    'V: "1/0"', 'V: "10^400"', 'V: "(-1)^0.5"', 'chi: {"12": "2^2000"}',
+])
+def test_unevaluable_constant_exits_parse(coeffs, tmp_path, capsys):
+    path = tmp_path / "constant.yaml"
+    path.write_text(f"bc: {{theta: 0.0, beta: 0.0}}\ncoeffs:\n  {coeffs}\n")
+    rc = main(["spectrum", "--problem", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    cat, captured = _category(capsys)
+    assert cat == "parse"
+    assert "cannot evaluate" in captured.err
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("bc: [unclosed\n")

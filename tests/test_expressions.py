@@ -51,6 +51,26 @@ def test_rejected_sources(bad):
         compile_expression(bad, ("x",))
 
 
+@pytest.mark.parametrize("source, variables, fragment", [
+    ("1/0", ("x",), "division by zero"),
+    ("10^400", ("x",), "out of range"),
+    ("(-1)^0.5", ("x",), "complex"),
+    ("2^2000", ("x", "t"), "out of range"),
+    ("sin((-1)^0.5)", ("x",), "complex"),
+])
+def test_unevaluable_constant_rejected(source, variables, fragment):
+    with pytest.raises(ExpressionError) as info:
+        compile_expression(source, variables, name="V")
+    assert str(info.value).startswith(f"V: cannot evaluate {source!r}")
+    assert fragment in str(info.value)
+    assert info.value.category == "parse"
+
+
+def test_out_of_range_literal_rejected():
+    with pytest.raises(ExpressionError, match="literal out of the float range"):
+        compile_expression("x + 1" + "0" * 400, ("x",))
+
+
 def test_syntax_error_carries_location():
     with pytest.raises(ExpressionError) as info:
         compile_expression("sin(x", ("x",))

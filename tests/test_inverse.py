@@ -145,8 +145,9 @@ def test_calibration_rejects_inconsistent_data():
 def test_f_estimate_worked_midpoint(worked_synth_data):
     # f(pi/2) = -pi^2/16 - pi/4 for the linear-potential fixture
     offset = calibrate_offset(worked_synth_data)
-    grid = np.linspace(0.0, math.pi, 65)
-    f_hat = f_estimate(worked_synth_data, grid, offset, sorted(worked_synth_data.nodes))
+    grid, ns = np.linspace(0.0, math.pi, 65), sorted(worked_synth_data.nodes)
+    pos, val = _indexed_samples(worked_synth_data, ns, grid, offset)
+    f_hat = f_estimate(grid, ns, pos + offset, val)
     want = -(math.pi ** 2) / 16 - math.pi / 4
     assert abs(f_hat.at(math.pi / 2) - want) <= 1e-6
     assert np.array_equal(f_hat.x, grid)
@@ -156,8 +157,10 @@ def test_f_estimate_worked_midpoint(worked_synth_data):
 def test_g_estimate_gated_on_stage1_quality(worked_synth_data):
     grid = np.linspace(0.0, math.pi, 33)
     bad_f = SampledCurve(x=grid, values=np.zeros(33), dispersion=0.5)
+    ns = sorted(worked_synth_data.nodes)
+    pos, val = _indexed_samples(worked_synth_data, ns, grid, 1)
     with pytest.raises(StageQualityError):
-        g_estimate(worked_synth_data, grid, 1, 0.0, 0.0, bad_f, sorted(worked_synth_data.nodes))
+        g_estimate(grid, ns, pos + 1, val, 0.0, 0.0, bad_f)
 
 
 def test_worked_stage_limits_at_endpoints(worked_synth_recon):

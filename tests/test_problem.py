@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from nodalrec.problem import (
     ZeroKernel,
     derived_integrals,
     ensure_valid,
+    load_problem,
     problem_from_mapping,
 )
+from nodalrec.spectrum import nodal_data
 
 from _bullets import covers
 
@@ -44,16 +47,45 @@ def test_nonfinite_rejected():
 
 
 def test_zero_mean_potential_enforced():
-    bad = ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.cos(x) + 0.5))
     with pytest.raises(InvalidProblemError):
-        ensure_valid(bad)
+        ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.cos(x) + 0.5))
     ensure_valid(cosine_roundtrip_problem())
 
 
 def test_wrong_shape_potential_is_invalid():
-    bad = ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.zeros(3)))
     with pytest.raises(InvalidProblemError, match="V finite: V raised ValueError"):
-        ensure_valid(bad)
+        ProblemDefinition(coeffs=CoefficientSet(V=lambda x: np.zeros(3)))
+
+
+def test_kernel_infinite_on_the_diagonal_only_is_invalid(tmp_path):
+    # 1/x is finite at every off-diagonal probe; the trace integrand
+    # (chi11 + chi22)(x, x) is not, at x = 0
+    path = tmp_path / "diagonal.yaml"
+    path.write_text('bc: {theta: 0.0, beta: 0.0}\n'
+                    'coeffs:\n  chi_separable: {"11": [{a: "1/x", b: "1"}]}\n')
+    with pytest.raises(InvalidProblemError, match=r"chi11 finite: non-finite at \(x, t\) = \(0, 0\)"):
+        load_problem(path)
+
+
+def test_solvers_do_not_revalidate(monkeypatch):
+    # a built problem is valid; nothing on the solve path checks it again
+    built = cosine_roundtrip_problem()
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return ensure_valid(problem)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nodalrec" or name.startswith("nodalrec."):
+            for attr, value in list(vars(module).items()):
+                if value is ensure_valid:
+                    monkeypatch.setattr(module, attr, counted)
+    problem = dataclasses.replace(built)
+    assert calls == [problem]  # the counter sees the check at construction
+    data = nodal_data(problem, (20, 30))
+    assert sorted(data.nodes) == list(range(20, 31))
+    assert calls == [problem]
 
 
 def test_kernel_matrix_modes():
@@ -67,11 +99,11 @@ def test_kernel_matrix_modes():
 
 def test_ensure_valid_names_every_failed_check():
     # V = cos(x) + 0.5 integrates to pi/2; chi21 is NaN from the third probe on
-    bad = ProblemDefinition(coeffs=CoefficientSet(
+    coeffs = CoefficientSet(
         V=lambda x: np.cos(x) + 0.5,
-        chi=KernelMatrix(k21=GeneralKernel(lambda x, t: np.where(x > 2.5, np.nan, x * t)))))
+        chi=KernelMatrix(k21=GeneralKernel(lambda x, t: np.where(x > 2.5, np.nan, x * t))))
     with pytest.raises(InvalidProblemError) as info:
-        ensure_valid(bad)
+        ProblemDefinition(coeffs=coeffs)
     assert str(info.value) == (
         "invalid problem: "
         "V zero mean: integral over (0, pi) = 1.571e+00 (tolerance 1.0e-06); "
