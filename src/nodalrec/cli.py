@@ -32,7 +32,7 @@ _EXIT_BY_CATEGORY = {
 }
 _EXIT_NUMERIC = 4
 
-ROUNDTRIP_NUMERIC_CAP = 120
+ROUNDTRIP_NUMERIC_CAP = 400
 ROUNDTRIP_SYNTHETIC_CAP = 1000
 
 PAPER_EXAMPLE_BUDGETS = {

@@ -58,14 +58,45 @@ def _check(node, variables, source):
         _reject(node, f"{type(node).__name__} not allowed", source)
 
 
+def _fold(tree, variables, name, source, prepared):
+    """tree with each largest subtree free of variables replaced by its value,
+    computed once by the functions the compiled callable uses, so values are
+    unchanged.  A subtree with no real value (a complex value, or an
+    arithmetic error) raises ExpressionError."""
+
+    def fold(node):
+        if isinstance(node, ast.Constant):
+            return node
+        if any(isinstance(n, ast.Name) and n.id in variables for n in ast.walk(node)):
+            if isinstance(node, ast.BinOp):
+                node.left, node.right = fold(node.left), fold(node.right)
+            elif isinstance(node, ast.UnaryOp):
+                node.operand = fold(node.operand)
+            elif isinstance(node, ast.Call):
+                node.args = [fold(node.args[0])]
+            return node
+        try:
+            value = eval(compile(ast.Expression(node), name, "eval"), _SCOPE)
+            if isinstance(value, complex):
+                raise ArithmeticError(f"complex value {value!r}")
+        except ArithmeticError as exc:
+            part = "" if node is tree.body else f"{ast.get_source_segment(prepared, node)!r} in "
+            raise ExpressionError(f"{name}: cannot evaluate {part}{source!r} ({exc.args[-1]})",
+                                  source=source) from None
+        return ast.copy_location(ast.Constant(float(value)), node)
+
+    tree.body = fold(tree.body)
+    return tree
+
+
 def compile_expression(source, variables=("x",), name="<expression>"):
     """Compile an expression string into a numpy-broadcasting callable.
 
     The callable takes one positional argument per entry of ``variables``
     (scalars or arrays) and returns a float array of the broadcast shape
     (a float for all-scalar input).  Raises ExpressionError with 1-based
-    line/column on any construct outside the grammar, and when an expression
-    without variables (evaluated here, once) has no real value.
+    line/column on any construct outside the grammar, and when a part
+    without variables (evaluated here, once: _fold) has no real value.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"{name}: expression must be a string, got {type(source).__name__}")
@@ -78,18 +109,9 @@ def compile_expression(source, variables=("x",), name="<expression>"):
             f"{name}: {exc.msg}", line=exc.lineno or 1, column=exc.offset or 1, source=source
         ) from None
     _check(tree, variables, source)
+    tree = _fold(tree, variables, name, source, prepared)
     code = compile(tree, name, "eval")
-
-    constant = None
-    if not any(isinstance(node, ast.Name) and node.id in variables for node in ast.walk(tree)):
-        try:
-            constant = eval(code, _SCOPE)
-            if isinstance(constant, complex):
-                raise ArithmeticError(f"complex value {constant!r}")
-        except ArithmeticError as exc:
-            raise ExpressionError(f"{name}: cannot evaluate {source!r} ({exc.args[-1]})",
-                                  source=source) from None
-        constant = float(constant)
+    constant = tree.body.value if isinstance(tree.body, ast.Constant) else None
 
     def fn(*args):
         if len(args) != len(variables):

@@ -37,6 +37,13 @@ maps= to each of its batched evaluations; it releases the composed ones
 before the trajectory solve that follows.  A standalone call builds them
 lazily, one block at a time, so its memory does not grow with the grid.
 
+Trajectory solves (solve_batch) take single steps and hand the states of
+each block of _BLOCK steps to a consumer: one stacks them into the full
+trajectories Z, the other (crossings=True) keeps only the sign changes of
+phi1 and the augmented states at their left grid nodes (Crossings), which
+is all node refinement needs; its memory grows with the nodes found, not
+with the grid.
+
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
 point count, it is chosen so the phase stays under 0.05 with a floor of
@@ -451,10 +458,86 @@ def grid_maps(problem, points):
     return GridMaps(problem, points, system.size, blocks, spans)
 
 
-def _solve(problem, lam, points, maps, want_trajectory):
-    """Check the arguments, then step over the uniform grid on [0, pi]: a
-    BatchSolution over the single-step maps, or the endpoint states (2, B)
-    over the maps composed in runs of _SPAN steps (single steps when 2 + S
+class _Stack:
+    """Block consumer of _solve that stacks the blocks into Z: a
+    BatchSolution."""
+
+    def __init__(self, lam, n_steps, size):
+        self.sol = BatchSolution(lam=lam, grid=np.linspace(0.0, math.pi, n_steps + 1),
+                                 Z=np.empty((size, n_steps + 1, lam.size)))
+
+    def __call__(self, first, states):
+        self.sol.Z[:, first : first + states.shape[1]] = states
+
+    def result(self):
+        return self.sol
+
+
+@dataclass
+class Crossings:
+    """The sign changes of phi1 on the grid of a trajectory solve, found while
+    it runs (solve_batch(..., crossings=True)); no trajectory is stored.
+
+    A sign change is sign(phi1) = where(phi1 >= 0, 1, -1) differing between
+    neighbouring grid nodes.  Crossing k lies in the cell with left node
+    cells[k] of lambda column cols[k], ordered by column, then cell, and
+    Z[:, k] (2 + S entries) is the augmented state at that left node.
+    adjacent[b] is True when column b changes sign in two adjacent cells.
+    """
+
+    lam: np.ndarray
+    points: int
+    cols: np.ndarray
+    cells: np.ndarray
+    Z: np.ndarray
+    adjacent: np.ndarray
+
+    @property
+    def step(self):
+        return math.pi / self.points
+
+    @property
+    def x(self):
+        """The left nodes of the cells, as in np.linspace(0, pi, points + 1)."""
+        return self.cells * self.step
+
+
+class _CrossingScan:
+    """Block consumer of _solve that keeps the sign changes of phi1 and the
+    states at their left nodes: Crossings.  Each column's crossing in the
+    last cell of a block is carried to the next block, so adjacent cells
+    across a block boundary are seen too."""
+
+    def __init__(self, lam, n_steps, size):
+        self.lam, self.points = lam, n_steps
+        self.last = np.zeros(lam.size, dtype=bool)  # a crossing in the previous block's last cell
+        self.adjacent = np.zeros(lam.size, dtype=bool)
+        self.found = []  # (cells, cols, states) per block
+
+    def __call__(self, first, states):
+        sign = np.where(states[0] >= 0, 1.0, -1.0)
+        cross = sign[:-1] != sign[1:]  # (cell, column)
+        self.adjacent |= (self.last & cross[0]) | (cross[:-1] & cross[1:]).any(axis=0)
+        self.last = cross[-1]
+        cells, cols = np.nonzero(cross)
+        self.found.append((first + cells, cols, states[:, cells, cols]))
+
+    def result(self):
+        cells, cols, Z = (np.concatenate(parts, axis=-1) for parts in zip(*self.found))
+        order = np.lexsort((cells, cols))
+        return Crossings(lam=self.lam, points=self.points, cols=cols[order], cells=cells[order],
+                         Z=Z[:, order], adjacent=self.adjacent)
+
+
+def _solve(problem, lam, points, maps, consumer=None):
+    """Check the arguments, then step over the uniform grid on [0, pi].
+
+    With a consumer class (_Stack or _CrossingScan), the steps are single
+    steps, and each block's states, shape (2 + S, n + 1, B) with the block's
+    left and right grid nodes, are checked for magnitude and handed to
+    consumer(lam, n_steps, 2 + S)(first step, states); returns the
+    consumer's result().  Without, returns the endpoint states (2, B) over
+    the maps composed in runs of _SPAN steps (single steps when 2 + S
     exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
     grows with the grid."""
@@ -472,41 +555,47 @@ def _solve(problem, lam, points, maps, want_trajectory):
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
         size, blocks, spans = maps.size, maps.blocks, maps.spans
-    if not want_trajectory and size <= _SPAN_SIZE:
+    if consumer is None and size <= _SPAN_SIZE:
         blocks = [(spans,)] if spans is not None else ((_compose(block),) for block in blocks)
+    consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)
-    Z = np.empty((size, n_steps + 1, lam.size)) if want_trajectory else None
     powers, first = None, 0
     for block in blocks:
         P = block[0]
         if powers is None:  # lambda^0..lambda^degree, the degree read off the maps
             powers = lam ** np.arange(P.shape[-1] // P.shape[1])[:, None, None]
         step = _stepper(block, powers)
+        states = None if consume is None else np.empty((size, P.shape[0] + 1, lam.size))
         for i in range(P.shape[0]):
-            if Z is not None:
-                Z[:, first + i] = z
+            if states is not None:
+                states[:, i] = z
             z = step(z, i)
+        if states is not None:
+            states[:, -1] = z
+            _check_magnitude(states[:2], lam)
+            consume(first, states)
         first += P.shape[0]
-        del block, P, step  # free a built block's maps before the next is built
-    if Z is None:
+        del block, P, step, states  # free a built block's maps before the next is built
+    if consume is None:
         _check_magnitude(z[:2], lam)
         return z[:2]
-    Z[:, n_steps] = z
-    _check_magnitude(Z[:2], lam)
-    return BatchSolution(lam=lam, grid=np.linspace(0.0, math.pi, n_steps + 1), Z=Z)
+    return consume.result()
 
 
-def solve_batch(problem, lam, points=None, *, maps=None):
+def solve_batch(problem, lam, points=None, *, maps=None, crossings=False):
     """Integrate the IVP for a batch of lambda values; returns BatchSolution.
-    maps: a GridMaps of this problem and step count, or None to build them."""
-    return _solve(problem, lam, points, maps, want_trajectory=True)
+    maps: a GridMaps of this problem and step count, or None to build them.
+    crossings=True returns the Crossings of phi1 instead, found block by
+    block while the solve runs, and stores no trajectory: memory
+    O(crossings (2 + S)) in place of O(points B (2 + S))."""
+    return _solve(problem, lam, points, maps, _CrossingScan if crossings else _Stack)
 
 
 def endpoint_states(problem, lam, points=None, *, maps=None):
     """phi(pi, lambda) for a batch of lambda; shape (2, B).  Avoids storing
     trajectories."""
-    return _solve(problem, lam, points, maps, want_trajectory=False)
+    return _solve(problem, lam, points, maps)
 
 
 def char_fn(problem, lam, points=None, *, maps=None):

@@ -8,10 +8,11 @@ bracket with a safeguarded Illinois (modified regula falsi) update.
 All n are advanced together so every update costs one batched
 characteristic-function evaluation, over the brackets still open.
 
-Nodes are grid sign changes of phi1 refined by the same bracketed update;
-each refinement query is one step of the forward solver's RK4 stepper from
-the exact augmented state (solution pair and memory states) stored at the
-cell's left node.
+Nodes are grid sign changes of phi1, found block by block while the
+trajectory solve runs (solve_batch(..., crossings=True)), and refined by
+the same bracketed update; each refinement query is one step of the
+forward solver's RK4 stepper from the exact augmented state (solution pair
+and memory states) kept at the cell's left node.  No trajectory is stored.
 """
 
 import math
@@ -238,56 +239,49 @@ def find_eigenvalue(problem, n, tol=1e-9, points=None):
 # nodes
 
 
-def _refine_nodes(problem, sol, cols, cells):
-    """Bracketed refinement of phi1 zeros inside grid cells to NODE_TOL;
-    each query is one step of the forward stepper from the exact augmented
-    state at the cell's left node.
-
-    cols, cells: parallel int arrays naming (lambda column, left node index).
-    Returns refined positions, same length.
-    """
-    system, h = AugmentedSystem(problem), sol.step
-    lam, xL, ZL = sol.lam[cols], sol.grid[cells], sol.Z[:, cells, cols]
+def _refine_nodes(problem, found, keep):
+    """Bracketed refinement to NODE_TOL of the phi1 zeros in the cells of the
+    crossings found[keep] (a Crossings and a boolean mask over them); each
+    query is one step of the forward stepper from the exact augmented state
+    at the cell's left node.  Returns the refined positions, in order."""
+    system, h = AugmentedSystem(problem), found.step
+    lam, xL, ZL = found.lam[found.cols[keep]], found.x[keep], found.Z[:, keep]
 
     def phi1_at(xq, idx):
-        """phi1(xq) by one step from the left node of cells[idx]."""
+        """phi1(xq) by one step from the left node of crossing idx."""
         return _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
 
     right = phi1_at(xL + h, slice(None))
     return _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
 
 
-def _nodes_from_solution(problem, sol):
-    """Per-column refined node lists.  A column whose phi1 changes sign in
-    two adjacent cells (node spacing < 2h cannot be trusted) comes back as a
-    ResolutionError in place of its list; the other columns are refined."""
-    h = sol.step
-    out, cols, cells = [], [], []
-    for b, lam in enumerate(sol.lam):
-        sign = np.where(sol.Y[0, :, b] >= 0, 1.0, -1.0)
-        c = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        if c.size >= 2 and np.min(np.diff(c)) < 2:
+def _nodes_from_crossings(problem, found):
+    """Per-column refined node lists from a Crossings.  A column whose phi1
+    changes sign in two adjacent cells (node spacing < 2h cannot be trusted)
+    comes back as a ResolutionError in place of its list; the other columns
+    are refined."""
+    h = found.step
+    keep = ~found.adjacent[found.cols]
+    refined = _refine_nodes(problem, found, keep) if keep.any() else np.empty(0)
+    cols = found.cols[keep]
+    out = []
+    for b, lam in enumerate(found.lam):
+        if found.adjacent[b]:
             out.append(ResolutionError(
                 f"adjacent grid cells both carry sign changes of phi1 at "
                 f"lambda = {lam:.6g}; node spacing < 2h",
-                required_points=2 * (sol.grid.size - 1),
+                required_points=2 * found.points,
             ))
             continue
-        out.append(None)
-        cols.extend([b] * c.size)
-        cells.extend(c.tolist())
-    cols = np.asarray(cols, int)
-    refined = _refine_nodes(problem, sol, cols, np.asarray(cells, int)) if cols.size else np.empty(0)
-    for b, err in enumerate(out):
-        if err is None:
-            vals = np.sort(refined[cols == b])
-            out[b] = vals[(vals > h) & (vals < math.pi - h)]
+        vals = np.sort(refined[cols == b])
+        out.append(vals[(vals > h) & (vals < math.pi - h)])
     return out
 
 
 def find_nodes(problem, lambda_n, points=None):
     """Ascending interior zeros of phi1(., lambda_n), refined to 1e-12."""
-    nodes = _nodes_from_solution(problem, solve_batch(problem, [float(lambda_n)], points=points))[0]
+    found = solve_batch(problem, [float(lambda_n)], points=points, crossings=True)
+    nodes = _nodes_from_crossings(problem, found)[0]
     if isinstance(nodes, ResolutionError):
         raise nodes
     return nodes
@@ -304,8 +298,9 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
     nodes = {}
     if found:
         order = sorted(found)
-        sol = solve_batch(problem, [found[n][0] for n in order], points=maps.points, maps=maps)
-        for n, xs in zip(order, _nodes_from_solution(problem, sol)):
+        crossings = solve_batch(problem, [found[n][0] for n in order], points=maps.points,
+                                maps=maps, crossings=True)
+        for n, xs in zip(order, _nodes_from_crossings(problem, crossings)):
             if isinstance(xs, ResolutionError):
                 failures[n] = f"ResolutionError: {xs}"
             else:

@@ -77,6 +77,7 @@ def test_unrepresentable_kernel_exits_invalid_problem(chi, tmp_path, capsys):
 
 @pytest.mark.parametrize("coeffs", [
     'V: "1/0"', 'V: "10^400"', 'V: "(-1)^0.5"', 'chi: {"12": "2^2000"}',
+    'V: "x*(-1)^0.5 - pi/2*(-1)^0.5"', 'V: "x + 1/0"',
 ])
 def test_unevaluable_constant_exits_parse(coeffs, tmp_path, capsys):
     path = tmp_path / "constant.yaml"
@@ -257,7 +258,7 @@ def test_roundtrip_synthetic_free(tmp_path, capsys):
 def test_roundtrip_numeric_cap_gate(tmp_path, capsys):
     rc = main([
         "roundtrip", "--problem", FREE_YAML, "--mode", "numeric",
-        "--n-min", "20", "--n-max", "200", "--out", str(tmp_path),
+        "--n-min", "20", "--n-max", "401", "--out", str(tmp_path),
     ])
     assert rc == 2
     cat, captured = _category(capsys)

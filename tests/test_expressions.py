@@ -66,6 +66,26 @@ def test_unevaluable_constant_rejected(source, variables, fragment):
     assert info.value.category == "parse"
 
 
+@pytest.mark.parametrize("source, part, fragment", [
+    ("x*(-1)^0.5 - pi/2*(-1)^0.5", "(-1)**0.5", "complex"),
+    ("x + 1/0", "1/0", "division by zero"),
+])
+def test_unevaluable_constant_part_rejected(source, part, fragment):
+    # a part without variables is evaluated once, when compiled, so it fails
+    # even though the expression as a whole has variables
+    with pytest.raises(ExpressionError) as info:
+        compile_expression(source, ("x",), name="V")
+    assert str(info.value).startswith(f"V: cannot evaluate {part!r} in {source!r}")
+    assert fragment in str(info.value)
+    assert info.value.category == "parse"
+
+
+def test_folded_constant_parts_keep_their_values():
+    xs = np.linspace(0.0, math.pi, 9)
+    f = compile_expression("2*pi*x + sin(1)^2 - x*exp(-1)/3", ("x",))
+    assert np.array_equal(f(xs), 2 * math.pi * xs + np.sin(1.0) ** 2 - xs * np.exp(-1.0) / 3)
+
+
 def test_out_of_range_literal_rejected():
     with pytest.raises(ExpressionError, match="literal out of the float range"):
         compile_expression("x + 1" + "0" * 400, ("x",))

@@ -314,6 +314,26 @@ def test_char_fn_memory_flat_in_step_count(cosine_problem):
     assert abs(peaks[1] - peaks[0]) <= 0.2 * peaks[0], peaks
 
 
+def test_crossing_scan_memory_flat_in_step_count(cosine_problem):
+    # nodal_data's trajectory pass keeps the sign changes of phi1 and the
+    # states at their left nodes, not the trajectories: with the grid's maps
+    # built beforehand, the traced peak of the pass stays flat when the step
+    # count is quadrupled, where stored trajectories would grow with it
+    lams = np.linspace(20.0, 120.0, 101)
+    peaks = []
+    for points in (2048, 8192):
+        maps = grid_maps(cosine_problem, points)
+        solve_batch(cosine_problem, lams, points=points, maps=maps, crossings=True)
+        tracemalloc.start()
+        try:
+            found = solve_batch(cosine_problem, lams, points=points, maps=maps, crossings=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert found.cols.size == found.Z.shape[1] > 5000 and not found.adjacent.any()
+    assert abs(peaks[1] - peaks[0]) <= 0.2 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e150, -2e150])
 def test_magnitude_check(bad):
     lam = np.array([1.0, 2.0])
@@ -321,3 +341,12 @@ def test_magnitude_check(bad):
     _check_magnitude(np.empty((2, 0)), lam[:0])
     with pytest.raises(MagnitudeError):
         _check_magnitude(np.array([[1.0, bad], [0.0, 3.0]]), lam)
+
+
+@pytest.mark.parametrize("crossings", [False, True])
+def test_trajectory_solves_check_magnitude(crossings, monkeypatch):
+    # both results of solve_batch check the magnitude of the solution pair
+    monkeypatch.setattr(forward, "MAGNITUDE_LIMIT", 10.0)
+    solve_batch(free_problem(), [2.0], points=400, crossings=crossings)
+    with pytest.raises(MagnitudeError, match="exceeds"):
+        solve_batch(free_problem(), [2.0, 20.0], points=400, crossings=crossings)

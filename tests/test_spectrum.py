@@ -8,7 +8,8 @@ import nodalrec.forward as forward
 import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
-from nodalrec.forward import BatchSolution, solve_batch
+from nodalrec.fixtures import constant_mass_problem
+from nodalrec.forward import solve_batch
 from nodalrec.io import read_nodal_csv, write_nodal_csv
 from nodalrec.spectrum import (
     NODE_TOL,
@@ -165,27 +166,98 @@ def test_nodal_data_rejects_bad_ranges(free_prob):
 
 
 # ---------------------------------------------------------------------------
-# under-resolved columns
+# nodes found while the trajectory solve runs
 
 
-def _plant_adjacent_sign_changes(sol, b):
-    """A copy of sol whose phi1 column b flips sign at the grid node where
-    |phi1| peaks, so two adjacent cells carry sign changes."""
-    Z = sol.Z.copy()
-    k = int(np.argmax(np.abs(Z[0, 1:-1, b]))) + 1
-    Z[0, k, b] = -Z[0, k, b]
-    return BatchSolution(lam=sol.lam, grid=sol.grid, Z=Z)
+def _reference_nodes(problem, lams, points):
+    """Per-column nodes by the former two-pass route: store every trajectory
+    Z, scan each column for sign changes, refine from the stored states."""
+    sol = solve_batch(problem, lams, points=points)
+    h, out, cols, cells = sol.step, [], [], []
+    for b, lam in enumerate(sol.lam):
+        sign = np.where(sol.Y[0, :, b] >= 0, 1.0, -1.0)
+        c = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        out.append(c.size >= 2 and np.min(np.diff(c)) < 2)
+        if not out[-1]:
+            cols.extend([b] * c.size)
+            cells.extend(c.tolist())
+    cols, cells = np.asarray(cols, int), np.asarray(cells, int)
+    system, lam, xL, ZL = (forward.AugmentedSystem(problem), sol.lam[cols], sol.grid[cells],
+                           sol.Z[:, cells, cols])
+
+    def phi1_at(xq, idx):
+        return forward._single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
+
+    refined = _bracketed_roots(phi1_at, xL, xL + h, ZL[0], phi1_at(xL + h, slice(None)),
+                               NODE_TOL)[2]
+    for b, failed in enumerate(out):
+        vals = np.sort(refined[cols == b])
+        out[b] = None if failed else vals[(vals > h) & (vals < math.pi - h)]
+    return out
 
 
-def test_adjacent_sign_changes_fail_only_their_column(free_prob):
-    sol = solve_batch(free_prob, [5.0, 6.0, 7.0], points=1024)
-    clean = spectrum._nodes_from_solution(free_prob, sol)
+@pytest.mark.parametrize("which", ["cosine", "mass"])
+def test_streamed_nodes_equal_stored_trajectory_scan(which, cosine_problem):
+    # 1000 steps are 7 full blocks of 128 and a partial one of 104
+    problem = {"cosine": cosine_problem, "mass": constant_mass_problem()}[which]
+    data = nodal_data(problem, (20, 40), points=1000)
+    assert data.indices == list(range(20, 41)) and not data.failures
+    lams = [data.eigenvalues[n] for n in data.indices]
+    for n, ref in zip(data.indices, _reference_nodes(problem, lams, 1000)):
+        assert np.array_equal(data.nodes[n], ref), n
+
+
+def _plant_adjacent_sign_changes(monkeypatch, b, k):
+    """Flip phi1 of column b at grid node k in the block states that the
+    crossing scan receives, so cells k - 1 and k both carry sign changes;
+    the solution carried from step to step is untouched."""
+    scan = forward._CrossingScan.__call__
+
+    def planted(self, first, states):
+        if 0 <= k - first < states.shape[1]:
+            states[0, k - first, b] = -states[0, k - first, b]
+        return scan(self, first, states)
+
+    monkeypatch.setattr(forward._CrossingScan, "__call__", planted)
+
+
+def _peak_node(problem, lams, points, b):
+    """The interior grid node where |phi1| of column b peaks."""
+    phi1 = solve_batch(problem, lams, points=points).Y[0, :, b]
+    return int(np.argmax(np.abs(phi1[1:-1]))) + 1
+
+
+def _streamed_nodes(problem, lams, points):
+    return spectrum._nodes_from_crossings(
+        problem, solve_batch(problem, lams, points=points, crossings=True))
+
+
+def test_adjacent_sign_changes_fail_only_their_column(free_prob, monkeypatch):
+    lams = [5.0, 6.0, 7.0]
+    clean = _streamed_nodes(free_prob, lams, 1024)
     assert [xs.size for xs in clean] == [4, 5, 6]
-    out = spectrum._nodes_from_solution(free_prob, _plant_adjacent_sign_changes(sol, 1))
+    _plant_adjacent_sign_changes(monkeypatch, 1, _peak_node(free_prob, lams, 1024, 1))
+    out = _streamed_nodes(free_prob, lams, 1024)
     assert isinstance(out[1], ResolutionError)
     assert out[1].required_points == 2048
     assert "lambda = 6;" in str(out[1])
     for b in (0, 2):
+        assert np.array_equal(out[b], clean[b])
+
+
+def test_adjacent_sign_changes_across_a_block_boundary(free_prob, monkeypatch):
+    # node 128 closes the first block of 128 steps and opens the second, so
+    # cell 127 is the first block's last and cell 128 the second's first
+    lams = [5.0, 6.0, 7.0]
+    phi1 = solve_batch(free_prob, lams, points=1000).Y[0, 127:130]
+    assert (np.abs(np.diff(np.sign(phi1), axis=0)).sum(axis=0) == 0).all()
+    clean = _streamed_nodes(free_prob, lams, 1000)
+    _plant_adjacent_sign_changes(monkeypatch, 2, 128)
+    out = _streamed_nodes(free_prob, lams, 1000)
+    assert isinstance(out[2], ResolutionError)
+    assert out[2].required_points == 2000
+    assert "lambda = 7;" in str(out[2])
+    for b in (0, 1):
         assert np.array_equal(out[b], clean[b])
 
 
@@ -194,9 +266,10 @@ def test_nodal_data_records_underresolved_column(free_prob, monkeypatch):
     sizes = []
     original = spectrum.solve_batch
 
-    def planted(problem, lam, points=None, *, maps=None):
+    def planted(problem, lam, points=None, *, maps=None, crossings=False):
         sizes.append(len(lam))
-        return _plant_adjacent_sign_changes(original(problem, lam, points=points, maps=maps), 2)
+        _plant_adjacent_sign_changes(monkeypatch, 2, _peak_node(problem, lam, points, 2))
+        return original(problem, lam, points=points, maps=maps, crossings=crossings)
 
     monkeypatch.setattr(spectrum, "solve_batch", planted)
     data = nodal_data(free_prob, (5, 8))
@@ -317,8 +390,8 @@ def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
 
 def test_nodal_data_frees_composed_maps_before_trajectories(worked_problem, monkeypatch):
     # the composed maps serve the search's endpoint solves only; they are
-    # freed before nodal_data's trajectory solve, so they are not resident
-    # beside its stored trajectories
+    # freed before nodal_data's trajectory pass, so they are not resident
+    # beside its crossing scan
     spans, freed = [], []
     evaluate, solve = spectrum.char_fn_normalized, spectrum.solve_batch
 
@@ -326,9 +399,9 @@ def test_nodal_data_frees_composed_maps_before_trajectories(worked_problem, monk
         spans.append(weakref.ref(maps.spans))
         return evaluate(problem, lam, points=points, maps=maps)
 
-    def solving(problem, lam, points=None, *, maps=None):
+    def solving(problem, lam, points=None, *, maps=None, crossings=False):
         freed.append(maps.spans is None and all(ref() is None for ref in spans))
-        return solve(problem, lam, points=points, maps=maps)
+        return solve(problem, lam, points=points, maps=maps, crossings=crossings)
 
     monkeypatch.setattr(spectrum, "char_fn_normalized", evaluating)
     monkeypatch.setattr(spectrum, "solve_batch", solving)
