@@ -1,8 +1,9 @@
 """Sweep the normalized characteristic function over a lambda window.
 
 Prints (lambda, Delta/max(1, lambda^2)) rows and marks sign changes, which
-bracket eigenvalues.  Useful for checking a new problem file before running
-the full spectrum search.
+bracket eigenvalues.  The window is evaluated in one batched call, on one
+grid resolved for its largest |lambda|.  Useful for checking a new problem
+file before running the full spectrum search.
 
     python3 scripts/lambda_sweep.py --problem problems/cosine.yaml \
         --lo 4 --hi 12 --steps 65
@@ -25,7 +26,7 @@ def main():
 
     problem = load_problem(args.problem)
     lams = np.linspace(args.lo, args.hi, args.steps)
-    vals = np.array([char_fn_normalized(problem, lam) for lam in lams])
+    vals = char_fn_normalized(problem, lams)
 
     crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     for i, (lam, v) in enumerate(zip(lams, vals)):

@@ -30,12 +30,17 @@ again an exact polynomial map in lambda (a propagator matrix), so the
 endpoint-only solves behind char_fn step over runs of _SPAN = 8 steps
 multiplied out (_compose, degree 32): the same RK4 grid in 8 times fewer
 numpy calls, with results that differ from single steps by rounding only.
-States longer than _SPAN_SIZE = 5 take single steps there too, because
-composing them was measured to gain nothing.  An eigenvalue search builds
-its grid's maps, single and composed, once (grid_maps) and passes them as
-maps= to each of its batched evaluations; it releases the composed ones
-before the trajectory solve that follows.  A standalone call builds them
-lazily, one block at a time, so its memory does not grow with the grid.
+At |lambda| h <= 0.2 the coefficients of high degree cannot reach the
+result: each block's maps are applied only up to the degree K (_degrees)
+past which the terms ||P_k|| max|lambda|^k of the batch sum to at most
+2^-60 of the kept ones, below the rounding of the product itself (15 of
+the 33 degrees at |lambda| h = 0.05, 23 at 0.2).  States longer than
+_SPAN_SIZE = 5 take single steps there too, because composing them was
+measured to gain nothing.  An eigenvalue search builds its grid's maps,
+single and composed, once (grid_maps) and passes them as maps= to each of
+its batched evaluations; it releases the composed ones before the
+trajectory solve that follows.  A standalone call builds them lazily, one
+block at a time, so its memory does not grow with the grid.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full
@@ -323,10 +328,13 @@ def _step_maps(system, x0, x1, h, lam=None):
 
 def _stepper(maps, powers=None):
     """step(z, i) applying map i of one block of maps from _step_maps to z.
-    Polynomial maps take z (2 + S, B) and powers = lambda^0..lambda^4 of
-    shape (5, 1, B); maps built at each query's lambda (powers None) take a
-    slice i of queries and z (Q, 2 + S, 1).  The maps' form is read here,
-    once per block, not at every step."""
+    Polynomial maps of degree d take z (2 + S, B) and powers =
+    lambda^0..lambda^d of shape (d + 1, 1, B): d = 4 for single steps, and
+    for composed maps (_compose) the degree K they are cut off at, given as
+    the column slice P[..., :(K + 1)(2 + S)], a view.  Maps built at each
+    query's lambda (powers None) take a slice i of queries and z
+    (Q, 2 + S, 1).  The maps' form is read here, once per block, not at
+    every step."""
     P = maps[0]
     if powers is None:
         lift = lambda v: v
@@ -346,11 +354,15 @@ def _stepper(maps, powers=None):
 
 def _compose(maps):
     """The single-step maps (P,) of one block from _step_maps multiplied in
-    runs of _SPAN consecutive steps: shape (ceil(n / _SPAN), 2 + S,
+    runs of _SPAN consecutive steps, and a bound on their coefficients.
+
+    Returns (spans, bounds): spans of shape (ceil(n / _SPAN), 2 + S,
     (4 _SPAN + 1)(2 + S)), maps of degree 4 _SPAN in lambda in the layout of
-    P, which _stepper applies alike.  A short last run is padded with
-    identity steps.  Neighbours are multiplied pairwise, one batched
-    product of lambda polynomials per level."""
+    P, which _stepper applies alike, and bounds[k] the largest row sum
+    ||P_k||_inf of the coefficient of lambda^k over the block's spans, a
+    (4 _SPAN + 1)-vector from which _degrees cuts the maps off.  A short
+    last run is padded with identity steps.  Neighbours are multiplied
+    pairwise, one batched product of lambda polynomials per level."""
     P = maps[0]
     n, D = P.shape[:2]
     M = P.reshape(n, D, -1, D).transpose(0, 2, 1, 3)  # (step, degree, row, col)
@@ -366,7 +378,23 @@ def _compose(maps):
         for k in range(p):  # late_k early_j is the term of degree k + j
             out[:, k : k + p] += late[:, k, None] @ early
         M = out
-    return M.transpose(0, 2, 1, 3).reshape(M.shape[0], D, -1)
+    bounds = np.abs(M).sum(axis=-1).max(axis=(0, 2))
+    return M.transpose(0, 2, 1, 3).reshape(M.shape[0], D, -1), bounds
+
+
+def _degrees(bounds, lam_max):
+    """The degree K up to which composed maps with per-degree bounds (from
+    _compose; blocks may be stacked on leading axes) are applied to a batch
+    with max|lambda| = lam_max: the smallest K whose dropped tail
+    sum_{k > K} bounds[k] lam_max^k is at most 2^-60 times the kept
+    sum_{k <= K}, far below the rounding of the product on the kept terms.
+    A bound that overflows keeps every degree."""
+    with np.errstate(all="ignore"):
+        terms = bounds * lam_max ** np.arange(bounds.shape[-1])
+        kept = np.cumsum(terms, axis=-1)[..., :-1]
+        tail = np.cumsum(terms[..., :0:-1], axis=-1)[..., ::-1]  # sum_{k > K}, K < 4 _SPAN
+        small = tail <= 2.0**-60 * kept
+    return np.where(small.any(axis=-1), small.argmax(axis=-1), bounds.shape[-1] - 1)
 
 
 def _single_steps(system, z, lam, x0, x1):
@@ -430,20 +458,22 @@ class GridMaps:
     endpoint_states, char_fn and char_fn_normalized).  blocks holds the
     maps of each block as _map_blocks yields them, for trajectory solves;
     spans holds their products in runs of _SPAN steps (_compose) in one
-    array, for endpoint-only solves.  spans is None when size = 2 + S
-    exceeds _SPAN_SIZE (those solves take single steps), or when released by
-    without_spans (they compose a block at a time)."""
+    array, for endpoint-only solves, and bounds the per-degree bounds of
+    each block's products, one row per block.  spans and bounds are None
+    when size = 2 + S exceeds _SPAN_SIZE (those solves take single steps),
+    or when released by without_spans (they compose a block at a time)."""
 
     problem: object
     points: int
     size: int
     blocks: tuple
     spans: np.ndarray = None
+    bounds: np.ndarray = None
 
     def without_spans(self):
         """These maps without the composed ones, whose memory goes back to
         the system once no other reference holds them."""
-        return replace(self, spans=None)
+        return replace(self, spans=None, bounds=None)
 
 
 def grid_maps(problem, points):
@@ -451,11 +481,16 @@ def grid_maps(problem, points):
     points = int(points)
     _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
     system = AugmentedSystem(problem)
+    size = system.size
     blocks = tuple(_map_blocks(system, points))
-    spans = None
-    if system.size <= _SPAN_SIZE:  # one array, which returns to the system in one piece
-        spans = np.concatenate([_compose(block) for block in blocks])
-    return GridMaps(problem, points, system.size, blocks, spans)
+    spans = bounds = None
+    if size <= _SPAN_SIZE:  # one array, which returns to the system in one piece
+        spans = np.empty((-(-points // _SPAN), size, (4 * _SPAN + 1) * size))
+        bounds = np.empty((len(blocks), 4 * _SPAN + 1))
+        rows = _BLOCK // _SPAN
+        for j, block in enumerate(blocks):  # each block's products go straight to their rows
+            spans[j * rows : (j + 1) * rows], bounds[j] = _compose(block)
+    return GridMaps(problem, points, size, blocks, spans, bounds)
 
 
 class _Stack:
@@ -537,8 +572,9 @@ def _solve(problem, lam, points, maps, consumer=None):
     left and right grid nodes, are checked for magnitude and handed to
     consumer(lam, n_steps, 2 + S)(first step, states); returns the
     consumer's result().  Without, returns the endpoint states (2, B) over
-    the maps composed in runs of _SPAN steps (single steps when 2 + S
-    exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
+    the maps composed in runs of _SPAN steps, each block's applied up to the
+    degree _degrees finds for the batch's max|lambda| (single steps when
+    2 + S exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
     grows with the grid."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -555,17 +591,25 @@ def _solve(problem, lam, points, maps, consumer=None):
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
         size, blocks, spans = maps.size, maps.blocks, maps.spans
-    if consumer is None and size <= _SPAN_SIZE:
-        blocks = [(spans,)] if spans is not None else ((_compose(block),) for block in blocks)
+    if consumer is None and size <= _SPAN_SIZE:  # composed maps, to the degree lambda reaches
+        lam_max = _lam_max(lam)
+        if spans is None:
+            composed = ((P, _degrees(bounds, lam_max)) for P, bounds in map(_compose, blocks))
+        else:
+            rows = _BLOCK // _SPAN
+            composed = ((spans[j * rows : (j + 1) * rows], K)
+                        for j, K in enumerate(_degrees(maps.bounds, lam_max)))
+        blocks = ((P[..., : (K + 1) * size],) for P, K in composed)
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)
     powers, first = None, 0
     for block in blocks:
         P = block[0]
-        if powers is None:  # lambda^0..lambda^degree, the degree read off the maps
-            powers = lam ** np.arange(P.shape[-1] // P.shape[1])[:, None, None]
-        step = _stepper(block, powers)
+        terms = P.shape[-1] // P.shape[1]  # lambda^0..lambda^degree, the degree read off the maps
+        if powers is None or powers.shape[0] < terms:
+            powers = lam ** np.arange(terms)[:, None, None]
+        step = _stepper(block, powers[:terms])
         states = None if consume is None else np.empty((size, P.shape[0] + 1, lam.size))
         for i in range(P.shape[0]):
             if states is not None:

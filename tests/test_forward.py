@@ -265,6 +265,33 @@ def test_composed_endpoint_matches_single_steps(kind, n_steps, lams, cosine_prob
     assert np.all(np.abs(end - last) <= 1e-12 * np.maximum(1.0, lams * lams))
 
 
+@pytest.mark.parametrize("phase", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("kind", ["zero", "separable"])
+def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_kernel_problem,
+                                              monkeypatch):
+    # endpoint solves apply each block's composed maps only up to the degree
+    # whose dropped tail is below rounding for the batch's max|lambda|; the
+    # same maps applied at full degree 4 _SPAN give the same endpoints to
+    # rounding.  1003 steps leave a padded last run
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    n_steps, full = 1003, 4 * forward._SPAN + 1
+    lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
+    lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
+    maps = grid_maps(problem, n_steps)
+    applied, stepper = [], forward._stepper
+    monkeypatch.setattr(forward, "_stepper", lambda block, powers: applied.append(
+        block[0].shape[-1] // block[0].shape[1]) or stepper(block, powers))
+    end = endpoint_states(problem, lams, points=n_steps, maps=maps)
+    assert len(applied) == -(-n_steps // forward._BLOCK)  # one cut-off per block
+    assert max(applied) <= (20 if phase <= 0.05 else full - 1)
+    z = np.zeros((maps.size, lams.size))
+    z[:2] = initial_state(problem.bc, lams)
+    step = stepper((maps.spans,), lams ** np.arange(full)[:, None, None])
+    for i in range(maps.spans.shape[0]):
+        z = step(z, i)
+    assert np.all(np.abs(end - z[:2]) <= 1e-12 * np.maximum(1.0, lams * lams))
+
+
 def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):
     # above _SPAN_SIZE states (here the 32 Chebyshev states of the general
     # exponential kernel) composing is not done: endpoint_states then takes
@@ -300,14 +327,16 @@ def test_char_fn_memory_flat_in_step_count(cosine_problem):
     # step maps are built a block of steps at a time, so no array grows with
     # the grid: the traced peak of one 1212-lambda evaluation (less the
     # returned array) stays flat when the step count is quadrupled, where
-    # tables over the full grid would grow with it
+    # tables over the full grid would grow with it.  lambda is scaled with
+    # the step count (|lambda| h up to about 0.186 on both grids), because
+    # the degree the composed maps are applied to follows |lambda| h
     lams = np.linspace(19.0, 121.0, 1212)
     char_fn(cosine_problem, lams, points=2048)
     peaks = []
     for points in (2048, 8192):
         tracemalloc.start()
         try:
-            out = char_fn(cosine_problem, lams, points=points)
+            out = char_fn(cosine_problem, lams * (points / 2048), points=points)
             peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
         finally:
             tracemalloc.stop()
