@@ -3,7 +3,8 @@ predictions, and synthetic nodal data.
 
 Everything here is an explicit formula in the problem data and the derived
 integrals nu(x) = int_0^x V, K(x) = int_0^x (chi11+chi22)(t,t) dt,
-L(x) = int_0^x (chi12-chi21)(t,t) dt.  The expansions keep every term
+L(x) = int_0^x (chi12-chi21)(t,t) dt (problem.integrals, computed once per
+problem).  The expansions keep every term
 through order 1/lambda (resp. 1/n^2 for nodes) and drop the remainder;
 acceptance tests bound the dropped remainder against the direct integrator.
 """
@@ -13,13 +14,12 @@ import math
 import numpy as np
 
 from .forward import initial_state
-from .problem import derived_integrals
 
 
 def asymptotic_constants(problem):
     """C_hat, the n-independent part of the 1/lambda_n coefficient in the
     eigenvalue formula, from the boundary data, m and L(pi)."""
-    ints = derived_integrals(problem)
+    ints = problem.integrals
     bc = problem.bc
     m = problem.coeffs.m
     th, be = bc.theta, bc.beta
@@ -101,7 +101,7 @@ def phi_asym(problem, x, lam):
     """
     if lam == 0:
         raise ValueError("expansion requires lambda != 0")
-    ints = derived_integrals(problem)
+    ints = problem.integrals
     m = problem.coeffs.m
     chi = problem.coeffs.chi
     lam = float(lam)
@@ -144,7 +144,7 @@ def char_fn_asym(problem, lam):
     Vectorized over lam.  Leading term sin(lambda pi + theta - beta); the
     1/lambda terms carry b's, d's, m, K(pi), L(pi).
     """
-    ints = derived_integrals(problem)
+    ints = problem.integrals
     bc = problem.bc
     m = problem.coeffs.m
     th, be = bc.theta, bc.beta
@@ -176,7 +176,7 @@ def lambda_asym(problem, n):
     return float(out) if out.ndim == 0 else out
 
 
-def node_asym(problem, n, j, integrals=None):
+def node_asym(problem, n, j):
     """Predicted j-th node of phi1(., lambda_n) through order 1/n^2.
 
     The curvature corrections are evaluated at the zeroth-order position
@@ -192,7 +192,7 @@ def node_asym(problem, n, j, integrals=None):
     bad = (j < 0) | (j > n)
     if bad.any():
         raise ValueError(f"node index j = {j[bad].flat[0]} out of range [0, {n}]")
-    ints = integrals if integrals is not None else derived_integrals(problem)
+    ints = problem.integrals
     bc = problem.bc
     m = problem.coeffs.m
     th = bc.theta
@@ -217,7 +217,7 @@ def node_asym(problem, n, j, integrals=None):
     return float(out) if out.ndim == 0 else out
 
 
-def synthesize_nodal_data(problem, n_range, integrals=None):
+def synthesize_nodal_data(problem, n_range):
     """NodalData built from node_asym over n in the inclusive range.
 
     Evaluates j = 0..n and keeps the values landing strictly inside
@@ -228,9 +228,8 @@ def synthesize_nodal_data(problem, n_range, integrals=None):
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    ints = integrals if integrals is not None else derived_integrals(problem)
     nodes = {}
     for n in range(n_lo, n_hi + 1):
-        vals = node_asym(problem, n, np.arange(n + 1), integrals=ints)
+        vals = node_asym(problem, n, np.arange(n + 1))
         nodes[n] = np.sort(vals[(vals > 0.0) & (vals < math.pi)])
     return NodalData(nodes=nodes, source="synthetic")

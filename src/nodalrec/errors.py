@@ -78,7 +78,8 @@ class BracketingError(NodalrecError):
 
 
 class AmbiguityError(NodalrecError):
-    """More than one sign change in the scan window."""
+    """The index of an eigenvalue is not certain: more than one sign change
+    in the scan window, or a root outside the sanity corridor."""
 
     category = "ambiguity"
 

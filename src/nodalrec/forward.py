@@ -34,13 +34,13 @@ At |lambda| h <= 0.2 the coefficients of high degree cannot reach the
 result: each block's maps are applied only up to the degree K (_degrees)
 past which the terms ||P_k|| max|lambda|^k of the batch sum to at most
 2^-60 of the kept ones, below the rounding of the product itself (15 of
-the 33 degrees at |lambda| h = 0.05, 23 at 0.2).  States longer than
-_SPAN_SIZE = 5 take single steps there too, because composing them was
-measured to gain nothing.  An eigenvalue search builds its grid's maps,
-single and composed, once (grid_maps) and passes them as maps= to each of
-its batched evaluations; it releases the composed ones before the
-trajectory solve that follows.  A standalone call builds them lazily, one
-block at a time, so its memory does not grow with the grid.
+the 33 degrees at |lambda| h = 0.05, 23 at 0.2).  Maps in the coupled
+layout (more than 6 memory states, see _step_maps) are not composed:
+endpoint solves take their single steps.  An eigenvalue search builds its
+grid's maps, single and composed, once (grid_maps) and passes them as
+maps= to each of its batched evaluations; it releases the composed ones
+before the trajectory solve that follows.  A standalone call builds them
+lazily, one block at a time, so its memory does not grow with the grid.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full
@@ -237,11 +237,10 @@ class AugmentedSystem:
 # the builder's arrays independently of the step count
 _BLOCK = 128
 # consecutive steps multiplied into one map for endpoint-only solves (a
-# power of two dividing _BLOCK), when the state has at most _SPAN_SIZE
-# entries; chosen by timing searches at 2 + S = 2..8: 4 and 8 tie, 16 doubles
-# the cost of composing, and from 2 + S = 6 composing stops paying
+# power of two dividing _BLOCK), when the maps are in the plain layout;
+# chosen by timing searches at 2 + S = 2..8: 4 and 8 tie, and 16 doubles
+# the cost of composing
 _SPAN = 8
-_SPAN_SIZE = 5
 _J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
 
@@ -257,7 +256,10 @@ def _step_maps(system, x0, x1, h, lam=None):
     h/6 y_1, h/3 (y_2 + y_3), h/6 y_4), CC = (C0; Cm; C1), BB = (B0 Bm B1),
     so a step costs O(S) per lambda.  When z = (y, W) is no longer than v,
     the factors are multiplied out: (P,) with P (2 + S, 5 (2 + S)) mapping
-    (lambda^k z) to z_new (for S = 0, the 2 x 2 RK4 propagator).
+    (lambda^k z) to z_new (for S = 0, the 2 x 2 RK4 propagator).  This
+    layout is the stepper's one size decision: endpoint-only solves compose
+    the plain layout (P,) (_compose) and take single steps in the coupled
+    one.
     """
     n = x0.size
     F, B = system.coefficients(np.concatenate([x0, x0 + 0.5 * h, x1]))
@@ -397,6 +399,12 @@ def _degrees(bounds, lam_max):
     return np.where(small.any(axis=-1), small.argmax(axis=-1), bounds.shape[-1] - 1)
 
 
+def _cut(P, bounds, lam_max):
+    """Composed maps P with per-degree bounds (from _compose) as maps of the
+    degree _degrees finds for lam_max: a view of their first columns."""
+    return (P[..., : (_degrees(bounds, lam_max) + 1) * P.shape[1]],)
+
+
 def _single_steps(system, z, lam, x0, x1):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
     at lambda = lam[q].  Used by node refinement."""
@@ -460,8 +468,9 @@ class GridMaps:
     spans holds their products in runs of _SPAN steps (_compose) in one
     array, for endpoint-only solves, and bounds the per-degree bounds of
     each block's products, one row per block.  spans and bounds are None
-    when size = 2 + S exceeds _SPAN_SIZE (those solves take single steps),
-    or when released by without_spans (they compose a block at a time)."""
+    when the maps are in the coupled layout (those solves take single
+    steps), or when released by without_spans (they compose a block at a
+    time)."""
 
     problem: object
     points: int
@@ -484,7 +493,7 @@ def grid_maps(problem, points):
     size = system.size
     blocks = tuple(_map_blocks(system, points))
     spans = bounds = None
-    if size <= _SPAN_SIZE:  # one array, which returns to the system in one piece
+    if len(blocks[0]) == 1:  # the plain layout: one array, which returns to the system in one piece
         spans = np.empty((-(-points // _SPAN), size, (4 * _SPAN + 1) * size))
         bounds = np.empty((len(blocks), 4 * _SPAN + 1))
         rows = _BLOCK // _SPAN
@@ -573,8 +582,8 @@ def _solve(problem, lam, points, maps, consumer=None):
     consumer(lam, n_steps, 2 + S)(first step, states); returns the
     consumer's result().  Without, returns the endpoint states (2, B) over
     the maps composed in runs of _SPAN steps, each block's applied up to the
-    degree _degrees finds for the batch's max|lambda| (single steps when
-    2 + S exceeds _SPAN_SIZE).  The maps come from maps (a GridMaps of this
+    degree _degrees finds for the batch's max|lambda| (single steps for maps
+    in the coupled layout).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
     grows with the grid."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -591,15 +600,15 @@ def _solve(problem, lam, points, maps, consumer=None):
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
         size, blocks, spans = maps.size, maps.blocks, maps.spans
-    if consumer is None and size <= _SPAN_SIZE:  # composed maps, to the degree lambda reaches
+    if consumer is None:  # plain-layout maps composed, to the degree lambda reaches
         lam_max = _lam_max(lam)
         if spans is None:
-            composed = ((P, _degrees(bounds, lam_max)) for P, bounds in map(_compose, blocks))
+            blocks = (_cut(*_compose(block), lam_max) if len(block) == 1 else block
+                      for block in blocks)
         else:
             rows = _BLOCK // _SPAN
-            composed = ((spans[j * rows : (j + 1) * rows], K)
-                        for j, K in enumerate(_degrees(maps.bounds, lam_max)))
-        blocks = ((P[..., : (K + 1) * size],) for P, K in composed)
+            blocks = ((spans[j * rows : (j + 1) * rows, :, : (K + 1) * size],)
+                      for j, K in enumerate(_degrees(maps.bounds, lam_max)))
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)

@@ -17,6 +17,7 @@ the angles, :func:`ensure_valid` the rest), so the solvers take it as valid.
 A constant expression in a problem file with no real value is a parse error.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,6 +198,11 @@ class ProblemDefinition:
         object.__setattr__(self, "quadrature_points", int(self.quadrature_points))
         ensure_valid(self)
 
+    @functools.cached_property
+    def integrals(self):
+        """The DerivedIntegrals of this problem, computed on first use."""
+        return derived_integrals(self)
+
 
 def ensure_valid(problem):
     """Check the standing assumptions; raise InvalidProblemError naming
@@ -307,6 +313,14 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _refuse_unknown(mapping, known, what, where):
+    """A key the format does not define would be ignored, so a misspelled
+    one silently drops its data: refuse it instead."""
+    extra = sorted(str(k) for k in mapping if k not in known)
+    if extra:
+        raise ProblemFormatError(f"{where}: unknown {what} keys {extra}")
+
+
 def _load_kernel_entry(label, chi_map, sep_map):
     in_chi = label in chi_map
     in_sep = label in sep_map
@@ -341,13 +355,11 @@ def _load_kernel_entry(label, chi_map, sep_map):
 def problem_from_mapping(doc, where="<problem>"):
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{where}: top level must be a mapping")
+    _refuse_unknown(doc, {"bc", "coeffs", "quadrature_points"}, "top-level", where)
     bc_map = _require(doc, "bc", where)
     if not isinstance(bc_map, dict):
         raise ProblemFormatError(f"{where}: 'bc' must be a mapping")
-    known_bc = {"theta", "beta", "b1", "b2", "d1", "d2"}
-    extra = set(bc_map) - known_bc
-    if extra:
-        raise ProblemFormatError(f"{where}: unknown bc keys {sorted(extra)}")
+    _refuse_unknown(bc_map, {"theta", "beta", "b1", "b2", "d1", "d2"}, "bc", where)
     try:
         bc = BoundaryParams(
             theta=float(_require(bc_map, "theta", "bc")),
@@ -363,6 +375,7 @@ def problem_from_mapping(doc, where="<problem>"):
     coeffs_map = doc.get("coeffs", {})
     if not isinstance(coeffs_map, dict):
         raise ProblemFormatError(f"{where}: 'coeffs' must be a mapping")
+    _refuse_unknown(coeffs_map, {"V", "m", "chi", "chi_separable"}, "coeffs", where)
 
     v_src = coeffs_map.get("V", "0")
     V = compile_expression(str(v_src), ("x",), name="V")

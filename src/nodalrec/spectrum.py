@@ -32,6 +32,14 @@ SCAN_POINTS = 12
 NODE_TOL = 1e-12
 
 
+def _corridor_miss(n, lam, offset):
+    """Why lambda_n = lam leaves the sanity corridor |lambda_n - n - offset|
+    <= 1, offset = (beta - theta)/pi; None when it does not."""
+    if abs(lam - n - offset) > 1.0:
+        return f"lambda_{n} = {lam:.6g} outside the corridor n + {offset:.4g} +- 1"
+    return None
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Map n -> lambda_n with root-finding diagnostics.
@@ -52,11 +60,9 @@ class Spectrum:
             if not a < b:
                 raise ValueError("eigenvalues must be strictly increasing in n")
         for n in ns:
-            if abs(self.entries[n] - n - self.offset) > 1.0:
-                raise ValueError(
-                    f"lambda_{n} = {self.entries[n]:.6g} outside the corridor "
-                    f"n + {self.offset:.4g} +- 1"
-                )
+            miss = _corridor_miss(n, self.entries[n], self.offset)
+            if miss:
+                raise ValueError(miss)
 
     @property
     def indices(self):
@@ -144,8 +150,10 @@ def _bracketed_roots(f, a, b, fa, fb, width):
 
 def _scan_and_refine(problem, n_range, tol, points):
     """Shared engine: argument checks, per-n window scan, sign-change audit,
-    joint bracketed refinement to width tol/4.  The grid's step maps are
-    built once and serve every batched evaluation.
+    joint bracketed refinement to width tol/4, corridor check.  The grid's
+    step maps are built once and serve every batched evaluation.  A root
+    outside the corridor (see Spectrum) is that n's AmbiguityError: its
+    index is not certain.
 
     Returns (found: dict n -> (lam, residual, bracket), failures: dict, maps),
     maps being the GridMaps of the grid searched on, without the composed
@@ -206,7 +214,12 @@ def _scan_and_refine(problem, n_range, tol, points):
             seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
             vals[rows, c], vals[rows, c + 1], tol / 4.0,
         )
+        offset = (problem.bc.beta - problem.bc.theta) / math.pi
         for k, row in enumerate(rows):
+            miss = _corridor_miss(ns[row], float(root[k]), offset)
+            if miss:
+                failures[ns[row]] = AmbiguityError(miss)
+                continue
             scale = max(1.0, root[k] * root[k])
             found[ns[row]] = (
                 float(root[k]), abs(float(froot[k])) * scale, (float(lo[k]), float(hi[k]))

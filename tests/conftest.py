@@ -33,6 +33,14 @@ EXP_KERNEL_SEPARABLE_DOC = {
     }},
 }
 
+# lambda_5 = 6.88 of this problem lies 1.17 from n + (beta - theta)/pi,
+# outside the search's corridor of +-1
+CORRIDOR_DOC = {
+    "bc": {"theta": -0.901, "beta": 1.326, "b1": 1.90, "d1": 0.156, "d2": 2.05},
+    "coeffs": {"V": "-2.64*cos(x) - 1.32*cos(2*x) + 1.87*cos(3*x)", "m": 3.64,
+               "chi_separable": {"11": [{"a": "0.098*exp(-x)", "b": "exp(t)"}]}},
+}
+
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
 

@@ -3,11 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from nodalrec.cli import main
 from nodalrec.io import read_nodal_csv
 
 from _bullets import covers
+from conftest import CORRIDOR_DOC
 
 REPO = Path(__file__).resolve().parent.parent
 FREE_YAML = str(REPO / "problems" / "free.yaml")
@@ -96,6 +98,32 @@ def test_parse_error_exit(tmp_path, capsys):
     assert rc == 3
     cat, _ = _category(capsys)
     assert cat == "parse"
+
+
+def test_unknown_key_exits_parse(tmp_path, capsys):
+    # a misspelled key would otherwise be ignored: here V = 0 and m = 0
+    path = tmp_path / "misspelled.yaml"
+    path.write_text('bc: {theta: 0.3, beta: 0.1}\ncoefs: {V: "cos(x)", m: 0.5}\n')
+    rc = main(["spectrum", "--problem", str(path), "--n-max", "6", "--out", str(tmp_path)])
+    assert rc == 3
+    cat, captured = _category(capsys)
+    assert cat == "parse"
+    assert "unknown top-level keys ['coefs']" in captured.err
+
+
+def test_corridor_failure_agrees_between_spectrum_and_nodes(tmp_path, capsys):
+    path = tmp_path / "corridor.yaml"
+    path.write_text(yaml.safe_dump(CORRIDOR_DOC))
+    argv = ["--problem", str(path), "--n-max", "8", "--out", str(tmp_path)]
+    assert main(["spectrum", *argv]) == 4
+    cat, captured = _category(capsys)
+    assert cat == "ambiguity"
+    message = captured.err.splitlines()[-1].removeprefix("error: ")
+    assert message.startswith("lambda_5 = ")
+    assert main(["nodes", *argv]) == 0
+    _, captured = _category(capsys)
+    assert f"warning: n=5: AmbiguityError: {message}" in captured.err.splitlines()
+    assert sorted(read_nodal_csv(tmp_path / "nodes.csv").nodes) == [6, 7, 8]
 
 
 def test_missing_file_exit(capsys):

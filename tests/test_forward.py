@@ -190,24 +190,39 @@ def test_empty_lambda_batch(problem):
     assert char_fn_normalized(problem, []).shape == (0,)
 
 
+def _separable_problem(states):
+    """V = cos x, m = 0.5, theta = 0.3, beta = 0.1 and the separable
+    chi12 = sum_{k <= states} 0.1 cos(k x) sin(k t / 2): 2 + states entries
+    in the augmented state."""
+    return problem_from_mapping({
+        "bc": {"theta": 0.3, "beta": 0.1},
+        "coeffs": {"V": "cos(x)", "m": 0.5, "chi_separable": {"12": [
+            {"a": f"0.1*cos({k}*x)", "b": f"sin({k}*t/2)"} for k in range(1, states + 1)
+        ]}},
+    })
+
+
 def _kernel_kinds(cosine_problem, exp_kernel_problem):
-    """One problem per kind of kernel, by name."""
+    """One problem per kind of kernel, by name; "wide" has the longest
+    state (2 + S = 8) that _step_maps keeps in the plain layout."""
     base = worked_example_problem()
     return {
         "zero": ProblemDefinition(bc=base.bc, coeffs=CoefficientSet(V=base.coeffs.V, m=base.coeffs.m)),
         "separable": cosine_problem,
+        "wide": _separable_problem(6),
         "general": exp_kernel_problem,
     }
 
 
 @pytest.mark.parametrize("phase", [0.05, 0.2])
-@pytest.mark.parametrize("kind", ["zero", "separable", "general"])
+@pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_problem):
     # the polynomial step maps against the four-stage RK4 of _rk4_oracle on
     # the same grid (300 steps: two full blocks and a partial one), for a
-    # kernel-free problem, the separable cosine kernel (maps on (y, W)) and
-    # the general exponential kernel (32 memory states, maps on (y, C W));
-    # find_nodes refines with maps evaluated at each query's lambda
+    # kernel-free problem, the separable cosine kernel and a separable one of
+    # 6 terms (maps on (y, W)), and the general exponential kernel (32 memory
+    # states, maps on (y, C W)); find_nodes refines with maps evaluated at
+    # each query's lambda
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
@@ -223,7 +238,7 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     assert sup_err(nodes, ref) <= bound
 
 
-@pytest.mark.parametrize("kind", ["zero", "separable", "general"])
+@pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
     # maps built once for the grid (300 steps: two full blocks and a partial
     # one) give exactly what a call building its own maps gives
@@ -248,7 +263,7 @@ def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
     # (measured against the same maps applied in long double)
     (15721, [1000.2, -1000.2]),
 ])
-@pytest.mark.parametrize("kind", ["zero", "separable"])
+@pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
 def test_composed_endpoint_matches_single_steps(kind, n_steps, lams, cosine_problem,
                                                 exp_kernel_problem, monkeypatch):
     # endpoint_states steps over maps composed of _SPAN steps each, and
@@ -266,7 +281,7 @@ def test_composed_endpoint_matches_single_steps(kind, n_steps, lams, cosine_prob
 
 
 @pytest.mark.parametrize("phase", [0.01, 0.05, 0.2])
-@pytest.mark.parametrize("kind", ["zero", "separable"])
+@pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
 def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_kernel_problem,
                                               monkeypatch):
     # endpoint solves apply each block's composed maps only up to the degree
@@ -293,14 +308,17 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
 
 
 def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):
-    # above _SPAN_SIZE states (here the 32 Chebyshev states of the general
-    # exponential kernel) composing is not done: endpoint_states then takes
-    # the very steps of solve_batch, and grid_maps stores no composed maps
+    # maps in the coupled layout (more than 6 memory states: the 32
+    # Chebyshev states of the general exponential kernel, and 7 separable
+    # terms, the shortest such state) are not composed: endpoint_states then
+    # takes the very steps of solve_batch, and grid_maps stores no composed
+    # maps
     monkeypatch.setattr(forward, "_compose", None)
     lams = np.array([17.5, -9.0, 1.0])
-    assert np.array_equal(endpoint_states(exp_kernel_problem, lams, points=300),
-                          solve_batch(exp_kernel_problem, lams, points=300).Z[:2, -1])
-    assert grid_maps(exp_kernel_problem, 300).spans is None
+    for problem in (exp_kernel_problem, _separable_problem(7)):
+        assert np.array_equal(endpoint_states(problem, lams, points=300),
+                              solve_batch(problem, lams, points=300).Z[:2, -1])
+        assert grid_maps(problem, 300).spans is None
 
 
 def test_grid_maps_refused_for_another_problem(cosine_problem):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nodalrec.problem as problem_module
+from nodalrec.asymptotics import lambda_asym, phi_asym, synthesize_nodal_data
 from nodalrec.errors import InvalidProblemError, ProblemFormatError
 from nodalrec.fixtures import (
     cosine_roundtrip_problem,
@@ -132,6 +134,21 @@ def test_derived_integral_endpoints(problem):
     assert abs(ints.nu[-1]) <= 1e-6  # zero-mean V up to quadrature error
 
 
+def test_integrals_computed_once_per_problem(monkeypatch):
+    # the closed forms read problem.integrals, which calls derived_integrals
+    # by its module name on first use only
+    problem, calls = cosine_roundtrip_problem(), []
+    monkeypatch.setattr(problem_module, "derived_integrals",
+                        lambda p: calls.append(p) or derived_integrals(p))
+    synthesize_nodal_data(problem, (5, 20))
+    lambda_asym(problem, np.arange(5, 9))
+    phi_asym(problem, np.linspace(0.0, math.pi, 5), 7.5)
+    assert calls == [problem]
+    ref = derived_integrals(problem)
+    for name in ("grid", "nu", "K", "L"):
+        assert np.array_equal(getattr(problem.integrals, name), getattr(ref, name))
+
+
 def test_derived_integrals_match_closed_forms():
     from nodalrec.fixtures import worked_example_reference
 
@@ -207,7 +224,15 @@ def test_yaml_mapping_loader_roundtrip():
     ({"bc": {"theta": 0, "beta": 0},
       "coeffs": {"chi": {"12": "x"}, "chi_separable": {"12": [{"a": "x", "b": "t"}]}}},
      "both"),
-], ids=["no-bc", "bc-scalar", "bc-extra", "bad-entry", "dual-form"])
+    ({"bc": {"theta": 0.3, "beta": 0.1}, "coefs": {"V": "cos(x)", "m": 0.5}},
+     "unknown top-level keys ['coefs']"),
+    ({"bc": {"theta": 0, "beta": 0}, "coeffs": {"v": "cos(x)", "mass": 1}},
+     "unknown coeffs keys ['mass', 'v']"),
+    ({"bc": {"theta": 0, "beta": 0}, "coeffs": {"chi_seperable": {"12": []}}},
+     "unknown coeffs keys ['chi_seperable']"),
+    ({"bc": {"theta": 0, "beta": 0}, 7: 1}, "unknown top-level keys ['7']"),
+], ids=["no-bc", "bc-scalar", "bc-extra", "bad-entry", "dual-form", "top-extra", "coeffs-extra",
+        "coeffs-misspelled-kernel", "top-nonstring"])
 def test_mapping_loader_rejects(doc, fragment):
     with pytest.raises(ProblemFormatError) as info:
         problem_from_mapping(doc)

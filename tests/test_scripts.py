@@ -13,9 +13,7 @@ REPO = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv, marker", [
     (["lambda_sweep.py", "--problem", str(REPO / "problems" / "free.yaml"), "--steps", "9"],
      "sign changes in [4.0, 12.0]"),
-    (["convergence_study.py", "--ladder", "50", "100"], "n_max"),
-    (["example_reconstruction.py"], "sup|V_hat - V|"),
-], ids=["lambda_sweep", "convergence_study", "example_reconstruction"])
+], ids=["lambda_sweep"])
 def test_script_runs(argv, marker):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)

@@ -22,8 +22,10 @@ from nodalrec.spectrum import (
     nodal_data,
 )
 
+from nodalrec.problem import problem_from_mapping
+
 from _bullets import covers
-from conftest import sup, trajectory
+from conftest import CORRIDOR_DOC, sup, trajectory
 
 
 @covers("spectrum.delta-residual-bound")
@@ -432,6 +434,21 @@ def test_wide_window_raises_ambiguity(free_prob, monkeypatch):
     monkeypatch.setattr(spectrum, "lambda_asym", lambda *a, **k: original(*a, **k) + 0.3)
     with pytest.raises(AmbiguityError, match="2 sign changes"):
         compute_spectrum(free_prob, (5, 8))
+
+
+def test_root_outside_the_corridor_is_ambiguous():
+    # lambda_5 of this problem leaves the corridor, so its index is not
+    # certain: compute_spectrum raises that as an ambiguity, and nodal_data
+    # records the same failure for n = 5 and keeps the other indices
+    problem = problem_from_mapping(CORRIDOR_DOC)
+    with pytest.raises(AmbiguityError, match=r"lambda_5 = 6\.8\d* outside the corridor "
+                                             r"n \+ 0\.7089 \+- 1") as info:
+        compute_spectrum(problem, (5, 12))
+    data = nodal_data(problem, (5, 12))
+    assert data.failures == {5: f"AmbiguityError: {info.value}"}
+    assert data.indices == sorted(data.eigenvalues) == list(range(6, 13))
+    spec = compute_spectrum(problem, (6, 12))
+    assert spec.entries == data.eigenvalues
 
 
 # ---------------------------------------------------------------------------
