@@ -70,10 +70,8 @@ class BracketingError(NodalrecError):
 
     category = "bracketing"
 
-    def __init__(self, message, index=None, scan_points=None, scan_values=None):
+    def __init__(self, message, index=None):
         self.index = index
-        self.scan_points = scan_points
-        self.scan_values = scan_values
         super().__init__(message)
 
 

@@ -1,29 +1,51 @@
 """Built-in test problems.
 
-Each constructor returns a fully validated ProblemDefinition.  These are the
-acceptance fixtures: a worked example with linear potential and linear
-kernel skew, the free operator, a cosine potential for round-trip tests,
-and the constant-mass operator whose trajectories have closed forms.
+Each constructor returns a fully validated ProblemDefinition, built by
+problem_from_mapping from a problem-file document, as load_problem builds
+it from a file.  These are the acceptance fixtures: a worked example with
+linear potential and linear kernel skew, the free operator, a cosine
+potential for round-trip tests, and the constant-mass operator whose
+trajectories have closed forms.  DOCUMENTS holds the documents of
+problems/worked_example.yaml, cosine.yaml and free.yaml, by file name; the
+constructors start from them.
 """
 
 import math
 
 import numpy as np
 
-from .problem import (
-    BoundaryParams,
-    CoefficientSet,
-    KernelMatrix,
-    ProblemDefinition,
-    SeparableKernel,
-    ZeroKernel,
-)
+from .problem import problem_from_mapping
 
 PI = math.pi
+
+DOCUMENTS = {
+    "worked_example": {
+        "bc": {"theta": PI / 4, "beta": PI / 4, "b1": 0.3, "b2": -0.2},
+        "coeffs": {"V": "x/2 - pi/4", "m": 1.0, "chi_separable": {"12": [
+            {"a": "pi/2 - x/2", "b": "1"},
+            {"a": "1", "b": "-t/2"},
+        ]}},
+    },
+    "cosine": {
+        "bc": {"theta": 0.3, "beta": 0.1},
+        "coeffs": {"V": "cos(x)", "m": 0.5, "chi_separable": {"12": [
+            {"a": "sin(x/2)", "b": "cos(t/2)"},
+            {"a": "cos(x/2)", "b": "sin(t/2)"},
+            {"a": "-2/pi", "b": "1"},
+        ]}},
+    },
+    "free": {"bc": {"theta": 0.0, "beta": 0.0}},
+}
 
 
 def _arr(fn):
     return lambda x: fn(np.asarray(x, dtype=float))
+
+
+def _problem(name, **bc):
+    """The problem of DOCUMENTS[name], with the given bc entries replaced."""
+    doc = DOCUMENTS[name]
+    return problem_from_mapping({**doc, "bc": {**doc["bc"], **bc}})
 
 
 def worked_example_problem(b1=0.3, b2=-0.2):
@@ -34,19 +56,7 @@ def worked_example_problem(b1=0.3, b2=-0.2):
     L'(x) = pi/2 - x.  b1, b2 are free (they drop out of every recovered
     quantity) and default to nonzero values so tests exercise their terms.
     """
-    bc = BoundaryParams(theta=PI / 4, beta=PI / 4, b1=b1, b2=b2, d1=0.0, d2=0.0)
-    chi12 = SeparableKernel(
-        terms=(
-            (_arr(lambda x: PI / 2 - x / 2), _arr(np.ones_like)),
-            (_arr(np.ones_like), _arr(lambda t: -t / 2)),
-        )
-    )
-    coeffs = CoefficientSet(
-        V=_arr(lambda x: x / 2 - PI / 4),
-        m=1.0,
-        chi=KernelMatrix(k11=ZeroKernel(), k12=chi12, k21=ZeroKernel(), k22=ZeroKernel()),
-    )
-    return ProblemDefinition(bc=bc, coeffs=coeffs)
+    return _problem("worked_example", b1=b1, b2=b2)
 
 
 def worked_example_reference():
@@ -66,33 +76,14 @@ def worked_example_reference():
 def free_problem(theta=0.0, beta=0.0):
     """All coefficients zero; Delta(lambda) = lambda^2 sin(lambda pi - beta + theta)
     up to the boundary rotation, eigenvalues exactly n + (beta-theta)/pi."""
-    bc = BoundaryParams(theta=theta, beta=beta, b1=0.0, b2=0.0, d1=0.0, d2=0.0)
-    coeffs = CoefficientSet(
-        V=_arr(np.zeros_like),
-        m=0.0,
-        chi=KernelMatrix(ZeroKernel(), ZeroKernel(), ZeroKernel(), ZeroKernel()),
-    )
-    return ProblemDefinition(bc=bc, coeffs=coeffs)
+    return _problem("free", theta=theta, beta=beta)
 
 
 def cosine_roundtrip_problem():
     """V(x) = cos x, m = 0.5, theta = 0.3, beta = 0.1, and
     chi12(x,t) = sin((x+t)/2) - 2/pi, so L'(x) = sin x - 2/pi with
     L(pi) = 0 (the normalization mass recovery needs)."""
-    bc = BoundaryParams(theta=0.3, beta=0.1, b1=0.0, b2=0.0, d1=0.0, d2=0.0)
-    chi12 = SeparableKernel(
-        terms=(
-            (_arr(lambda x: np.sin(x / 2)), _arr(lambda t: np.cos(t / 2))),
-            (_arr(lambda x: np.cos(x / 2)), _arr(lambda t: np.sin(t / 2))),
-            (_arr(lambda x: np.full_like(x, -2 / PI)), _arr(np.ones_like)),
-        )
-    )
-    coeffs = CoefficientSet(
-        V=_arr(np.cos),
-        m=0.5,
-        chi=KernelMatrix(k11=ZeroKernel(), k12=chi12, k21=ZeroKernel(), k22=ZeroKernel()),
-    )
-    return ProblemDefinition(bc=bc, coeffs=coeffs)
+    return _problem("cosine")
 
 
 def cosine_roundtrip_reference():
@@ -112,13 +103,7 @@ def constant_mass_problem(m=1.0):
     """V = 0, chi = 0, theta = beta = 0, mass m: the trajectory has the
     closed form phi1 = lam(lam+m)/rho sin(rho x), phi2 = -lam cos(rho x)
     with rho = sqrt(lam^2 - m^2); eigenvalues are sqrt(k^2 + m^2)."""
-    bc = BoundaryParams(theta=0.0, beta=0.0, b1=0.0, b2=0.0, d1=0.0, d2=0.0)
-    coeffs = CoefficientSet(
-        V=_arr(np.zeros_like),
-        m=float(m),
-        chi=KernelMatrix(ZeroKernel(), ZeroKernel(), ZeroKernel(), ZeroKernel()),
-    )
-    return ProblemDefinition(bc=bc, coeffs=coeffs)
+    return problem_from_mapping({"bc": {"theta": 0.0, "beta": 0.0}, "coeffs": {"m": m}})
 
 
 def constant_mass_exact(m, lam, x):

@@ -39,8 +39,9 @@ layout (more than 6 memory states, see _step_maps) are not composed:
 endpoint solves take their single steps.  An eigenvalue search builds its
 grid's maps, single and composed, once (grid_maps) and passes them as
 maps= to each of its batched evaluations; it releases the composed ones
-before the trajectory solve that follows.  A standalone call builds them
-lazily, one block at a time, so its memory does not grow with the grid.
+before the trajectory solve that follows, and nodal_data the single ones
+when that solve returns, before node refinement.  A standalone call builds
+them lazily, one block at a time, so its memory does not grow with the grid.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full

@@ -306,6 +306,8 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
     grid_size = int(grid_size)
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
+    if n_min < 1:
+        raise ValueError(f"n_min must be >= 1, got {n_min}")
     ns = _usable_indices(data, n_min)
     if len(ns) < MIN_DISTINCT_N:
         raise InsufficientDataError(

@@ -155,9 +155,9 @@ def _scan_and_refine(problem, n_range, tol, points):
     outside the corridor (see Spectrum) is that n's AmbiguityError: its
     index is not certain.
 
-    Returns (found: dict n -> (lam, residual, bracket), failures: dict, maps),
-    maps being the GridMaps of the grid searched on, without the composed
-    maps that only the search's endpoint solves use.
+    Returns (spectrum, failures, maps): the Spectrum of the n found, the
+    failures by n, and the GridMaps of the grid searched on, without the
+    composed maps that only the search's endpoint solves use.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < N_MIN:
@@ -190,8 +190,6 @@ def _scan_and_refine(problem, n_range, tol, points):
                 f"no sign change of the normalized characteristic function in "
                 f"[{seeds[k]-SCAN_HALF_WIDTH:.6g}, {seeds[k]+SCAN_HALF_WIDTH:.6g}] for n = {n}",
                 index=n,
-                scan_points=(seeds[k] + offsets).tolist(),
-                scan_values=v.tolist(),
             )
             continue
         if cells.size > 1:
@@ -206,7 +204,8 @@ def _scan_and_refine(problem, n_range, tol, points):
             continue
         keep.append((k, int(cells[0])))
 
-    found = {}
+    entries, residuals, brackets = {}, {}, {}
+    offset = (problem.bc.beta - problem.bc.theta) / math.pi
     if keep:
         rows, c = np.array(keep).T
         lo, hi, root, froot = _bracketed_roots(
@@ -214,32 +213,25 @@ def _scan_and_refine(problem, n_range, tol, points):
             seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
             vals[rows, c], vals[rows, c + 1], tol / 4.0,
         )
-        offset = (problem.bc.beta - problem.bc.theta) / math.pi
         for k, row in enumerate(rows):
-            miss = _corridor_miss(ns[row], float(root[k]), offset)
+            n, lam = ns[row], float(root[k])
+            miss = _corridor_miss(n, lam, offset)
             if miss:
-                failures[ns[row]] = AmbiguityError(miss)
+                failures[n] = AmbiguityError(miss)
                 continue
             scale = max(1.0, root[k] * root[k])
-            found[ns[row]] = (
-                float(root[k]), abs(float(froot[k])) * scale, (float(lo[k]), float(hi[k]))
-            )
-    return found, failures, maps.without_spans()
+            entries[n], residuals[n] = lam, abs(float(froot[k])) * scale
+            brackets[n] = (float(lo[k]), float(hi[k]))
+    return Spectrum(entries, residuals, brackets, offset), failures, maps.without_spans()
 
 
 def compute_spectrum(problem, n_range, tol=1e-9, points=None):
     """Eigenvalues for every n in the inclusive range; any per-n search
     failure is raised immediately (use nodal_data for collect-and-continue)."""
-    found, failures, _ = _scan_and_refine(problem, n_range, tol, points)
+    spectrum, failures, _ = _scan_and_refine(problem, n_range, tol, points)
     if failures:
         raise failures[min(failures)]
-    offset = (problem.bc.beta - problem.bc.theta) / math.pi
-    return Spectrum(
-        entries={n: lam for n, (lam, _, _) in found.items()},
-        residuals={n: res for n, (_, res, _) in found.items()},
-        brackets={n: bracket for n, (_, _, bracket) in found.items()},
-        offset=offset,
-    )
+    return spectrum
 
 
 def find_eigenvalue(problem, n, tol=1e-9, points=None):
@@ -306,18 +298,18 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    found, failures, maps = _scan_and_refine(problem, n_range, tol, points)
+    spectrum, failures, maps = _scan_and_refine(problem, n_range, tol, points)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
-    if found:
-        order = sorted(found)
-        crossings = solve_batch(problem, [found[n][0] for n in order], points=maps.points,
+    if spectrum.entries:
+        ns = spectrum.indices
+        crossings = solve_batch(problem, [spectrum.entries[n] for n in ns], points=maps.points,
                                 maps=maps, crossings=True)
-        for n, xs in zip(order, _nodes_from_crossings(problem, crossings)):
+        del maps  # refinement steps from the crossing states: no grid map stays resident
+        for n, xs in zip(ns, _nodes_from_crossings(problem, crossings)):
             if isinstance(xs, ResolutionError):
                 failures[n] = f"ResolutionError: {xs}"
             else:
                 nodes[n] = xs
     return NodalData(nodes=nodes, source="numeric", failures=failures,
-                     eigenvalues={n: lam for n, (lam, _, _) in found.items()},
-                     brackets={n: bracket for n, (_, _, bracket) in found.items()})
+                     eigenvalues=spectrum.entries, brackets=spectrum.brackets)

@@ -282,6 +282,10 @@ def test_reconstruct_is_deterministic(worked_synth_data, worked_synth_recon):
 def test_reconstruct_input_guards(free_prob, worked_synth_data):
     with pytest.raises(ValueError):
         reconstruct(worked_synth_data, grid_size=8)
+    # read_nodal_csv accepts an n = 0 list; the fits are never handed one
+    zero = NodalData(nodes={0: np.array([1.0]), **worked_synth_data.nodes}, source="synthetic")
+    with pytest.raises(ValueError, match="n_min"):
+        reconstruct(zero, n_min=0)
     sparse = synthesize_nodal_data(free_prob, (5, 10))
     with pytest.raises(InsufficientDataError):
         reconstruct(sparse)

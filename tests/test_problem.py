@@ -1,15 +1,18 @@
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 import nodalrec.problem as problem_module
 from nodalrec.asymptotics import lambda_asym, phi_asym, synthesize_nodal_data
 from nodalrec.errors import InvalidProblemError, ProblemFormatError
 from nodalrec.fixtures import (
+    DOCUMENTS,
     cosine_roundtrip_problem,
     free_problem,
     worked_example_problem,
@@ -207,13 +210,18 @@ def test_yaml_mapping_loader_roundtrip():
     }
     problem = problem_from_mapping(doc)
     ensure_valid(problem)
-    ref = cosine_roundtrip_problem()
+    # the closed forms, not the fixture, which is built from this document
     xs = np.linspace(0, math.pi, 11)
-    assert np.allclose(problem.coeffs.V(xs), ref.coeffs.V(xs))
-    assert np.allclose(
-        problem.coeffs.chi.k12.eval(xs[:, None], xs[None, :]),
-        ref.coeffs.chi.k12.eval(xs[:, None], xs[None, :]),
-    )
+    x, t = xs[:, None], xs[None, :]
+    assert np.allclose(problem.coeffs.V(xs), np.cos(xs))
+    assert np.allclose(problem.coeffs.chi.k12.eval(x, t), np.sin((x + t) / 2) - 2 / math.pi)
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_problem_files_are_the_fixture_documents(name):
+    # the built-in problems and the shipped files are one definition
+    path = Path(__file__).resolve().parent.parent / "problems" / f"{name}.yaml"
+    assert yaml.safe_load(path.read_text(encoding="utf-8")) == DOCUMENTS[name]
 
 
 @pytest.mark.parametrize("doc, fragment", [

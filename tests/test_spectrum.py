@@ -412,6 +412,28 @@ def test_nodal_data_frees_composed_maps_before_trajectories(worked_problem, monk
     assert data.indices == list(range(20, 31)) and not data.failures
 
 
+def test_nodal_data_frees_grid_maps_before_node_refinement(worked_problem, monkeypatch):
+    # node refinement steps from the states kept at the crossings, so the
+    # grid's single-step maps are freed when the trajectory pass returns
+    steps, freed = [], []
+    build, refine = spectrum.grid_maps, spectrum._refine_nodes
+
+    def building(problem, points):
+        maps = build(problem, points)
+        steps.append(weakref.ref(maps.blocks[0][0]))
+        return maps
+
+    def refining(problem, found, keep):
+        freed.append(all(ref() is None for ref in steps))
+        return refine(problem, found, keep)
+
+    monkeypatch.setattr(spectrum, "grid_maps", building)
+    monkeypatch.setattr(spectrum, "_refine_nodes", refining)
+    data = nodal_data(worked_problem, (20, 30), points=1000)
+    assert len(steps) == 1 and freed == [True]
+    assert data.indices == list(range(20, 31)) and not data.failures
+
+
 def test_shifted_seed_raises_bracketing(free_prob, monkeypatch):
     # the free eigenvalues are n, so seeds at n + 0.5 leave no root in the
     # window [n + 0.05, n + 0.95]
