@@ -5,21 +5,27 @@ round-trips the binary value (at least 15 significant digits).  Bodies contain
 no timestamps, so identical inputs produce byte-identical files.
 
 CSV rows end in ``\\r\\n``, the line end of ``csv.writer``; comment lines
-(``# ...``) end in a bare ``\\n``.  The nodal CSV is written as one joined
-string of ``n,j,x`` rows per n, the same bytes ``csv.writer`` gives for these
-cells.  Its reader strips each line, skips blank lines and comments wherever
-they stand (noting a ``# source=synthetic`` tag), checks the header, and
-parses the rows with ``np.loadtxt``, which rounds decimal strings correctly,
-so every written float reads back bit for bit.  Rows may come in any order:
-they are sorted by (n, j), and the positions j of each n must be
-0..len-1.  LF and CRLF files read the same.
+(``# ...``) end in a bare ``\\n``.  The nodal CSV holds the bytes
+``csv.writer`` gives for its ``n,j,x`` cells, built per n from one ``repr`` of
+the whole node list: its ``", "``-separated floats, each after its
+``"{j},"``, joined by ``"\\r\\n{n},"``.  The reader takes the file in pieces
+of whole lines of about ``_CHUNK`` characters, with universal newlines, so
+LF, CRLF and CR files read the same.  In each piece one regular expression
+notes a ``# source=synthetic`` tag and another drops the blank lines and
+the ``#`` comment lines, wherever they stand; the first row left is the
+header, and ``np.loadtxt`` parses the others of the piece in one call.  It
+rounds decimal strings correctly, so every written float reads back bit for
+bit, and it rejects a ``#`` after a cell.  Rows may come in any order: they
+are sorted by (n, j), and the positions j of each n must be 0..len-1.
 """
 
 import csv
 import itertools
 import json
 import math
+import operator
 import os
+import re
 
 import numpy as np
 
@@ -37,54 +43,79 @@ def write_nodal_csv(data, path):
     Synthetic data is tagged with a "# source=synthetic" comment so readers
     can tell which generator produced it.
     """
+    positions = [f"{j}," for j in range(max(map(len, data.nodes.values()), default=0))]
     with open(path, "w", newline="") as fh:
         if data.source == "synthetic":
             fh.write("# source=synthetic\n")
         fh.write("n,j,x\r\n")
         for n in data.indices:
             xs = np.asarray(data.nodes[n], dtype=float).tolist()
-            fh.write("".join([f"{n},{j},{x!r}\r\n" for j, x in enumerate(xs)]))
+            if xs:
+                rows = f"\r\n{n},".join(map(operator.add, positions, repr(xs)[1:-1].split(", ")))
+                fh.write(f"{n},{rows}\r\n")
 
 
 _NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
+_CHUNK = 1 << 15  # characters the reader takes at a time, to the next line end
+# in a piece of whole lines with a "\n" before and after each: the tag line,
+# and a blank or comment line with the line end before it (the first
+# lookahead turns a data row away at its first character)
+_TAG = re.compile(r"\n[^\S\n]*#[^\S\n]*source=synthetic[^\S\n]*(?=\n)")
+_SKIP = re.compile(r"\n(?=[\s#])[^\S\n]*(?:#[^\n]*)?(?=\n)")
+
+
+def _parse_rows(lines):
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=_NODAL_ROW, ndmin=1)
 
 
 def read_nodal_csv(path):
     """Inverse of write_nodal_csv; unknown comments are ignored."""
     source = "numeric"
-    count = 0  # rows handed to the parser, header included
+    count = 0  # rows before the piece being parsed, header included
+    lines = []  # that piece's rows
+    rows = iter(lines)  # the parser's place in them
 
-    def rows(fh):
-        nonlocal source, count
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line[0] == "#":
-                if line[1:].strip() == "source=synthetic":
-                    source = "synthetic"
-                continue
-            count += 1
-            yield line
+    def pieces(fh):
+        """An iterator over the rows of each piece that has any; the header
+        is checked before the first."""
+        nonlocal source, count, lines, rows
+        while chunk := fh.read(_CHUNK):
+            piece = f"\n{chunk}{fh.readline()}\n"  # a last line may lack its "\n"
+            if "#" in piece and _TAG.search(piece):
+                source = "synthetic"
+            body = _SKIP.sub("", piece)[1:-1]
+            if body and not count:
+                header, _, body = body.partition("\n")
+                header = header.strip()
+                if [c.strip() for c in header.split(",")] != ["n", "j", "x"]:
+                    raise ProblemFormatError(f"{path}: expected header n,j,x, got {header!r}")
+                count = 1
+            if body:
+                count += len(lines)
+                lines = body.split("\n")
+                rows = iter(lines)
+                yield rows
 
-    with open(path, newline="") as fh:
-        lines = rows(fh)
-        header = next(lines, None)
-        if header is None:
-            raise ProblemFormatError(f"{path}: no rows")
-        if [c.strip() for c in header.split(",")] != ["n", "j", "x"]:
-            raise ProblemFormatError(f"{path}: expected header n,j,x, got {header!r}")
-        first = next(lines, None)
+    with open(path) as fh:
+        todo = pieces(fh)
+        first = next(todo, None)
         if first is None:
+            if not count:
+                raise ProblemFormatError(f"{path}: no rows")
             return NodalData(nodes={}, source=source)
         try:
-            table = np.loadtxt(itertools.chain((first,), lines), delimiter=",",
-                               comments=None, dtype=_NODAL_ROW, ndmin=1)
+            table = _parse_rows(itertools.chain(first, itertools.chain.from_iterable(todo)))
         except ValueError as exc:
-            # the parser pulls one line at a time, so count is the faulty
-            # row; numpy's own row number counts from 0 or 1 by fault kind
+            # the parser pulls one line at a time, so the last line it took
+            # is the faulty row; parsed again alone and stripped, it gives a
+            # message that quotes its cells without the line's outer spaces
+            faulty = len(lines) - operator.length_hint(rows)
+            try:
+                _parse_rows([lines[faulty - 1].strip()])
+            except ValueError as alone:
+                exc = alone
             reason = str(exc).split(" at row ")[0]
-            raise ProblemFormatError(f"{path}:{count}: {reason}") from None
+            raise ProblemFormatError(f"{path}:{count + faulty}: {reason}") from None
 
     # a repeated (n, j) is an error, so (n, j) alone fixes the order
     order = np.lexsort((table["j"], table["n"]))

@@ -3,11 +3,14 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nodalrec.errors import ProblemFormatError
+from nodalrec import io as nodal_io
 from nodalrec.forward import solve_batch
 from nodalrec.io import (
     format_float,
@@ -159,6 +162,108 @@ def test_read_header_only(tmp_path):
     assert back.source == "synthetic"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"n,j,x\n5,0,0.5\n \t \n5,1,1.5\n",
+        b"n,j,x\n5,0,0.5\n   # c\n5,1,1.5\n",
+        b"n,j,x\n5,0,0.5\n\x0c\n5,1,1.5\n",
+        b"n,j,x\r5,0,0.5\r5,1,1.5\r",
+    ],
+    ids=["whitespace-line", "indented-comment", "form-feed-line", "cr-line-ends"],
+)
+def test_read_skips_lines_that_strip_to_nothing_or_a_comment(tmp_path, body):
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(body)
+    back = read_nodal_csv(path)
+    assert back.source == "numeric"
+    assert list(back.nodes) == [5]
+    assert back.nodes[5].tobytes() == np.array([0.5, 1.5]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"  # source=synthetic\nn,j,x\n5,0,0.5\n", b"n,j,x\n5,0,0.5\n# source=synthetic"],
+    ids=["indented-before-header", "last-line-without-newline"],
+)
+def test_read_finds_the_tag(tmp_path, body):
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(body)
+    assert read_nodal_csv(path).source == "synthetic"
+
+
+@pytest.mark.parametrize(
+    "body", ["n,j,x\n5,0,#0.5\n", "n,j,x # c\n5,0,0.5\n"], ids=["comment-in-cell", "comment-after-header"]
+)
+def test_read_rejects_comments_after_cells(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value).startswith(str(path))
+
+
+@pytest.mark.parametrize("body", ["n,j,x\n", "n,j,x\n# c\n\n# source=synthetic\n  \n"], ids=["header-only", "comments-after-header"])
+def test_read_without_rows_warns_nothing(tmp_path, body):
+    path = tmp_path / "nodes.csv"
+    path.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_nodal_csv(path)
+    assert back.nodes == {}
+
+
+def _straddling(special, shift):
+    """Lines of a file of rows of n = 7 whose line `special` starts at
+    character _CHUNK + shift, where the reader's first read ends; returns the
+    lines and the row number (header = 1) of `special` if it is a row, else
+    of the row after it."""
+    lines, size, j = ["n,j,x"], 6, 0
+    while size < nodal_io._CHUNK - 100:
+        lines.append(f"7,{j},{0.1 + 1e-5 * j!r}")
+        size += len(lines[-1]) + 1
+        j += 1
+    lines.append("# " + "p" * (nodal_io._CHUNK + shift - size - 3))  # pads to the offset
+    lines.append(special)
+    row = j + 2
+    while size < 2 * nodal_io._CHUNK:
+        lines.append(f"7,{j},{0.1 + 1e-5 * j!r}")
+        size += len(lines[-1]) + 1
+        j += 1
+    return lines, row
+
+
+@pytest.mark.parametrize("shift", [-9, -1, 0, 1, 9])
+@pytest.mark.parametrize("special", ["# source=synthetic", "  # a comment", " \t ", ""])
+def test_read_lines_across_a_piece_boundary(tmp_path, special, shift):
+    lines, _ = _straddling(special, shift)
+    path = tmp_path / "nodes.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size > nodal_io._CHUNK
+    back = read_nodal_csv(path)
+    assert back.source == ("synthetic" if "source" in special else "numeric")
+    xs = back.nodes[7]
+    assert xs.tobytes() == (0.1 + 1e-5 * np.arange(xs.size)).tobytes()
+    assert xs.size == sum(line.startswith("7,") for line in lines)
+
+
+@pytest.mark.parametrize("shift", [-9, -1, 0, 1, 9])
+def test_read_error_names_the_row_after_a_piece_boundary(tmp_path, shift):
+    # the bad row straddles the boundary, or is the first of the next piece
+    lines, row = _straddling("7,x,0.5", shift)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value).startswith(f"{path}:{row}: could not convert string 'x'")
+    lines, row = _straddling("", shift)
+    lines[lines.index("") + 1] = "7,0,0.5,1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value).startswith(f"{path}:{row}: the dtype passed requires 3 columns")
+
+
 def _csv_writer_reference(data):
     """The bytes csv.writer gives for the nodal rows, with repr floats."""
     buf = io.StringIO(newline="")
@@ -193,6 +298,34 @@ def test_nodal_writer_bytes_on_worked_data(tmp_path, worked_synth_data):
     path = tmp_path / "nodes.csv"
     write_nodal_csv(worked_synth_data, path)
     assert path.read_bytes() == _csv_writer_reference(worked_synth_data)
+
+
+_NODE_VALUES = st.one_of(
+    st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    st.floats(1e-9, 1e-4),  # repr in exponent form
+    st.integers(1, 31415926535897000).map(lambda k: k / 1e16),  # up to 17 digits
+)
+
+
+@given(
+    nodes=st.dictionaries(
+        st.integers(-3, 3000),
+        st.lists(_NODE_VALUES, max_size=12, unique=True).map(sorted),
+        max_size=6,
+    ),
+    source=st.sampled_from(["numeric", "synthetic"]),
+)
+def test_nodal_csv_round_trip_property(tmp_path_factory, nodes, source):
+    data = NodalData(nodes={n: np.array(xs, dtype=float) for n, xs in nodes.items()}, source=source)
+    path = tmp_path_factory.mktemp("nodes") / "nodes.csv"
+    write_nodal_csv(data, path)
+    assert path.read_bytes() == _csv_writer_reference(data)
+    back = read_nodal_csv(path)
+    assert back.source == source
+    # an empty list writes no rows, so it does not come back
+    assert list(back.nodes) == [n for n in sorted(nodes) if nodes[n]]
+    for n, xs in back.nodes.items():
+        assert xs.tobytes() == np.array(nodes[n], dtype=float).tobytes()
 
 
 def test_read_memory_per_node(tmp_path, worked_synth_data):
