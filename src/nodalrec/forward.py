@@ -24,24 +24,32 @@ t by Chebyshev polynomials first (a degenerate-kernel approximation whose
 degree is checked against the kernel, or the entry is refused).  One RK4
 step is then a matrix polynomial of degree 4 in lambda whose coefficients
 depend only on the grid: _step_maps builds them for a block of steps, and
-trajectory solves and node refinement apply them to their lambda batch
-(_stepper), O(N) per trajectory.  A product of consecutive step maps is
-again an exact polynomial map in lambda (a propagator matrix), so the
-endpoint-only solves behind char_fn step over runs of _SPAN = 8 steps
-multiplied out (_compose, degree 32): the same RK4 grid in 8 times fewer
-numpy calls, with results that differ from single steps by rounding only.
-At |lambda| h <= 0.2 the coefficients of high degree cannot reach the
-result: each block's maps are applied only up to the degree K (_degrees)
-past which the terms ||P_k|| max|lambda|^k of the batch sum to at most
-2^-60 of the kept ones, below the rounding of the product itself (15 of
-the 33 degrees at |lambda| h = 0.05, 23 at 0.2).  Maps in the coupled
-layout (more than 6 memory states, see _step_maps) are not composed:
-endpoint solves take their single steps.  An eigenvalue search builds its
-grid's maps, single and composed, once (grid_maps) and passes them as
-maps= to each of its batched evaluations; it releases the composed ones
-before the trajectory solve that follows, and nodal_data the single ones
-when that solve returns, before node refinement.  A standalone call builds
-them lazily, one block at a time, so its memory does not grow with the grid.
+trajectory solves apply them to their lambda batch (_stepper), O(N) per
+trajectory.  A product of consecutive step maps is again an exact
+polynomial map in lambda (a propagator matrix), so the endpoint-only
+solves behind char_fn step over runs of _SPAN = 32 steps multiplied out
+(_compose): the same RK4 grid in 32 times fewer numpy calls, with results
+that differ from single steps by rounding only.  A product has degree 128,
+but at |lambda| h <= 0.2 the coefficients of high degree cannot reach the
+result.  Each block is multiplied out only up to the cap C (_caps) past
+which a majorant of its terms (_majorant: the single steps' per-degree
+norms raised to the _SPAN-th power) sums to at most 2^-60 of the product's
+lambda-free term, for the largest |lambda| the maps serve (C = 23 on a
+search grid at |lambda| h = 0.05, 42 at the guard 0.2).  Each block's maps
+are then applied only up to the degree K <= C (_degrees) past which their
+terms ||Q_k|| max|lambda|^k for the batch sum to at most 2^-60 of the kept
+ones, below the rounding of the product itself (23 of the 129 degrees at
+|lambda| h = 0.05, 40 at 0.2).  Maps in the coupled layout (more than 6
+memory states, see _step_maps) are not composed: endpoint solves take their
+single steps.  An eigenvalue search builds its grid's maps, single and
+composed, once (grid_maps, capped at the largest lambda it evaluates) and
+passes them as maps= to each of its batched evaluations; it releases the
+composed ones before the trajectory solve that follows, and nodal_data the
+single ones when that solve returns, before node refinement.  A standalone
+call builds them lazily, one block at a time, capped at its own batch, so
+its memory does not grow with the grid.  Node refinement (_single_steps)
+takes each query's RK4 step in stage form from the query's state, on the
+coefficients of AugmentedSystem, and builds no maps.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full
@@ -234,20 +242,24 @@ class AugmentedSystem:
 # ---------------------------------------------------------------------------
 # the stepper: each RK4 step as a polynomial map in lambda
 
-# steps (or node-refinement queries) whose maps are built at once; bounds
-# the builder's arrays independently of the step count
+# steps whose maps are built at once (and a quarter of the node-refinement
+# queries stepped at once); bounds the builder's arrays independently of
+# the step count
 _BLOCK = 128
 # consecutive steps multiplied into one map for endpoint-only solves (a
 # power of two dividing _BLOCK), when the maps are in the plain layout;
-# chosen by timing searches at 2 + S = 2..8: 4 and 8 tie, and 16 doubles
-# the cost of composing
-_SPAN = 8
+# chosen by timing searches with the maps cut at the degree the search's
+# lambda reaches: 16 gains half as much as 32, and 64 no more than 32
+_SPAN = 32
+# a dropped tail of terms at most this far below the kept ones is below the
+# rounding of the product (see _degrees and _caps)
+_CUTOFF = 2.0**-60
 _J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
 
-def _step_maps(system, x0, x1, h, lam=None):
-    """RK4 steps from x0 to x1 (n steps; h = x1 - x0, or the grid step) as maps
-    with leading axis n, polynomial of degree 4 in lambda or evaluated at lam.
+def _step_maps(system, x0, x1, h):
+    """RK4 steps from x0 to x1 (n steps of length h) as maps with leading
+    axis n, polynomial of degree 4 in lambda.
 
     With F = (G, C), C the 2 x S couplings, and W' = B y, the memory states
     reach the stages y_1..y_4 only through C W, so each stage is a 2 x 8
@@ -265,8 +277,6 @@ def _step_maps(system, x0, x1, h, lam=None):
     n = x0.size
     F, B = system.coefficients(np.concatenate([x0, x0 + 0.5 * h, x1]))
     S, G = B.shape[-2], F[:, [0, 1], [1, 0]].reshape(3, n, 2)  # (r, -p)
-    # lambda J raises a form's degree by E = 1, or is folded into G at lam (one per step)
-    E, G = (1, G) if lam is None else (0, G + lam[:, None] * np.array([-1.0, 1.0]))
     CC = np.concatenate(np.split(F[..., 2:], 3), axis=1)
     BB = np.concatenate(np.split(B, 3), axis=2)
     del F, B  # the maps' own arrays are all that outlives this point
@@ -290,10 +300,9 @@ def _step_maps(system, x0, x1, h, lam=None):
     def stage(g, y, col, C, dW=None):
         """(G + lambda J) y + C W_i, J = ((0, -1), (1, 0)); dW = (c, B_j, y_j)
         gives the stage's memory increment W_i - W = c h B_j y_j."""
-        k = np.zeros((y.shape[0] + E, 2, D, n))
-        k[: y.shape[0]] = g.T[:, None] * y[:, ::-1]  # G y with G = ((0, r), (-p, 0))
-        if E:
-            k[1:] += _J * y[:, ::-1]
+        k = np.zeros((y.shape[0] + 1, 2, D, n))  # lambda J raises the degree by one
+        k[:-1] = g.T[:, None] * y[:, ::-1]  # G y with G = ((0, r), (-p, 0))
+        k[1:] += _J * y[:, ::-1]
         if S and dW is not None:
             k[: dW[2].shape[0]] += (dW[0] * h) * mul(C @ dW[1], dW[2])
         return plus(k, col, C)
@@ -329,91 +338,157 @@ def _step_maps(system, x0, x1, h, lam=None):
     return (P.reshape(n, r, -1), CC, BB) if coupled else (P.reshape(n, r, -1),)
 
 
-def _stepper(maps, powers=None):
-    """step(z, i) applying map i of one block of maps from _step_maps to z.
-    Polynomial maps of degree d take z (2 + S, B) and powers =
-    lambda^0..lambda^d of shape (d + 1, 1, B): d = 4 for single steps, and
-    for composed maps (_compose) the degree K they are cut off at, given as
-    the column slice P[..., :(K + 1)(2 + S)], a view.  Maps built at each
-    query's lambda (powers None) take a slice i of queries and z
-    (Q, 2 + S, 1).  The maps' form is read here, once per block, not at
-    every step."""
+def _stepper(maps, powers):
+    """step(z, i) applying map i of one block of maps from _step_maps to z
+    (2 + S, B).  Maps of degree d in lambda take powers = lambda^0..lambda^d
+    of shape (d + 1, 1, B): d = 4 for single steps, and for composed maps
+    (_compose) the degree K they are cut off at, given as the column slice
+    P[..., :(K + 1)(2 + S)], a view.  The maps' form is read here, once per
+    block, not at every step."""
     P = maps[0]
-    if powers is None:
-        lift = lambda v: v
-    else:
-        lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
+    lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
     if len(maps) == 1:  # the maps act on z itself
         return lambda z, i: P[i] @ lift(z)
     _, CC, BB = maps
 
     def coupled(z, i):  # the maps act on v = (y, C W), then W is advanced
-        W = z[..., 2:, :]
-        out = P[i] @ lift(np.concatenate([z[..., :2, :], CC[i] @ W], axis=-2))
-        return np.concatenate([out[..., :2, :], W + BB[i] @ out[..., 2:, :]], axis=-2)
+        W = z[2:]
+        out = P[i] @ lift(np.concatenate([z[:2], CC[i] @ W]))
+        return np.concatenate([out[:2], W + BB[i] @ out[2:]])
 
     return coupled
 
 
-def _compose(maps):
-    """The single-step maps (P,) of one block from _step_maps multiplied in
-    runs of _SPAN consecutive steps, and a bound on their coefficients.
+def _majorant(maps, h):
+    """Bounds on the terms of the products _compose makes of one block of
+    single-step maps (P,) from _step_maps with step h: for the coefficient
+    Q_k of lambda^k of any run of _SPAN steps, ||Q_k|| lambda^k <= m[k]
+    (lambda h)^k ||Q_0||.  Returns m, a (4 _SPAN + 1)-vector.
 
-    Returns (spans, bounds): spans of shape (ceil(n / _SPAN), 2 + S,
-    (4 _SPAN + 1)(2 + S)), maps of degree 4 _SPAN in lambda in the layout of
-    P, which _stepper applies alike, and bounds[k] the largest row sum
-    ||P_k||_inf of the coefficient of lambda^k over the block's spans, a
-    (4 _SPAN + 1)-vector from which _degrees cuts the maps off.  A short
-    last run is padded with identity steps.  Neighbours are multiplied
-    pairwise, one batched product of lambda polynomials per level."""
+    The per-degree norms b_k = max ||P_k||_inf of the single steps, raised
+    to the _SPAN-th power by convolution, bound ||Q_k|| (the norm is
+    submultiplicative); they are taken in units of h^k, so that no power
+    of lambda or h leaves floating-point range.  ||Q_0|| is at least its
+    spectral radius, so at least |det Q_0|^(1 / (2 + S)), the product of
+    the runs' |det P_0|^(1 / (2 + S)); padding steps have det 1."""
     P = maps[0]
     n, D = P.shape[:2]
-    M = P.reshape(n, D, -1, D).transpose(0, 2, 1, 3)  # (step, degree, row, col)
+    P = P.reshape(n, D, -1, D)  # (step, row, degree, col)
+    m = np.abs(P).sum(axis=-1).max(axis=(0, 1)) / h ** np.arange(P.shape[2])
+    for _ in range(_SPAN.bit_length() - 1):
+        m = np.convolve(m, m)
+    floor = min(1.0, float(np.min(np.abs(np.linalg.det(P[:, :, 0]))))) ** (_SPAN / D)
+    with np.errstate(divide="ignore"):  # a singular step leaves no bound: every degree is kept
+        return m / floor
+
+
+def _below(terms, limit, fallback):
+    """The smallest K with sum_{k > K} terms[k] <= limit[K] on the last axis,
+    or fallback where there is none (where the terms or limits are NaN)."""
+    with np.errstate(all="ignore"):
+        tail = np.cumsum(terms[..., :0:-1], axis=-1)[..., ::-1]  # sum_{k > K}, K < last
+        tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
+        small = tail <= limit
+    return np.where(small.any(axis=-1), small.argmax(axis=-1), fallback)
+
+
+def _caps(majorants, phase):
+    """The degree C up to which _compose multiplies out the products of
+    blocks with the given majorants (_majorant; blocks may be stacked on
+    leading axes) for batches with max|lambda| h <= phase: the smallest C
+    whose dropped tail, bounded by sum_{k > C} m[k] phase^k ||Q_0||, is at
+    most _CUTOFF ||Q_0||.  The kept terms sum to at least ||Q_0||, so
+    _degrees, on maps of any higher degree, would never apply a degree
+    above C.  C grows with phase."""
+    with np.errstate(all="ignore"):
+        terms = majorants * phase ** np.arange(majorants.shape[-1])
+    return _below(terms, _CUTOFF, majorants.shape[-1] - 1)
+
+
+def _compose(maps, cap):
+    """The single-step maps (P,) of one block from _step_maps multiplied in
+    runs of _SPAN consecutive steps up to degree cap in lambda, and a bound
+    on their coefficients.
+
+    Returns (spans, bounds): spans of shape (ceil(n / _SPAN), 2 + S,
+    (cap + 1)(2 + S)), the products of degree 4 _SPAN without their terms
+    of degree above cap (_caps), in the layout of P, which _stepper applies
+    alike, and bounds[k] the largest row sum ||Q_k||_inf of the coefficient
+    of lambda^k over the block's runs, a (cap + 1)-vector from which
+    _degrees cuts the maps off.  A short last run is padded with identity
+    steps.  Neighbours are multiplied pairwise, one batched product of
+    lambda polynomials per level, one product of late_k with all of early
+    per degree k; each degree sums its terms in the same order whatever the
+    cap, so a kept coefficient does not depend on it."""
+    M = maps[0]
+    n, D = M.shape[:2]
     pad = -n % _SPAN
     if pad:
         identity = np.zeros((pad,) + M.shape[1:])
-        identity[:, 0] = np.eye(D)
+        identity[:, :, :D] = np.eye(D)
         M = np.concatenate([M, identity])
     for _ in range(_SPAN.bit_length() - 1):
         early, late = M[0::2], M[1::2]
-        p = M.shape[1]
-        out = np.zeros((early.shape[0], 2 * p - 1, D, D))
-        for k in range(p):  # late_k early_j is the term of degree k + j
-            out[:, k : k + p] += late[:, k, None] @ early
+        p = M.shape[-1] // D
+        q = min(2 * p - 1, cap + 1)
+        out = np.zeros((early.shape[0], D, q * D))
+        for k in range(min(p, q)):  # late_k early_j is the term of degree k + j
+            j = min(p, q - k)
+            out[:, :, k * D : (k + j) * D] += late[:, :, k * D : (k + 1) * D] @ early[:, :, : j * D]
         M = out
-    bounds = np.abs(M).sum(axis=-1).max(axis=(0, 2))
-    return M.transpose(0, 2, 1, 3).reshape(M.shape[0], D, -1), bounds
+    bounds = np.abs(M.reshape(M.shape[0], D, -1, D)).sum(axis=-1).max(axis=(0, 1))
+    return M, bounds
 
 
-def _degrees(bounds, lam_max):
+def _degrees(bounds, lam_max, caps):
     """The degree K up to which composed maps with per-degree bounds (from
-    _compose; blocks may be stacked on leading axes) are applied to a batch
-    with max|lambda| = lam_max: the smallest K whose dropped tail
-    sum_{k > K} bounds[k] lam_max^k is at most 2^-60 times the kept
-    sum_{k <= K}, far below the rounding of the product on the kept terms.
-    A bound that overflows keeps every degree."""
+    _compose; blocks may be stacked on leading axes, with their caps) are
+    applied to a batch with max|lambda| = lam_max: the smallest K whose
+    dropped tail sum_{k > K} bounds[k] lam_max^k, over the degrees up to
+    the cap the batch's own phase gives (_caps), is at most _CUTOFF times
+    the kept sum_{k <= K}, far below the rounding of the product on the
+    kept terms.  Maps composed to a higher cap for a larger lambda bound
+    give the same K.  A bound that overflows keeps every degree up to the
+    cap."""
+    caps = np.asarray(caps)
     with np.errstate(all="ignore"):
-        terms = bounds * lam_max ** np.arange(bounds.shape[-1])
-        kept = np.cumsum(terms, axis=-1)[..., :-1]
-        tail = np.cumsum(terms[..., :0:-1], axis=-1)[..., ::-1]  # sum_{k > K}, K < 4 _SPAN
-        small = tail <= 2.0**-60 * kept
-    return np.where(small.any(axis=-1), small.argmax(axis=-1), bounds.shape[-1] - 1)
+        k = np.arange(bounds.shape[-1])
+        terms = np.where(k <= caps[..., None], bounds * lam_max**k, 0.0)
+        kept = np.cumsum(terms, axis=-1)
+    return _below(terms, _CUTOFF * kept, caps)
 
 
-def _cut(P, bounds, lam_max):
-    """Composed maps P with per-degree bounds (from _compose) as maps of the
-    degree _degrees finds for lam_max: a view of their first columns."""
-    return (P[..., : (_degrees(bounds, lam_max) + 1) * P.shape[1]],)
+def _cut(maps, h, lam_max):
+    """The single-step maps (P,) of one block composed (_compose) to the cap
+    for the phase lam_max h, as maps of the degree _degrees finds for
+    lam_max."""
+    cap = _caps(_majorant(maps, h), lam_max * h)
+    P, bounds = _compose(maps, cap)
+    return (P[..., : (_degrees(bounds, lam_max, cap) + 1) * P.shape[1]],)
 
 
 def _single_steps(system, z, lam, x0, x1):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
-    at lambda = lam[q].  Used by node refinement."""
+    at lambda = lam[q], in stage form on the coefficients of system, 4 _BLOCK
+    columns at a time.  Used by node refinement."""
     out = np.empty_like(z)
-    for lo in range(0, z.shape[1], 4 * _BLOCK):  # maps at one lambda are about 5 times smaller
+    for lo in range(0, z.shape[1], 4 * _BLOCK):
         sl = slice(lo, lo + 4 * _BLOCK)
-        maps = _step_maps(system, x0[sl], x1[sl], x1[sl] - x0[sl], lam[sl])
-        out[:, sl] = _stepper(maps)(z[:, sl].T[..., None], slice(None))[..., 0].T
+        a, b = x0[sl], x1[sl]
+        h = (b - a)[:, None, None]
+        (F0, Fm, F1), (B0, Bm, B1) = (np.split(c, 3) for c in system.coefficients(
+            np.concatenate([a, a + 0.5 * (b - a), b])))
+        lamJ = np.stack([-lam[sl], lam[sl]], axis=-1)[..., None]
+        y = z[:, sl].T[..., None]  # (Q, 2 + S, 1)
+
+        def deriv(v, F, B):  # (F + lambda J) v, with W' = B y in the memory rows
+            return np.concatenate([F @ v + lamJ * v[:, 1::-1], B @ v[:, :2]], axis=1)
+
+        k1 = deriv(y, F0, B0)
+        k2 = deriv(y + (0.5 * h) * k1, Fm, Bm)
+        k3 = deriv(y + (0.5 * h) * k2, Fm, Bm)
+        k4 = deriv(y + h * k3, F1, B1)
+        out[:, sl] = (y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[..., 0].T
     return out
 
 
@@ -467,40 +542,55 @@ class GridMaps:
     endpoint_states, char_fn and char_fn_normalized).  blocks holds the
     maps of each block as _map_blocks yields them, for trajectory solves;
     spans holds their products in runs of _SPAN steps (_compose) in one
-    array, for endpoint-only solves, and bounds the per-degree bounds of
-    each block's products, one row per block.  spans and bounds are None
-    when the maps are in the coupled layout (those solves take single
-    steps), or when released by without_spans (they compose a block at a
-    time)."""
+    array, for endpoint-only solves with max|lambda| <= lam_bound, each
+    block's multiplied out to the cap that bound reaches (_caps) and padded
+    with zeros to the largest; bounds holds the per-degree bounds of each
+    block's products and majorants their _majorant, one row per block.
+    spans, bounds and majorants are None when the maps are in the coupled
+    layout (those solves take single steps), or when released by
+    without_spans; a batch without them, or above lam_bound, composes a
+    block at a time."""
 
     problem: object
     points: int
     size: int
     blocks: tuple
+    lam_bound: float
     spans: np.ndarray = None
     bounds: np.ndarray = None
+    majorants: np.ndarray = None
 
     def without_spans(self):
         """These maps without the composed ones, whose memory goes back to
         the system once no other reference holds them."""
-        return replace(self, spans=None, bounds=None)
+        return replace(self, spans=None, bounds=None, majorants=None)
 
 
-def grid_maps(problem, points):
-    """The step maps of problem on the uniform grid of points steps."""
+def grid_maps(problem, points, *, lam_bound=None):
+    """The step maps of problem on the uniform grid of points steps.
+    lam_bound is the largest |lambda| the composed maps serve; by default
+    every lambda the guard admits on this grid.  An eigenvalue search
+    passes the largest lambda it evaluates, so that its maps are composed
+    only to the degree that lambda reaches."""
     points = int(points)
     _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
     system = AugmentedSystem(problem)
-    size = system.size
+    size, h = system.size, math.pi / points
+    if lam_bound is None:
+        lam_bound = GUARD_LIMIT / h
     blocks = tuple(_map_blocks(system, points))
-    spans = bounds = None
+    spans = bounds = majorants = None
     if len(blocks[0]) == 1:  # the plain layout: one array, which returns to the system in one piece
-        spans = np.empty((-(-points // _SPAN), size, (4 * _SPAN + 1) * size))
-        bounds = np.empty((len(blocks), 4 * _SPAN + 1))
+        majorants = np.stack([_majorant(block, h) for block in blocks])
+        caps = _caps(majorants, lam_bound * h)
+        degrees = int(caps.max()) + 1
+        spans = np.zeros((-(-points // _SPAN), size, degrees * size))
+        bounds = np.zeros((len(blocks), degrees))
         rows = _BLOCK // _SPAN
-        for j, block in enumerate(blocks):  # each block's products go straight to their rows
-            spans[j * rows : (j + 1) * rows], bounds[j] = _compose(block)
-    return GridMaps(problem, points, size, blocks, spans, bounds)
+        for j, (block, cap) in enumerate(zip(blocks, caps.tolist())):
+            P, bounds[j, : cap + 1] = _compose(block, cap)
+            spans[j * rows : (j + 1) * rows, :, : P.shape[-1]] = P  # one block's copy at a time
+    return GridMaps(problem, points, size, blocks, float(lam_bound), spans, bounds, majorants)
 
 
 class _Stack:
@@ -586,7 +676,8 @@ def _solve(problem, lam, points, maps, consumer=None):
     degree _degrees finds for the batch's max|lambda| (single steps for maps
     in the coupled layout).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
-    grows with the grid."""
+    grows with the grid; a batch above maps.lam_bound composes its own,
+    capped for its max|lambda|."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
@@ -602,14 +693,14 @@ def _solve(problem, lam, points, maps, consumer=None):
     else:
         size, blocks, spans = maps.size, maps.blocks, maps.spans
     if consumer is None:  # plain-layout maps composed, to the degree lambda reaches
-        lam_max = _lam_max(lam)
-        if spans is None:
-            blocks = (_cut(*_compose(block), lam_max) if len(block) == 1 else block
-                      for block in blocks)
+        lam_max, h = _lam_max(lam), math.pi / n_steps
+        if spans is None or lam_max > maps.lam_bound:  # no composed maps serve this batch
+            blocks = (_cut(block, h, lam_max) if len(block) == 1 else block for block in blocks)
         else:
             rows = _BLOCK // _SPAN
+            caps = _caps(maps.majorants, lam_max * h)
             blocks = ((spans[j * rows : (j + 1) * rows, :, : (K + 1) * size],)
-                      for j, K in enumerate(_degrees(maps.bounds, lam_max)))
+                      for j, K in enumerate(_degrees(maps.bounds, lam_max, caps)))
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)

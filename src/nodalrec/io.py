@@ -15,8 +15,10 @@ notes a ``# source=synthetic`` tag and another drops the blank lines and
 the ``#`` comment lines, wherever they stand; the first row left is the
 header, and ``np.loadtxt`` parses the others of the piece in one call.  It
 rounds decimal strings correctly, so every written float reads back bit for
-bit, and it rejects a ``#`` after a cell.  Rows may come in any order: they
-are sorted by (n, j), and the positions j of each n must be 0..len-1.
+bit, and it rejects a ``#`` after a cell.  Rows may come in any order: rows
+not already in (n, j) order, as the writer puts them, are sorted by (n, j),
+and the positions j of each n must be 0..len-1.  A file that is not UTF-8
+text is a ProblemFormatError.
 """
 
 import csv
@@ -79,8 +81,8 @@ def read_nodal_csv(path):
         """An iterator over the rows of each piece that has any; the header
         is checked before the first."""
         nonlocal source, count, lines, rows
-        while chunk := fh.read(_CHUNK):
-            piece = f"\n{chunk}{fh.readline()}\n"  # a last line may lack its "\n"
+        while chunk := read(fh, _CHUNK):
+            piece = f"\n{chunk}{read(fh)}\n"  # a last line may lack its "\n"
             if "#" in piece and _TAG.search(piece):
                 source = "synthetic"
             body = _SKIP.sub("", piece)[1:-1]
@@ -96,7 +98,15 @@ def read_nodal_csv(path):
                 rows = iter(lines)
                 yield rows
 
-    with open(path) as fh:
+    def read(fh, size=None):
+        """fh.read(size), or the rest of the line without a size."""
+        try:
+            return fh.readline() if size is None else fh.read(size)
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+
+    with open(path, encoding="utf-8") as fh:
         todo = pieces(fh)
         first = next(todo, None)
         if first is None:
@@ -117,14 +127,19 @@ def read_nodal_csv(path):
             reason = str(exc).split(" at row ")[0]
             raise ProblemFormatError(f"{path}:{count + faulty}: {reason}") from None
 
-    # a repeated (n, j) is an error, so (n, j) alone fixes the order
-    order = np.lexsort((table["j"], table["n"]))
-    n, j, x = table["n"][order], table["j"][order], table["x"][order]
+    n, j = table["n"], table["j"]
+    if np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (j[1:] > j[:-1]))):
+        x = table["x"].copy()  # the rows come in (n, j) order, as write_nodal_csv writes them
+        order = None
+    else:  # a repeated (n, j) is an error, so (n, j) alone fixes the order
+        order = np.lexsort((j, n))
+        n, j, x = n[order], j[order], table["x"][order]
     del table
     new = np.concatenate(([True], n[1:] != n[:-1]))  # first row of each n
     starts = np.flatnonzero(new)
     stops = np.append(starts[1:], n.size)
-    first_row = np.minimum.reduceat(order, starts)  # where each n first appears
+    # where each n first appears
+    first_row = starts if order is None else np.minimum.reduceat(order, starts)
     bad = np.flatnonzero(np.where(new, j != 0, np.diff(j, prepend=-1) != 1))
     if bad.size:
         groups = np.unique(np.searchsorted(starts, bad, side="right") - 1)

@@ -410,7 +410,11 @@ def problem_from_mapping(doc, where="<problem>"):
 def load_problem(path):
     """Read a YAML problem definition from ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

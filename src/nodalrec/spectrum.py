@@ -8,11 +8,16 @@ bracket with a safeguarded Illinois (modified regula falsi) update.
 All n are advanced together so every update costs one batched
 characteristic-function evaluation, over the brackets still open.
 
+The search evaluates no lambda beyond max|seed| + SCAN_HALF_WIDTH, so its
+grid's composed maps are multiplied out only to the degree that bound
+reaches (grid_maps(..., lam_bound=...)).
+
 Nodes are grid sign changes of phi1, found block by block while the
 trajectory solve runs (solve_batch(..., crossings=True)), and refined by
-the same bracketed update; each refinement query is one step of the
-forward solver's RK4 stepper from the exact augmented state (solution pair
-and memory states) kept at the cell's left node.  No trajectory is stored.
+the same bracketed update; each refinement query is one stage-form RK4
+step of the forward solver's scheme (forward._single_steps) from the exact
+augmented state (solution pair and memory states) kept at the cell's left
+node.  No trajectory is stored, and refinement builds no step maps.
 """
 
 import math
@@ -168,10 +173,9 @@ def _scan_and_refine(problem, n_range, tol, points):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ns = list(range(n_lo, n_hi + 1))
     seeds = lambda_asym(problem, np.array(ns))
-    n_steps = points if points is not None else resolution_points(
-        float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH
-    )
-    maps = grid_maps(problem, n_steps)
+    lam_bound = float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH  # every lambda the search evaluates
+    n_steps = points if points is not None else resolution_points(lam_bound)
+    maps = grid_maps(problem, n_steps, lam_bound=lam_bound)
 
     offsets = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
     grid = (seeds[:, None] + offsets[None, :]).ravel()
@@ -247,8 +251,8 @@ def find_eigenvalue(problem, n, tol=1e-9, points=None):
 def _refine_nodes(problem, found, keep):
     """Bracketed refinement to NODE_TOL of the phi1 zeros in the cells of the
     crossings found[keep] (a Crossings and a boolean mask over them); each
-    query is one step of the forward stepper from the exact augmented state
-    at the cell's left node.  Returns the refined positions, in order."""
+    query is one stage-form RK4 step from the exact augmented state at the
+    cell's left node.  Returns the refined positions, in order."""
     system, h = AugmentedSystem(problem), found.step
     lam, xL, ZL = found.lam[found.cols[keep]], found.x[keep], found.Z[:, keep]
 

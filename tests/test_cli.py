@@ -100,6 +100,20 @@ def test_parse_error_exit(tmp_path, capsys):
     assert cat == "parse"
 
 
+@pytest.mark.parametrize("argv, name, body", [
+    (["reconstruct", "--data"], "nodes.csv", b"\xff\xfe"),
+    (["spectrum", "--problem"], "bad.yaml", b'bc: {theta: 0.0, beta: 0.0}\ncoeffs: {V: "x\xff"}\n'),
+], ids=["nodal-csv", "problem-yaml"])
+def test_input_that_is_not_utf8_exits_parse(tmp_path, capsys, argv, name, body):
+    path = tmp_path / name
+    path.write_bytes(body)
+    rc = main([*argv, str(path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    cat, captured = _category(capsys)
+    assert cat == "parse"
+    assert f"{path}: not UTF-8 text (byte 0xff)" in captured.err
+
+
 def test_unknown_key_exits_parse(tmp_path, capsys):
     # a misspelled key would otherwise be ignored: here V = 0 and m = 0
     path = tmp_path / "misspelled.yaml"

@@ -221,8 +221,8 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     # the same grid (300 steps: two full blocks and a partial one), for a
     # kernel-free problem, the separable cosine kernel and a separable one of
     # 6 terms (maps on (y, W)), and the general exponential kernel (32 memory
-    # states, maps on (y, C W)); find_nodes refines with maps evaluated at
-    # each query's lambda
+    # states, maps on (y, C W)); find_nodes refines with stage-form steps
+    # from the states kept at the crossings
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
@@ -273,11 +273,26 @@ def test_composed_endpoint_matches_single_steps(kind, n_steps, lams, cosine_prob
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     lams = np.array(lams)
     composed = []
-    monkeypatch.setattr(forward, "_compose", lambda maps: composed.append(1) or _compose(maps))
+    monkeypatch.setattr(forward, "_compose", lambda *args: composed.append(1) or _compose(*args))
     end = endpoint_states(problem, lams, points=n_steps)
     assert len(composed) == -(-n_steps // forward._BLOCK)  # every block was composed
     last = solve_batch(problem, lams, points=n_steps).Z[:2, -1]
     assert np.all(np.abs(end - last) <= 1e-12 * np.maximum(1.0, lams * lams))
+
+
+def _full_degree_endpoint(problem, lams, maps):
+    """The endpoints over each block of maps.blocks composed uncapped, to
+    the full degree 4 _SPAN of a product of _SPAN steps, and applied at it."""
+    full = 4 * forward._SPAN + 1
+    z = np.zeros((maps.size, lams.size))
+    z[:2] = initial_state(problem.bc, lams)
+    step = lambda spans: forward._stepper((spans,), lams ** np.arange(full)[:, None, None])
+    for block in maps.blocks:
+        spans = _compose(block, full - 1)[0]
+        apply = step(spans)
+        for i in range(spans.shape[0]):
+            z = apply(z, i)
+    return z[:2]
 
 
 @pytest.mark.parametrize("phase", [0.01, 0.05, 0.2])
@@ -286,10 +301,12 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
                                               monkeypatch):
     # endpoint solves apply each block's composed maps only up to the degree
     # whose dropped tail is below rounding for the batch's max|lambda|; the
-    # same maps applied at full degree 4 _SPAN give the same endpoints to
-    # rounding.  1003 steps leave a padded last run
+    # uncapped products applied at full degree 4 _SPAN give the same
+    # endpoints to rounding.  Of the 129 degrees of a product of 32 steps,
+    # 23 are applied at |lambda| h = 0.05 (22 is the largest degree) and 40
+    # at the guard.  1003 steps leave a padded last run
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
-    n_steps, full = 1003, 4 * forward._SPAN + 1
+    n_steps = 1003
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
     maps = grid_maps(problem, n_steps)
@@ -298,13 +315,84 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
         block[0].shape[-1] // block[0].shape[1]) or stepper(block, powers))
     end = endpoint_states(problem, lams, points=n_steps, maps=maps)
     assert len(applied) == -(-n_steps // forward._BLOCK)  # one cut-off per block
-    assert max(applied) <= (20 if phase <= 0.05 else full - 1)
-    z = np.zeros((maps.size, lams.size))
-    z[:2] = initial_state(problem.bc, lams)
-    step = stepper((maps.spans,), lams ** np.arange(full)[:, None, None])
-    for i in range(maps.spans.shape[0]):
-        z = step(z, i)
-    assert np.all(np.abs(end - z[:2]) <= 1e-12 * np.maximum(1.0, lams * lams))
+    assert max(applied) - 1 <= (22 if phase <= 0.05 else 39)
+    monkeypatch.setattr(forward, "_stepper", stepper)
+    ref = _full_degree_endpoint(problem, lams, maps)
+    assert np.all(np.abs(end - ref) <= 1e-12 * np.maximum(1.0, lams * lams))
+
+
+@pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
+def test_majorant_bounds_the_dropped_coefficients(kind, cosine_problem, exp_kernel_problem):
+    # against the uncapped products of each block: every coefficient of a
+    # run of _SPAN steps is within its majorant, and the coefficients the
+    # cap drops for a lambda bound sum to at most 2^-60 of the smallest
+    # ||Q_0||, which the kept terms exceed.  Checked at the guard and on a
+    # search-like grid (|lambda| h = 0.05), 1003 steps
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    n_steps = 1003
+    h = PI / n_steps
+    for phase in (0.05, 0.2):
+        lam = phase / h
+        maps = grid_maps(problem, n_steps, lam_bound=lam)
+        caps = forward._caps(maps.majorants, phase)
+        assert maps.bounds.shape[1] == caps.max() + 1 < 4 * forward._SPAN
+        powers = lam ** np.arange(4 * forward._SPAN + 1)
+        for block, majorant, cap in zip(maps.blocks, maps.majorants, caps):
+            spans = _compose(block, 4 * forward._SPAN)[0]
+            Q = spans.reshape(spans.shape[0], maps.size, -1, maps.size)  # (run, row, degree, col)
+            norms = np.abs(Q).sum(axis=-1).max(axis=1)  # ||Q_k||_inf of each run
+            smallest = norms[:, 0].min()
+            assert np.all(norms * powers <= (1 + 1e-12) * majorant * phase ** np.arange(
+                powers.size) * smallest)
+            dropped = (norms[:, cap + 1 :] * powers[cap + 1 :]).sum(axis=1)
+            assert dropped.max() <= 2.0**-60 * smallest
+
+
+@pytest.mark.parametrize("phase", [0.01, 0.05, 0.2])
+@pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
+def test_capped_maps_match_single_steps(kind, phase, cosine_problem, exp_kernel_problem,
+                                        monkeypatch):
+    # maps composed only to the cap of the batch's lambda bound (grid_maps
+    # with lam_bound) give the endpoints of single steps to rounding; a
+    # batch above the bound does too, composing each block itself (with the
+    # cap of its own lambda) rather than applying the cut maps, so it equals
+    # a call without maps bit for bit
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    n_steps = 1003
+    lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
+    lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
+    bound = 1e-12 * np.maximum(1.0, lams * lams)
+    last = solve_batch(problem, lams, points=n_steps).Z[:2, -1]
+    maps = grid_maps(problem, n_steps, lam_bound=lam)
+    assert np.all(np.abs(endpoint_states(problem, lams, points=n_steps, maps=maps) - last) <= bound)
+    low = grid_maps(problem, n_steps, lam_bound=0.3 * lam)
+    composed = []
+    monkeypatch.setattr(forward, "_compose", lambda *args: composed.append(1) or _compose(*args))
+    end = endpoint_states(problem, lams, points=n_steps, maps=low)
+    assert len(composed) == len(low.blocks)  # every block composed afresh
+    assert np.all(np.abs(end - last) <= bound)
+    assert np.array_equal(end, endpoint_states(problem, lams, points=n_steps))
+
+
+@pytest.mark.parametrize("queries", [4 * forward._BLOCK - 1, 4 * forward._BLOCK,
+                                     4 * forward._BLOCK + 1])
+@pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
+def test_single_steps_match_stage_form_rk4(kind, queries, cosine_problem, exp_kernel_problem):
+    # node refinement's steps, one per query from its own state, lambda and
+    # interval, taken in chunks of 4 _BLOCK queries, against the stage-form
+    # step of _rk4_oracle on each query
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    system = forward.AugmentedSystem(problem)
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(-60.0, 60.0, queries)
+    x0 = rng.uniform(0.0, PI - 0.004, queries)
+    x1 = x0 + rng.uniform(0.0, 0.004, queries)
+    z = rng.normal(size=(system.size, queries)) * np.maximum(1.0, np.abs(lam))
+    out = forward._single_steps(system, z, lam, x0, x1)
+    ref = _rk4_oracle.step(z.T[..., None], np.stack([-lam, lam], axis=-1)[..., None],
+                           (x1 - x0)[:, None, None], system.coefficients(x0),
+                           system.coefficients(x0 + 0.5 * (x1 - x0)), system.coefficients(x1))
+    assert sup_err(out, ref[..., 0].T) <= 1e-14 * np.max(np.abs(z))
 
 
 def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):

@@ -328,6 +328,40 @@ def test_nodal_csv_round_trip_property(tmp_path_factory, nodes, source):
         assert xs.tobytes() == np.array(nodes[n], dtype=float).tobytes()
 
 
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe",
+    # a byte that is not UTF-8 past the reader's first piece
+    b"n,j,x\r\n" + b"".join(b"5,%d,1.5\r\n" % j for j in range(2 * nodal_io._CHUNK // 8))
+    + b"5,0,\xff\r\n",
+], ids=["two-bytes", "late-byte"])
+def test_read_rejects_text_that_is_not_utf8(tmp_path, body):
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(body)
+    with pytest.raises(ProblemFormatError, match="not UTF-8 text") as info:
+        read_nodal_csv(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_read_sorts_only_rows_out_of_order(tmp_path, worked_synth_data, monkeypatch):
+    # rows in (n, j) order, as write_nodal_csv writes them, are taken as
+    # they come; shuffled rows are sorted and read back the same
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(worked_synth_data, path)
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    back = read_nodal_csv(path)
+    assert sorts == []
+    lines = path.read_text().splitlines()
+    body = lines.index("n,j,x") + 1  # after the tag and the header
+    rows = [lines[body + i] for i in np.random.default_rng(3).permutation(len(lines) - body)]
+    path.write_text("\n".join(lines[:body] + rows) + "\n")
+    shuffled = read_nodal_csv(path)
+    assert sorts == [1]
+    assert sorted(shuffled.nodes) == list(back.nodes)
+    for n, xs in back.nodes.items():
+        assert xs.tobytes() == shuffled.nodes[n].tobytes()
+
+
 def test_read_memory_per_node(tmp_path, worked_synth_data):
     # the reader holds a few arrays of the parsed rows (about 56 bytes a
     # node), not a Python object per line

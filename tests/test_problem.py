@@ -72,6 +72,14 @@ def test_kernel_infinite_on_the_diagonal_only_is_invalid(tmp_path):
         load_problem(path)
 
 
+def test_problem_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b'bc: {theta: 0.0, beta: 0.0}\ncoeffs: {V: "x\xff"}\n')
+    with pytest.raises(ProblemFormatError, match="not UTF-8 text") as info:
+        load_problem(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_solvers_do_not_revalidate(monkeypatch):
     # a built problem is valid; nothing on the solve path checks it again
     built = cosine_roundtrip_problem()

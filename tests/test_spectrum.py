@@ -372,21 +372,21 @@ def test_search_makes_few_delta_evaluations(worked_problem, worked_spectrum_3060
 def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
     # the search grid's step maps are built once, 128 steps at a time, and
     # serve the scan, every update and nodal_data's trajectory solve; node
-    # refinement builds its own maps at each query's lambda
-    grid, refine = [], []
+    # refinement steps each query in stage form and builds no maps at all
+    grid = []
     original = forward._step_maps
 
-    def counted(system, x0, x1, h, lam=None):
-        (grid if lam is None else refine).append(x0.size)
-        return original(system, x0, x1, h, lam)
+    def counted(system, x0, x1, h):
+        grid.append(x0.size)
+        return original(system, x0, x1, h)
 
     monkeypatch.setattr(forward, "_step_maps", counted)
     blocks = [128] * 7 + [104]  # ceil(1000 / 128) blocks
     compute_spectrum(worked_problem, (20, 30), points=1000)
-    assert grid == blocks and refine == []
+    assert grid == blocks
     grid.clear()
     data = nodal_data(worked_problem, (20, 30), points=1000)
-    assert grid == blocks and len(refine) > 0
+    assert grid == blocks
     assert data.indices == list(range(20, 31)) and not data.failures
 
 
@@ -418,8 +418,8 @@ def test_nodal_data_frees_grid_maps_before_node_refinement(worked_problem, monke
     steps, freed = [], []
     build, refine = spectrum.grid_maps, spectrum._refine_nodes
 
-    def building(problem, points):
-        maps = build(problem, points)
+    def building(problem, points, **kwargs):
+        maps = build(problem, points, **kwargs)
         steps.append(weakref.ref(maps.blocks[0][0]))
         return maps
 
