@@ -31,25 +31,22 @@ solves behind char_fn step over runs of _SPAN = 32 steps multiplied out
 (_compose): the same RK4 grid in 32 times fewer numpy calls, with results
 that differ from single steps by rounding only.  A product has degree 128,
 but at |lambda| h <= 0.2 the coefficients of high degree cannot reach the
-result.  Each block is multiplied out only up to the cap C (_caps) past
-which a majorant of its terms (_majorant: the single steps' per-degree
-norms raised to the _SPAN-th power) sums to at most 2^-60 of the product's
-lambda-free term, for the largest |lambda| the maps serve (C = 23 on a
-search grid at |lambda| h = 0.05, 42 at the guard 0.2).  Each block's maps
-are then applied only up to the degree K <= C (_degrees) past which their
-terms ||Q_k|| max|lambda|^k for the batch sum to at most 2^-60 of the kept
-ones, below the rounding of the product itself (23 of the 129 degrees at
-|lambda| h = 0.05, 40 at 0.2).  Maps in the coupled layout (more than 6
-memory states, see _step_maps) are not composed: endpoint solves take their
-single steps.  An eigenvalue search builds its grid's maps, single and
-composed, once (grid_maps, capped at the largest lambda it evaluates) and
-passes them as maps= to each of its batched evaluations; it releases the
+result.  So each block is multiplied out and applied only up to the cap C
+(_caps) past which a majorant of its terms (_majorant: the single steps'
+per-degree norms raised to the _SPAN-th power) sums to at most 2^-60 of
+the product's lambda-free term at the batch's max|lambda| (C = 23 on a
+search grid at |lambda| h = 0.05, 42 at the guard 0.2).  Maps in the
+coupled layout (more than 6 memory states, see _step_maps) are not
+composed: endpoint solves take their single steps.  An eigenvalue search
+builds its grid's maps, single and composed, once (grid_maps, capped at
+the largest lambda it evaluates) and passes them as maps= to each of its
+batched evaluations, which read them up to their own cap; it releases the
 composed ones before the trajectory solve that follows, and nodal_data the
-single ones when that solve returns, before node refinement.  A standalone
-call builds them lazily, one block at a time, capped at its own batch, so
-its memory does not grow with the grid.  Node refinement (_single_steps)
-takes each query's RK4 step in stage form from the query's state, on the
-coefficients of AugmentedSystem, and builds no maps.
+single ones when that solve returns, before node refinement.  A
+standalone call builds them lazily, one block at a time, capped at its
+own batch, so its memory does not grow with the grid.  Node refinement
+(_single_steps) takes each query's RK4 step in stage form from the
+query's state, on the coefficients of AugmentedSystem, and builds no maps.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full
@@ -252,7 +249,7 @@ _BLOCK = 128
 # lambda reaches: 16 gains half as much as 32, and 64 no more than 32
 _SPAN = 32
 # a dropped tail of terms at most this far below the kept ones is below the
-# rounding of the product (see _degrees and _caps)
+# rounding of the product (see _caps)
 _CUTOFF = 2.0**-60
 _J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
@@ -342,9 +339,9 @@ def _stepper(maps, powers):
     """step(z, i) applying map i of one block of maps from _step_maps to z
     (2 + S, B).  Maps of degree d in lambda take powers = lambda^0..lambda^d
     of shape (d + 1, 1, B): d = 4 for single steps, and for composed maps
-    (_compose) the degree K they are cut off at, given as the column slice
-    P[..., :(K + 1)(2 + S)], a view.  The maps' form is read here, once per
-    block, not at every step."""
+    (_compose) the cap C they are cut off at (_caps), given as the column
+    slice P[..., :(C + 1)(2 + S)], a view.  The maps' form is read here,
+    once per block, not at every step."""
     P = maps[0]
     lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
     if len(maps) == 1:  # the maps act on z itself
@@ -382,42 +379,29 @@ def _majorant(maps, h):
         return m / floor
 
 
-def _below(terms, limit, fallback):
-    """The smallest K with sum_{k > K} terms[k] <= limit[K] on the last axis,
-    or fallback where there is none (where the terms or limits are NaN)."""
-    with np.errstate(all="ignore"):
-        tail = np.cumsum(terms[..., :0:-1], axis=-1)[..., ::-1]  # sum_{k > K}, K < last
-        tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
-        small = tail <= limit
-    return np.where(small.any(axis=-1), small.argmax(axis=-1), fallback)
-
-
 def _caps(majorants, phase):
-    """The degree C up to which _compose multiplies out the products of
-    blocks with the given majorants (_majorant; blocks may be stacked on
-    leading axes) for batches with max|lambda| h <= phase: the smallest C
-    whose dropped tail, bounded by sum_{k > C} m[k] phase^k ||Q_0||, is at
-    most _CUTOFF ||Q_0||.  The kept terms sum to at least ||Q_0||, so
-    _degrees, on maps of any higher degree, would never apply a degree
-    above C.  C grows with phase."""
+    """The degree C up to which the products of blocks with the given
+    majorants (_majorant; blocks may be stacked on leading axes) are
+    multiplied out and applied for batches with max|lambda| h <= phase:
+    the smallest C whose dropped tail, bounded by sum_{k > C} m[k] phase^k
+    ||Q_0||, is at most _CUTOFF ||Q_0||, far below the rounding of the
+    product on the kept terms, which sum to at least ||Q_0||.  C grows with
+    phase.  A majorant that overflows keeps every degree."""
     with np.errstate(all="ignore"):
         terms = majorants * phase ** np.arange(majorants.shape[-1])
-    return _below(terms, _CUTOFF, majorants.shape[-1] - 1)
+        tail = np.cumsum(terms[..., :0:-1], axis=-1)[..., ::-1]  # sum_{k > C}, C < last
+        small = tail <= _CUTOFF
+    return np.where(small.any(axis=-1), small.argmax(axis=-1), majorants.shape[-1] - 1)
 
 
 def _compose(maps, cap):
     """The single-step maps (P,) of one block from _step_maps multiplied in
-    runs of _SPAN consecutive steps up to degree cap in lambda, and a bound
-    on their coefficients.
-
-    Returns (spans, bounds): spans of shape (ceil(n / _SPAN), 2 + S,
-    (cap + 1)(2 + S)), the products of degree 4 _SPAN without their terms
-    of degree above cap (_caps), in the layout of P, which _stepper applies
-    alike, and bounds[k] the largest row sum ||Q_k||_inf of the coefficient
-    of lambda^k over the block's runs, a (cap + 1)-vector from which
-    _degrees cuts the maps off.  A short last run is padded with identity
-    steps.  Neighbours are multiplied pairwise, one batched product of
-    lambda polynomials per level, one product of late_k with all of early
+    runs of _SPAN consecutive steps up to degree cap in lambda: shape
+    (ceil(n / _SPAN), 2 + S, (cap + 1)(2 + S)), the products of degree
+    4 _SPAN without their terms of degree above cap (_caps), in the layout
+    of P, which _stepper applies alike.  A short last run is padded with
+    identity steps.  Neighbours are multiplied pairwise, one batched product
+    of lambda polynomials per level, one product of late_k with all of early
     per degree k; each degree sums its terms in the same order whatever the
     cap, so a kept coefficient does not depend on it."""
     M = maps[0]
@@ -436,35 +420,13 @@ def _compose(maps, cap):
             j = min(p, q - k)
             out[:, :, k * D : (k + j) * D] += late[:, :, k * D : (k + 1) * D] @ early[:, :, : j * D]
         M = out
-    bounds = np.abs(M.reshape(M.shape[0], D, -1, D)).sum(axis=-1).max(axis=(0, 1))
-    return M, bounds
-
-
-def _degrees(bounds, lam_max, caps):
-    """The degree K up to which composed maps with per-degree bounds (from
-    _compose; blocks may be stacked on leading axes, with their caps) are
-    applied to a batch with max|lambda| = lam_max: the smallest K whose
-    dropped tail sum_{k > K} bounds[k] lam_max^k, over the degrees up to
-    the cap the batch's own phase gives (_caps), is at most _CUTOFF times
-    the kept sum_{k <= K}, far below the rounding of the product on the
-    kept terms.  Maps composed to a higher cap for a larger lambda bound
-    give the same K.  A bound that overflows keeps every degree up to the
-    cap."""
-    caps = np.asarray(caps)
-    with np.errstate(all="ignore"):
-        k = np.arange(bounds.shape[-1])
-        terms = np.where(k <= caps[..., None], bounds * lam_max**k, 0.0)
-        kept = np.cumsum(terms, axis=-1)
-    return _below(terms, _CUTOFF * kept, caps)
+    return M
 
 
 def _cut(maps, h, lam_max):
     """The single-step maps (P,) of one block composed (_compose) to the cap
-    for the phase lam_max h, as maps of the degree _degrees finds for
-    lam_max."""
-    cap = _caps(_majorant(maps, h), lam_max * h)
-    P, bounds = _compose(maps, cap)
-    return (P[..., : (_degrees(bounds, lam_max, cap) + 1) * P.shape[1]],)
+    for the phase lam_max h."""
+    return (_compose(maps, _caps(_majorant(maps, h), lam_max * h)),)
 
 
 def _single_steps(system, z, lam, x0, x1):
@@ -544,12 +506,11 @@ class GridMaps:
     spans holds their products in runs of _SPAN steps (_compose) in one
     array, for endpoint-only solves with max|lambda| <= lam_bound, each
     block's multiplied out to the cap that bound reaches (_caps) and padded
-    with zeros to the largest; bounds holds the per-degree bounds of each
-    block's products and majorants their _majorant, one row per block.
-    spans, bounds and majorants are None when the maps are in the coupled
-    layout (those solves take single steps), or when released by
-    without_spans; a batch without them, or above lam_bound, composes a
-    block at a time."""
+    with zeros to the largest; a batch reads each block up to its own cap,
+    from the block's row of majorants (_majorant).  spans and majorants are
+    None when the maps are in the coupled layout (those solves take single
+    steps), or when released by without_spans; a batch without them, or
+    above lam_bound, composes a block at a time."""
 
     problem: object
     points: int
@@ -557,13 +518,12 @@ class GridMaps:
     blocks: tuple
     lam_bound: float
     spans: np.ndarray = None
-    bounds: np.ndarray = None
     majorants: np.ndarray = None
 
     def without_spans(self):
         """These maps without the composed ones, whose memory goes back to
         the system once no other reference holds them."""
-        return replace(self, spans=None, bounds=None, majorants=None)
+        return replace(self, spans=None, majorants=None)
 
 
 def grid_maps(problem, points, *, lam_bound=None):
@@ -579,18 +539,16 @@ def grid_maps(problem, points, *, lam_bound=None):
     if lam_bound is None:
         lam_bound = GUARD_LIMIT / h
     blocks = tuple(_map_blocks(system, points))
-    spans = bounds = majorants = None
+    spans = majorants = None
     if len(blocks[0]) == 1:  # the plain layout: one array, which returns to the system in one piece
         majorants = np.stack([_majorant(block, h) for block in blocks])
         caps = _caps(majorants, lam_bound * h)
-        degrees = int(caps.max()) + 1
-        spans = np.zeros((-(-points // _SPAN), size, degrees * size))
-        bounds = np.zeros((len(blocks), degrees))
+        spans = np.zeros((-(-points // _SPAN), size, (int(caps.max()) + 1) * size))
         rows = _BLOCK // _SPAN
         for j, (block, cap) in enumerate(zip(blocks, caps.tolist())):
-            P, bounds[j, : cap + 1] = _compose(block, cap)
+            P = _compose(block, cap)
             spans[j * rows : (j + 1) * rows, :, : P.shape[-1]] = P  # one block's copy at a time
-    return GridMaps(problem, points, size, blocks, float(lam_bound), spans, bounds, majorants)
+    return GridMaps(problem, points, size, blocks, float(lam_bound), spans, majorants)
 
 
 class _Stack:
@@ -631,11 +589,6 @@ class Crossings:
     def step(self):
         return math.pi / self.points
 
-    @property
-    def x(self):
-        """The left nodes of the cells, as in np.linspace(0, pi, points + 1)."""
-        return self.cells * self.step
-
 
 class _CrossingScan:
     """Block consumer of _solve that keeps the sign changes of phi1 and the
@@ -673,8 +626,8 @@ def _solve(problem, lam, points, maps, consumer=None):
     consumer(lam, n_steps, 2 + S)(first step, states); returns the
     consumer's result().  Without, returns the endpoint states (2, B) over
     the maps composed in runs of _SPAN steps, each block's applied up to the
-    degree _degrees finds for the batch's max|lambda| (single steps for maps
-    in the coupled layout).  The maps come from maps (a GridMaps of this
+    cap (_caps) for the batch's max|lambda| (single steps for maps in the
+    coupled layout).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
     grows with the grid; a batch above maps.lam_bound composes its own,
     capped for its max|lambda|."""
@@ -698,9 +651,8 @@ def _solve(problem, lam, points, maps, consumer=None):
             blocks = (_cut(block, h, lam_max) if len(block) == 1 else block for block in blocks)
         else:
             rows = _BLOCK // _SPAN
-            caps = _caps(maps.majorants, lam_max * h)
-            blocks = ((spans[j * rows : (j + 1) * rows, :, : (K + 1) * size],)
-                      for j, K in enumerate(_degrees(maps.bounds, lam_max, caps)))
+            blocks = ((spans[j * rows : (j + 1) * rows, :, : (C + 1) * size],)
+                      for j, C in enumerate(_caps(maps.majorants, lam_max * h).tolist()))
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)

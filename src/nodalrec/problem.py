@@ -212,14 +212,16 @@ def ensure_valid(problem):
     the trapezoid rule takes the mean, so MEAN_TOLERANCE has to absorb its
     O(h^2) bias on rough potentials.  Each kernel entry must be finite at
     four probe points and on the grid's diagonal, which derived_integrals
-    integrates.
+    integrates.  A floating-point fault in the user's functions (1/x at
+    x = 0) raises no numpy warning: the finiteness checks name the point.
     """
     failures = []
     grid = np.linspace(0.0, math.pi, problem.quadrature_points)
 
     v = None
     try:
-        v = np.broadcast_to(np.asarray(problem.coeffs.V(grid), dtype=float), grid.shape)
+        with np.errstate(all="ignore"):
+            v = np.broadcast_to(np.asarray(problem.coeffs.V(grid), dtype=float), grid.shape)
         bad = ~np.isfinite(v)
         if bad.any():
             failures.append(f"V finite: V({grid[bad][0]:.6g}) is not finite")
@@ -238,7 +240,8 @@ def ensure_valid(problem):
     probe_t = np.concatenate([[0.05, 0.9, 2.0, 3.0], grid])
     for row, col, entry in problem.coeffs.chi.entries:
         try:
-            vals = entry.eval(probe_x, probe_t)
+            with np.errstate(all="ignore"):
+                vals = entry.eval(probe_x, probe_t)
             if not np.isfinite(vals).all():
                 k = int(np.flatnonzero(~np.isfinite(np.atleast_1d(vals)))[0])
                 failures.append(f"chi{row}{col} finite: non-finite at (x, t) = "

@@ -35,6 +35,10 @@ N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
 SCAN_POINTS = 12
 NODE_TOL = 1e-12
+# crossings refined at once: bounds refinement's arrays at large n_max
+# (about 500,000 crossings at n_max = 1000) while the searches up to
+# n_max = 120 (about 7,100) refine in one piece
+_REFINE_CHUNK = 16384
 
 
 def _corridor_miss(n, lam, offset):
@@ -252,16 +256,23 @@ def _refine_nodes(problem, found, keep):
     """Bracketed refinement to NODE_TOL of the phi1 zeros in the cells of the
     crossings found[keep] (a Crossings and a boolean mask over them); each
     query is one stage-form RK4 step from the exact augmented state at the
-    cell's left node.  Returns the refined positions, in order."""
+    cell's left node.  The crossings are refined _REFINE_CHUNK at a time;
+    each bracket shrinks on its own, so the chunks change no result.
+    Returns the refined positions, in order."""
     system, h = AugmentedSystem(problem), found.step
-    lam, xL, ZL = found.lam[found.cols[keep]], found.x[keep], found.Z[:, keep]
+    picked = np.flatnonzero(keep)
+    roots = np.empty(picked.size)
+    for lo in range(0, picked.size, _REFINE_CHUNK):
+        sel = picked[lo : lo + _REFINE_CHUNK]
+        lam, xL, ZL = found.lam[found.cols[sel]], found.cells[sel] * h, found.Z[:, sel]
 
-    def phi1_at(xq, idx):
-        """phi1(xq) by one step from the left node of crossing idx."""
-        return _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
+        def phi1_at(xq, idx):
+            """phi1(xq) by one step from the left node of crossing idx."""
+            return _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
 
-    right = phi1_at(xL + h, slice(None))
-    return _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
+        right = phi1_at(xL + h, slice(None))
+        roots[lo : lo + sel.size] = _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
+    return roots
 
 
 def _nodes_from_crossings(problem, found):

@@ -241,17 +241,20 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
     # maps built once for the grid (300 steps: two full blocks and a partial
-    # one) give exactly what a call building its own maps gives
+    # one) give exactly what a call building its own maps gives, whether
+    # composed for every lambda the guard admits or for twice the batch's
+    # max|lambda| (a cap above the batch's own, and above the guard's)
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
-    maps = grid_maps(problem, n_steps)
     lams = np.array([17.5, -9.0, 4.25, 1.0, 0.0])
-    for fn in (char_fn, char_fn_normalized, endpoint_states):
-        assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
-                              fn(problem, lams, points=n_steps))
-    assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
-                          solve_batch(problem, lams, points=n_steps).Z)
-    assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0, points=n_steps)
+    for maps in (grid_maps(problem, n_steps), grid_maps(problem, n_steps, lam_bound=2 * 17.5)):
+        for fn in (char_fn, char_fn_normalized, endpoint_states):
+            assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
+                                  fn(problem, lams, points=n_steps))
+        assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
+                              solve_batch(problem, lams, points=n_steps).Z)
+        assert (char_fn(problem, 6.0, points=n_steps, maps=maps)
+                == char_fn(problem, 6.0, points=n_steps))
 
 
 @pytest.mark.parametrize("n_steps, lams", [
@@ -288,7 +291,7 @@ def _full_degree_endpoint(problem, lams, maps):
     z[:2] = initial_state(problem.bc, lams)
     step = lambda spans: forward._stepper((spans,), lams ** np.arange(full)[:, None, None])
     for block in maps.blocks:
-        spans = _compose(block, full - 1)[0]
+        spans = _compose(block, full - 1)
         apply = step(spans)
         for i in range(spans.shape[0]):
             z = apply(z, i)
@@ -299,12 +302,13 @@ def _full_degree_endpoint(problem, lams, maps):
 @pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
 def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_kernel_problem,
                                               monkeypatch):
-    # endpoint solves apply each block's composed maps only up to the degree
-    # whose dropped tail is below rounding for the batch's max|lambda|; the
-    # uncapped products applied at full degree 4 _SPAN give the same
-    # endpoints to rounding.  Of the 129 degrees of a product of 32 steps,
-    # 23 are applied at |lambda| h = 0.05 (22 is the largest degree) and 40
-    # at the guard.  1003 steps leave a padded last run
+    # endpoint solves apply each block's composed maps only up to the cap
+    # whose majorant tail is below rounding for the batch's max|lambda|,
+    # whatever cap the maps were composed to; the uncapped products applied
+    # at full degree 4 _SPAN give the same endpoints to rounding.  Of the
+    # 129 degrees of a product of 32 steps, 24 are applied at
+    # |lambda| h = 0.05 (23 is the largest degree) and 43 at the guard.
+    # 1003 steps leave a padded last run
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 1003
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
@@ -314,8 +318,9 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
     monkeypatch.setattr(forward, "_stepper", lambda block, powers: applied.append(
         block[0].shape[-1] // block[0].shape[1]) or stepper(block, powers))
     end = endpoint_states(problem, lams, points=n_steps, maps=maps)
-    assert len(applied) == -(-n_steps // forward._BLOCK)  # one cut-off per block
-    assert max(applied) - 1 <= (22 if phase <= 0.05 else 39)
+    caps = forward._caps(maps.majorants, lam * PI / n_steps)
+    assert applied == (caps + 1).tolist()  # one cut-off per block, at the batch's cap
+    assert max(applied) - 1 <= (23 if phase <= 0.05 else 42)
     monkeypatch.setattr(forward, "_stepper", stepper)
     ref = _full_degree_endpoint(problem, lams, maps)
     assert np.all(np.abs(end - ref) <= 1e-12 * np.maximum(1.0, lams * lams))
@@ -335,10 +340,10 @@ def test_majorant_bounds_the_dropped_coefficients(kind, cosine_problem, exp_kern
         lam = phase / h
         maps = grid_maps(problem, n_steps, lam_bound=lam)
         caps = forward._caps(maps.majorants, phase)
-        assert maps.bounds.shape[1] == caps.max() + 1 < 4 * forward._SPAN
+        assert maps.spans.shape[-1] == (caps.max() + 1) * maps.size < 4 * forward._SPAN * maps.size
         powers = lam ** np.arange(4 * forward._SPAN + 1)
         for block, majorant, cap in zip(maps.blocks, maps.majorants, caps):
-            spans = _compose(block, 4 * forward._SPAN)[0]
+            spans = _compose(block, 4 * forward._SPAN)
             Q = spans.reshape(spans.shape[0], maps.size, -1, maps.size)  # (run, row, degree, col)
             norms = np.abs(Q).sum(axis=-1).max(axis=1)  # ||Q_k||_inf of each run
             smallest = norms[:, 0].min()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,18 @@ def test_wrong_shape_potential_is_invalid():
 
 def test_kernel_infinite_on_the_diagonal_only_is_invalid(tmp_path):
     # 1/x is finite at every off-diagonal probe; the trace integrand
-    # (chi11 + chi22)(x, x) is not, at x = 0
+    # (chi11 + chi22)(x, x) is not, at x = 0.  As a separable term and as a
+    # general entry, with warnings as errors: the division by zero reaches
+    # the finiteness check, which names the point, and no numpy warning
+    # escapes
     path = tmp_path / "diagonal.yaml"
-    path.write_text('bc: {theta: 0.0, beta: 0.0}\n'
-                    'coeffs:\n  chi_separable: {"11": [{a: "1/x", b: "1"}]}\n')
-    with pytest.raises(InvalidProblemError, match=r"chi11 finite: non-finite at \(x, t\) = \(0, 0\)"):
-        load_problem(path)
+    for coeffs in ('{chi_separable: {"11": [{a: "1/x", b: "1"}]}}', '{chi: {"11": "1/x"}}'):
+        path.write_text(f"bc: {{theta: 0.0, beta: 0.0}}\ncoeffs: {coeffs}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblemError,
+                               match=r"chi11 finite: non-finite at \(x, t\) = \(0, 0\)"):
+                load_problem(path)
 
 
 def test_problem_file_that_is_not_utf8_is_a_format_error(tmp_path):

@@ -209,6 +209,23 @@ def test_streamed_nodes_equal_stored_trajectory_scan(which, cosine_problem):
         assert np.array_equal(data.nodes[n], ref), n
 
 
+def test_node_refinement_in_chunks_changes_no_node(cosine_problem, cosine_numeric_data,
+                                                   monkeypatch):
+    # refinement takes the crossings _REFINE_CHUNK at a time and each bracket
+    # shrinks on its own, so chunks of 1000 crossings (the last one short)
+    # give the nodes bit for bit of the search up to n = 120, which refines
+    # its crossings in one piece
+    kept, refine, chunk = [], spectrum._refine_nodes, spectrum._REFINE_CHUNK
+    monkeypatch.setattr(spectrum, "_refine_nodes", lambda problem, found, keep: kept.append(
+        int(keep.sum())) or refine(problem, found, keep))
+    monkeypatch.setattr(spectrum, "_REFINE_CHUNK", 1000)
+    data = nodal_data(cosine_problem, (20, 120))
+    assert len(kept) == 1 and 1000 < kept[0] <= chunk and kept[0] % 1000
+    assert data.indices == cosine_numeric_data.indices and not data.failures
+    for n in data.indices:
+        assert np.array_equal(data.nodes[n], cosine_numeric_data.nodes[n]), n
+
+
 def _plant_adjacent_sign_changes(monkeypatch, b, k):
     """Flip phi1 of column b at grid node k in the block states that the
     crossing scan receives, so cells k - 1 and k both carry sign changes;
