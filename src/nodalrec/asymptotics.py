@@ -93,9 +93,10 @@ def phi_asym(problem, x, lam):
       beta = [m (1/(2 lambda) + V/(2 lambda^2)) - Q(x,x)/(2 lambda^2)] conj(alpha),
       gamma = -[P(x,0) alpha0 - Q(x,0) conj(alpha0)]/lambda^2,
 
-    where S (``_diagonal_phase``) integrates along the diagonal the
-    V-weighted mass and kernel terms (m^2 - L' - iK') V, the derivative
-    d_t P(x,t) at t = x, and m (chi22 - chi11)(x,x)/2.  The dropped remainder
+    where S (``_diagonal_phase``, problem.diagonal_phase once per problem)
+    integrates along the diagonal the V-weighted mass and kernel terms
+    (m^2 - L' - iK') V, the derivative d_t P(x,t) at t = x, and
+    m (chi22 - chi11)(x,x)/2.  The dropped remainder
     is O(1/lambda^2).  alpha0 is fixed so that x = 0 reproduces the initial
     state exactly, for every problem and every lambda != 0.
     """
@@ -106,7 +107,7 @@ def phi_asym(problem, x, lam):
     chi = problem.coeffs.chi
     lam = float(lam)
     inv1, inv2 = 1.0 / lam, 1.0 / (lam * lam)
-    S = _diagonal_phase(problem, ints.grid)
+    S = problem.diagonal_phase
 
     def coefficients(x):
         # exp(iD + Lambda) and the real-linear map z(x) = E alpha0 + F conj(alpha0)

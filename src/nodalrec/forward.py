@@ -612,6 +612,7 @@ class _CrossingScan:
 
     def result(self):
         cells, cols, Z = (np.concatenate(parts, axis=-1) for parts in zip(*self.found))
+        self.found = None  # so the reorder below holds the crossings twice, not three times
         order = np.lexsort((cells, cols))
         return Crossings(lam=self.lam, points=self.points, cols=cols[order], cells=cells[order],
                          Z=Z[:, order], adjacent=self.adjacent)

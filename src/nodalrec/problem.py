@@ -203,6 +203,15 @@ class ProblemDefinition:
         """The DerivedIntegrals of this problem, computed on first use."""
         return derived_integrals(self)
 
+    @functools.cached_property
+    def diagonal_phase(self):
+        """The diagonal phase S of the large-lambda expansion
+        (asymptotics.phi_asym) on the grid of the integrals, computed on
+        first use, so a sweep over lambda builds it once."""
+        from . import asymptotics  # it imports this module
+
+        return asymptotics._diagonal_phase(self, self.integrals.grid)
+
 
 def ensure_valid(problem):
     """Check the standing assumptions; raise InvalidProblemError naming

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nodalrec import asymptotics
 from nodalrec.asymptotics import (
     asymptotic_constants,
     char_fn_asym,
@@ -100,6 +101,23 @@ def test_expansion_reproduces_initial_state(theta, b1, b2, m, q, lam, flip):
 def test_expansion_rejects_lambda_zero(free_prob):
     with pytest.raises(ValueError):
         phi_asym(free_prob, 0.5, 0.0)
+
+
+def test_diagonal_phase_built_once_per_problem(monkeypatch):
+    # a lambda sweep of phi_asym builds the diagonal table (12 kernel
+    # evaluations on the quadrature grid) on its first call only
+    prob, calls = worked_example_problem(), []
+    build = asymptotics._diagonal_phase
+    monkeypatch.setattr(asymptotics, "_diagonal_phase",
+                        lambda p, grid: calls.append(p) or build(p, grid))
+    xs = np.linspace(0.0, math.pi, 9)
+    first = phi_asym(prob, xs, 20.0)
+    second = phi_asym(prob, xs, -35.5)
+    assert calls == [prob]
+    fresh = worked_example_problem()
+    assert np.array_equal(prob.diagonal_phase, build(fresh, fresh.integrals.grid))
+    for got, want in zip((first, second), (phi_asym(fresh, xs, 20.0), phi_asym(fresh, xs, -35.5))):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("lam", [20.0, 40.0, 80.0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nodalrec.asymptotics import synthesize_nodal_data
 from nodalrec.errors import ProblemFormatError
 from nodalrec import io as nodal_io
 from nodalrec.forward import solve_batch
@@ -298,6 +299,63 @@ def test_nodal_writer_bytes_on_worked_data(tmp_path, worked_synth_data):
     path = tmp_path / "nodes.csv"
     write_nodal_csv(worked_synth_data, path)
     assert path.read_bytes() == _csv_writer_reference(worked_synth_data)
+
+
+def _hard_doubles():
+    """Doubles in (0, pi) where a shortest-digit printer can go wrong."""
+    rng = np.random.default_rng(22)
+    values = [0.5, 0.25, 2.0 ** -13, math.pi, np.nextafter(math.pi, 0.0), 3.0, 9.0 / 8.0]
+    for power in (1e-4, 1e-3, 0.01, 0.1, 1.0):  # the decades' edges
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, 1.0)]
+    for digits in range(1, 18):  # shortest repr of 1 to 17 digits, in every decade
+        ints = rng.integers(10 ** (digits - 1), 10 ** digits, 40)
+        for e in range(-4, 1):
+            values += [float(f"{i}e{e - digits + 1}") for i in ints.tolist()]
+    # binary fractions k / 2**m, whose decimal expansions end: among them
+    # exact ties at 15 to 17 digits, and values below 1e-4
+    for m in range(40, 61):
+        values += (rng.integers(1, 2 ** 40, 40) / 2.0 ** m).tolist()
+    for m in range(13, 19):
+        values += ((2 * rng.integers(2 ** (m - 1), 2 ** (m + 1), 40) + 1) / 2.0 ** m).tolist()
+    values += rng.uniform(0.0, math.pi, 10 ** 5).tolist()
+    values = np.unique(np.array(values))
+    return values[(values > 0.0) & (values < math.pi)]
+
+
+def test_nodal_writer_bytes_on_hard_doubles(tmp_path):
+    # the shortest digits are made in bulk, and the few doubles they leave
+    # (powers of two, ties, values below 1e-4) are printed by repr; both
+    # must give repr's bytes
+    values = _hard_doubles()
+    assert values.size > 10 ** 5
+    rng = np.random.default_rng(7)
+    nodes = {-3: values[:5], 0: values[5:40], 10 ** 4: values[40:41], 123456: np.array([])}
+    rest, n = values[41:], 7
+    while rest.size:  # lists of 1 to 3 * 10**4 nodes, some longer than the writer's chunk
+        take = int(rng.integers(1, 3 * 10 ** 4))
+        nodes[n], rest, n = rest[:take], rest[take:], n + 1
+    assert max(map(len, nodes.values())) > 10 ** 4
+    data = NodalData(nodes=nodes, source="synthetic")
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(data, path)
+    assert path.read_bytes() == _csv_writer_reference(data)
+
+
+def test_write_memory_does_not_grow_with_nodes(tmp_path, worked_problem, worked_synth_data):
+    # the writer renders a bounded number of rows at a time, so its working
+    # memory is the same for 79k and 499k nodes
+    path = tmp_path / "nodes.csv"
+    dense = synthesize_nodal_data(worked_problem, (50, 1000))
+    peaks = []
+    for data in (worked_synth_data, dense):
+        write_nodal_csv(data, path)  # first call loads what the writer needs once
+        tracemalloc.start()
+        try:
+            write_nodal_csv(data, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 1.5, f"peaks {peaks[0]} and {peaks[1]} bytes"
 
 
 _NODE_VALUES = st.one_of(
