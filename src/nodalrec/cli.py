@@ -136,6 +136,8 @@ def _check_args(args):
     known_m = opts.get("known_m")
     if known_m is not None and not math.isfinite(known_m):
         raise ConfigError(f"known-m must be finite, got {known_m}")
+    if opts.get("points") is not None and args.points < 2:
+        raise ConfigError(f"points must be >= 2, got {args.points}")
     if opts.get("grid_points", 16) < 16:
         raise ConfigError(f"grid-points must be >= 16, got {args.grid_points}")
 

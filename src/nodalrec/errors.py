@@ -50,7 +50,8 @@ class ConfigError(NodalrecError):
 
 
 class ResolutionError(NodalrecError):
-    """Grid too coarse for the requested oscillation frequency."""
+    """Grid too coarse for the requested oscillation frequency, or an
+    eigenvalue whose estimated error exceeds tol / 4."""
 
     category = "resolution"
 
@@ -66,7 +67,7 @@ class MagnitudeError(NodalrecError):
 
 
 class BracketingError(NodalrecError):
-    """No sign change of the characteristic function in the scan window."""
+    """No real root of the characteristic function in the search window."""
 
     category = "bracketing"
 
@@ -76,8 +77,8 @@ class BracketingError(NodalrecError):
 
 
 class AmbiguityError(NodalrecError):
-    """The index of an eigenvalue is not certain: more than one sign change
-    in the scan window, or a root outside the sanity corridor."""
+    """The index of an eigenvalue is not certain: more than one real root
+    in the search window, or a root outside the sanity corridor."""
 
     category = "ambiguity"
 

@@ -38,15 +38,14 @@ the product's lambda-free term at the batch's max|lambda| (C = 23 on a
 search grid at |lambda| h = 0.05, 42 at the guard 0.2).  Maps in the
 coupled layout (more than 6 memory states, see _step_maps) are not
 composed: endpoint solves take their single steps.  An eigenvalue search
-builds its grid's maps, single and composed, once (grid_maps, capped at
-the largest lambda it evaluates) and passes them as maps= to each of its
-batched evaluations, which read them up to their own cap; it releases the
-composed ones before the trajectory solve that follows, and nodal_data the
-single ones when that solve returns, before node refinement.  A
-standalone call builds them lazily, one block at a time, capped at its
-own batch, so its memory does not grow with the grid.  Node refinement
-(_single_steps) takes each query's RK4 step in stage form from the
-query's state, on the coefficients of AugmentedSystem, and builds no maps.
+builds its grid's single-step maps once (grid_maps) and passes them as
+maps= to its one batched evaluation, which composes each block in turn,
+capped for its batch (_cut), and to nodal_data's trajectory solve, after
+which nodal_data releases them, before node refinement.  A standalone call
+builds them lazily, one block at a time, so its memory does not grow with
+the grid.  Node refinement (_single_steps) takes each query's RK4 step in
+stage form from the query's state, on the coefficients of AugmentedSystem,
+and builds no maps.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each block of _BLOCK steps to a consumer: one stacks them into the full
@@ -64,7 +63,7 @@ closed-form oracle checks.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,9 +338,8 @@ def _stepper(maps, powers):
     """step(z, i) applying map i of one block of maps from _step_maps to z
     (2 + S, B).  Maps of degree d in lambda take powers = lambda^0..lambda^d
     of shape (d + 1, 1, B): d = 4 for single steps, and for composed maps
-    (_compose) the cap C they are cut off at (_caps), given as the column
-    slice P[..., :(C + 1)(2 + S)], a view.  The maps' form is read here,
-    once per block, not at every step."""
+    (_compose) the cap C they are cut off at (_caps).  The maps' form is
+    read here, once per block, not at every step."""
     P = maps[0]
     lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
     if len(maps) == 1:  # the maps act on z itself
@@ -500,55 +498,23 @@ def _map_blocks(system, n_steps):
 @dataclass(frozen=True)
 class GridMaps:
     """Every block of step maps of one problem on the grid of `points`
-    steps, for reuse by all solves on that grid (maps= of solve_batch,
-    endpoint_states, char_fn and char_fn_normalized).  blocks holds the
-    maps of each block as _map_blocks yields them, for trajectory solves;
-    spans holds their products in runs of _SPAN steps (_compose) in one
-    array, for endpoint-only solves with max|lambda| <= lam_bound, each
-    block's multiplied out to the cap that bound reaches (_caps) and padded
-    with zeros to the largest; a batch reads each block up to its own cap,
-    from the block's row of majorants (_majorant).  spans and majorants are
-    None when the maps are in the coupled layout (those solves take single
-    steps), or when released by without_spans; a batch without them, or
-    above lam_bound, composes a block at a time."""
+    steps, as _map_blocks yields them, for reuse by all solves on that grid
+    (maps= of solve_batch, endpoint_states, char_fn and char_fn_normalized).
+    Trajectory solves step over them; endpoint-only solves compose each
+    block in turn (_cut), for their own max|lambda|."""
 
     problem: object
     points: int
     size: int
     blocks: tuple
-    lam_bound: float
-    spans: np.ndarray = None
-    majorants: np.ndarray = None
-
-    def without_spans(self):
-        """These maps without the composed ones, whose memory goes back to
-        the system once no other reference holds them."""
-        return replace(self, spans=None, majorants=None)
 
 
-def grid_maps(problem, points, *, lam_bound=None):
-    """The step maps of problem on the uniform grid of points steps.
-    lam_bound is the largest |lambda| the composed maps serve; by default
-    every lambda the guard admits on this grid.  An eigenvalue search
-    passes the largest lambda it evaluates, so that its maps are composed
-    only to the degree that lambda reaches."""
+def grid_maps(problem, points):
+    """The step maps of problem on the uniform grid of points steps."""
     points = int(points)
     _check_resolution((), points)  # points >= 2; each solve checks its lambda against them
     system = AugmentedSystem(problem)
-    size, h = system.size, math.pi / points
-    if lam_bound is None:
-        lam_bound = GUARD_LIMIT / h
-    blocks = tuple(_map_blocks(system, points))
-    spans = majorants = None
-    if len(blocks[0]) == 1:  # the plain layout: one array, which returns to the system in one piece
-        majorants = np.stack([_majorant(block, h) for block in blocks])
-        caps = _caps(majorants, lam_bound * h)
-        spans = np.zeros((-(-points // _SPAN), size, (int(caps.max()) + 1) * size))
-        rows = _BLOCK // _SPAN
-        for j, (block, cap) in enumerate(zip(blocks, caps.tolist())):
-            P = _compose(block, cap)
-            spans[j * rows : (j + 1) * rows, :, : P.shape[-1]] = P  # one block's copy at a time
-    return GridMaps(problem, points, size, blocks, float(lam_bound), spans, majorants)
+    return GridMaps(problem, points, system.size, tuple(_map_blocks(system, points)))
 
 
 class _Stack:
@@ -626,12 +592,11 @@ def _solve(problem, lam, points, maps, consumer=None):
     left and right grid nodes, are checked for magnitude and handed to
     consumer(lam, n_steps, 2 + S)(first step, states); returns the
     consumer's result().  Without, returns the endpoint states (2, B) over
-    the maps composed in runs of _SPAN steps, each block's applied up to the
-    cap (_caps) for the batch's max|lambda| (single steps for maps in the
-    coupled layout).  The maps come from maps (a GridMaps of this
+    the maps composed in runs of _SPAN steps, each block composed in turn
+    up to the cap (_caps) for the batch's max|lambda| (single steps for maps
+    in the coupled layout).  The maps come from maps (a GridMaps of this
     problem and step count), or are built a block at a time, so no array
-    grows with the grid; a batch above maps.lam_bound composes its own,
-    capped for its max|lambda|."""
+    grows with the grid."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
@@ -639,21 +604,16 @@ def _solve(problem, lam, points, maps, consumer=None):
     _check_resolution(lam, n_steps)
     if maps is None:
         system = AugmentedSystem(problem)
-        size, blocks, spans = system.size, _map_blocks(system, n_steps), None
+        size, blocks = system.size, _map_blocks(system, n_steps)
     elif maps.problem is not problem:
         raise ValueError("maps were built for another problem")
     elif maps.points != n_steps:
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
-        size, blocks, spans = maps.size, maps.blocks, maps.spans
+        size, blocks = maps.size, maps.blocks
     if consumer is None:  # plain-layout maps composed, to the degree lambda reaches
         lam_max, h = _lam_max(lam), math.pi / n_steps
-        if spans is None or lam_max > maps.lam_bound:  # no composed maps serve this batch
-            blocks = (_cut(block, h, lam_max) if len(block) == 1 else block for block in blocks)
-        else:
-            rows = _BLOCK // _SPAN
-            blocks = ((spans[j * rows : (j + 1) * rows, :, : (C + 1) * size],)
-                      for j, C in enumerate(_caps(maps.majorants, lam_max * h).tolist()))
+        blocks = (_cut(block, h, lam_max) if len(block) == 1 else block for block in blocks)
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)

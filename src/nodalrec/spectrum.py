@@ -1,20 +1,19 @@
 """Eigenvalues as zeros of the characteristic function, and nodal points as
 zeros of the first solution component.
 
-Search strategy per index n: seed at the closed-form asymptote, scan a
-window of half-width 0.45 (eigenvalues sit asymptotically 1 apart, so the
-window isolates one root), demand exactly one sign change, then shrink the
-bracket with a safeguarded Illinois (modified regula falsi) update.
-All n are advanced together so every update costs one batched
-characteristic-function evaluation, over the brackets still open.
-
-The search evaluates no lambda beyond max|seed| + SCAN_HALF_WIDTH, so its
-grid's composed maps are multiplied out only to the degree that bound
-reaches (grid_maps(..., lam_bound=...)).
+Eigenvalue search per index n: seed at the closed-form asymptote, and take
+the window of half-width SCAN_HALF_WIDTH = 0.45 around it (eigenvalues sit
+asymptotically 1 apart, so the window isolates one root).  One batched
+characteristic-function evaluation at WINDOW_POINTS = 16 Chebyshev points of
+every window gives each window's Chebyshev interpolant of Delta / (1 +
+lambda^2), and the real roots of the interpolants come from their colleague
+matrices (Good 1961; Battles & Trefethen 2004).  A window must hold exactly
+one.  The interpolant's last two coefficients estimate its error, which
+bounds the root's error (tol) and |Delta(lambda_n)| (the residual).
 
 Nodes are grid sign changes of phi1, found block by block while the
-trajectory solve runs (solve_batch(..., crossings=True)), and refined by
-the same bracketed update; each refinement query is one stage-form RK4
+trajectory solve runs (solve_batch(..., crossings=True)), and refined by a
+bracketed Illinois update; each refinement query is one stage-form RK4
 step of the forward solver's scheme (forward._single_steps) from the exact
 augmented state (solution pair and memory states) kept at the cell's left
 node.  No trajectory is stored, and refinement builds no step maps.
@@ -28,12 +27,18 @@ import numpy as np
 from .asymptotics import lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
-    AugmentedSystem, _single_steps, char_fn_normalized, grid_maps, resolution_points, solve_batch,
+    AugmentedSystem, _chebyshev, _single_steps, char_fn_normalized, grid_maps, resolution_points,
+    solve_batch,
 )
 
 N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
-SCAN_POINTS = 12
+# Chebyshev points per search window: 16 terms of Delta / (1 + lambda^2)
+# reach rounding on a window of width 0.9 (12 leave tails near 1e-11)
+WINDOW_POINTS = 16
+# a root of a window's interpolant within this of the real segment [-1, 1]
+# (in the window's variable) is a real root in the window
+_REAL_TOL = 1e-8
 NODE_TOL = 1e-12
 # crossings refined at once: bounds refinement's arrays at large n_max
 # (about 500,000 crossings at n_max = 1000) while the searches up to
@@ -51,7 +56,7 @@ def _corridor_miss(n, lam, offset):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Map n -> lambda_n with root-finding diagnostics.
+    """Map n -> lambda_n, and n -> the estimate of |Delta(lambda_n)|.
 
     offset = (beta - theta)/pi enters the sanity corridor
     |lambda_n - n - offset| <= 1 enforced on construction.
@@ -59,7 +64,6 @@ class Spectrum:
 
     entries: dict
     residuals: dict
-    brackets: dict
     offset: float = 0.0
 
     def __post_init__(self):
@@ -84,13 +88,12 @@ class Spectrum:
 @dataclass(frozen=True)
 class NodalData:
     """Map n -> ascending node positions in the open interval (0, pi), and
-    for numeric data the eigenvalues and final brackets the search found."""
+    for numeric data the eigenvalues the search found."""
 
     nodes: dict
     source: str = "numeric"
     failures: dict = field(default_factory=dict)
     eigenvalues: dict = field(default_factory=dict)
-    brackets: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
@@ -157,16 +160,59 @@ def _bracketed_roots(f, a, b, fa, fb, width):
 # eigenvalues
 
 
-def _scan_and_refine(problem, n_range, tol, points):
-    """Shared engine: argument checks, per-n window scan, sign-change audit,
-    joint bracketed refinement to width tol/4, corridor check.  The grid's
-    step maps are built once and serve every batched evaluation.  A root
-    outside the corridor (see Spectrum) is that n's AmbiguityError: its
-    index is not certain.
+def _window_roots(coeffs):
+    """The real roots in [-1, 1] of the Chebyshev series sum_k c_k T_k(u),
+    one series per column of coeffs (K, W): a list of W ascending arrays.
+
+    Trailing zero coefficients are trimmed; the roots are the eigenvalues of
+    the colleague matrix (Good 1961), one batched eigvals per degree.  A root
+    counts as real and inside [-1, 1] within _REAL_TOL."""
+    K, W = coeffs.shape
+    nonzero = coeffs != 0
+    degree = np.where(nonzero.any(axis=0), K - 1 - np.argmax(nonzero[::-1], axis=0), 0)
+    roots = [np.empty(0)] * W
+    for d in np.unique(degree[degree > 0]).tolist():
+        cols = np.flatnonzero(degree == d)
+        c = coeffs[: d + 1, cols].T
+        # u T_0 = T_1, u T_k = (T_{k-1} + T_{k+1}) / 2, and T_d from p(u) = 0,
+        # which enters row d - 1 with the factor 1/2 (1 when d = 1: u T_0 = T_1)
+        C = np.zeros((cols.size, d, d))
+        i = np.arange(d - 1)
+        C[:, i, i + 1] = C[:, i + 1, i] = 0.5
+        C[:, 0, 1:] *= 2.0
+        C[:, -1] -= c[:, :-1] / ((1.0 if d == 1 else 2.0) * c[:, -1:])
+        for col, u in zip(cols.tolist(), np.linalg.eigvals(C)):
+            real = (np.abs(u.imag) <= _REAL_TOL) & (np.abs(u.real) <= 1.0 + _REAL_TOL)
+            roots[col] = np.sort(u.real[real])
+    return roots
+
+
+def _slopes(coeffs, u):
+    """p'(u_w) of the Chebyshev series in column w of coeffs (K, W), at the
+    points u (W,), by the recurrences T_{k+1} = 2u T_k - T_{k-1} and
+    T'_{k+1} = 2 T_k + 2u T'_k - T'_{k-1}."""
+    t, t_prev, d, d_prev = u, np.ones_like(u), np.ones_like(u), np.zeros_like(u)
+    out = coeffs[1] * d
+    for c in coeffs[2:]:
+        t, t_prev, d, d_prev = 2.0 * u * t - t_prev, t, 2.0 * t + 2.0 * u * d - d_prev, d
+        out = out + c * d
+    return out
+
+
+def _search(problem, n_range, tol, points):
+    """Shared engine: argument checks, then one batched evaluation of the
+    normalized characteristic function at WINDOW_POINTS Chebyshev points of
+    each window seed +- SCAN_HALF_WIDTH.  On each window, Delta / (1 +
+    lambda^2) (analytic on the real axis, unlike Delta / max(1, lambda^2))
+    is interpolated, and its real roots are those of the colleague matrix.
+    A window with no real root is that n's BracketingError, one with more
+    than one, or whose root leaves the corridor (see Spectrum), its
+    AmbiguityError: its index is not certain.  The root's error is
+    estimated by the last two coefficients over the slope; above tol / 4 it
+    is that n's ResolutionError.
 
     Returns (spectrum, failures, maps): the Spectrum of the n found, the
-    failures by n, and the GridMaps of the grid searched on, without the
-    composed maps that only the search's endpoint solves use.
+    failures by n, and the GridMaps of the grid searched on.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < N_MIN:
@@ -177,73 +223,61 @@ def _scan_and_refine(problem, n_range, tol, points):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ns = list(range(n_lo, n_hi + 1))
     seeds = lambda_asym(problem, np.array(ns))
-    lam_bound = float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH  # every lambda the search evaluates
-    n_steps = points if points is not None else resolution_points(lam_bound)
-    maps = grid_maps(problem, n_steps, lam_bound=lam_bound)
+    n_steps = points if points is not None else resolution_points(
+        float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH)  # every lambda the search evaluates
+    maps = grid_maps(problem, n_steps)
 
-    offsets = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    grid = (seeds[:, None] + offsets[None, :]).ravel()
-    vals = char_fn_normalized(problem, grid, points=n_steps, maps=maps).reshape(
-        len(ns), SCAN_POINTS
-    )
+    nodes, to_coeffs = _chebyshev(WINDOW_POINTS)
+    u = 2.0 * nodes / math.pi - 1.0  # the first-kind Chebyshev points in (-1, 1)
+    lam = seeds[:, None] + SCAN_HALF_WIDTH * u
+    vals = char_fn_normalized(problem, lam.ravel(), points=n_steps, maps=maps).reshape(lam.shape)
+    coeffs = to_coeffs @ (vals * np.maximum(1.0, lam * lam) / (1.0 + lam * lam)).T
+    tail = np.abs(coeffs[-2:]).sum(axis=0)  # bounds |p - Delta / (1 + lambda^2)|, by estimate
+    windows = _window_roots(coeffs)
+    at = np.array([roots[0] if roots.size == 1 else 0.0 for roots in windows])
+    slopes = np.abs(_slopes(coeffs, at)) / SCAN_HALF_WIDTH  # |dp/dlambda| at the lone roots
 
-    failures = {}
-    keep = []  # (row, cell) of every window with exactly one sign change
-    for k, n in enumerate(ns):
-        v = vals[k]
-        sign = np.where(v >= 0, 1.0, -1.0)
-        cells = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-        if cells.size == 0:
-            failures[n] = BracketingError(
-                f"no sign change of the normalized characteristic function in "
-                f"[{seeds[k]-SCAN_HALF_WIDTH:.6g}, {seeds[k]+SCAN_HALF_WIDTH:.6g}] for n = {n}",
-                index=n,
-            )
-            continue
-        if cells.size > 1:
-            cands = []
-            for c in cells:
-                a, b = seeds[k] + offsets[c], seeds[k] + offsets[c + 1]
-                cands.append(a + (b - a) * v[c] / (v[c] - v[c + 1]))
-            failures[n] = AmbiguityError(
-                f"{cells.size} sign changes in the scan window for n = {n}; "
-                f"candidate roots {', '.join(f'{c:.6g}' for c in cands)}"
-            )
-            continue
-        keep.append((k, int(cells[0])))
-
-    entries, residuals, brackets = {}, {}, {}
+    failures, entries, residuals = {}, {}, {}
     offset = (problem.bc.beta - problem.bc.theta) / math.pi
-    if keep:
-        rows, c = np.array(keep).T
-        lo, hi, root, froot = _bracketed_roots(
-            lambda lam, idx: char_fn_normalized(problem, lam, points=n_steps, maps=maps),
-            seeds[rows] + offsets[c], seeds[rows] + offsets[c + 1],
-            vals[rows, c], vals[rows, c + 1], tol / 4.0,
-        )
-        for k, row in enumerate(rows):
-            n, lam = ns[row], float(root[k])
-            miss = _corridor_miss(n, lam, offset)
-            if miss:
-                failures[n] = AmbiguityError(miss)
-                continue
-            scale = max(1.0, root[k] * root[k])
-            entries[n], residuals[n] = lam, abs(float(froot[k])) * scale
-            brackets[n] = (float(lo[k]), float(hi[k]))
-    return Spectrum(entries, residuals, brackets, offset), failures, maps.without_spans()
+    for k, (n, roots) in enumerate(zip(ns, windows)):
+        if roots.size == 0:
+            failures[n] = BracketingError(
+                f"no real root of the normalized characteristic function in "
+                f"[{seeds[k] - SCAN_HALF_WIDTH:.6g}, {seeds[k] + SCAN_HALF_WIDTH:.6g}] "
+                f"for n = {n}", index=n)
+            continue
+        cands = seeds[k] + SCAN_HALF_WIDTH * roots
+        if roots.size > 1:
+            failures[n] = AmbiguityError(
+                f"{roots.size} sign changes in the search window for n = {n}; "
+                f"candidate roots {', '.join(f'{c:.6g}' for c in cands)}")
+            continue
+        lam_n = float(cands[0])
+        miss = _corridor_miss(n, lam_n, offset)
+        if miss:
+            failures[n] = AmbiguityError(miss)
+            continue
+        err = float(tail[k] / slopes[k]) if slopes[k] else math.inf
+        if not err <= tol / 4.0:
+            failures[n] = ResolutionError(
+                f"lambda_{n} = {lam_n:.6g} carries an estimated error {err:.2g} above "
+                f"tol/4 = {tol / 4.0:.2g} (the Chebyshev tail of its window)")
+            continue
+        entries[n], residuals[n] = lam_n, float((1.0 + lam_n * lam_n) * tail[k])
+    return Spectrum(entries, residuals, offset), failures, maps
 
 
 def compute_spectrum(problem, n_range, tol=1e-9, points=None):
     """Eigenvalues for every n in the inclusive range; any per-n search
     failure is raised immediately (use nodal_data for collect-and-continue)."""
-    spectrum, failures, _ = _scan_and_refine(problem, n_range, tol, points)
+    spectrum, failures, _ = _search(problem, n_range, tol, points)
     if failures:
         raise failures[min(failures)]
     return spectrum
 
 
 def find_eigenvalue(problem, n, tol=1e-9, points=None):
-    """(lambda_n, |Delta(lambda_n)|) for a single index."""
+    """(lambda_n, the estimate of |Delta(lambda_n)|) for a single index."""
     spec = compute_spectrum(problem, (n, n), tol=tol, points=points)
     return spec.entries[int(n)], spec.residuals[int(n)]
 
@@ -313,7 +347,7 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    spectrum, failures, maps = _scan_and_refine(problem, n_range, tol, points)
+    spectrum, failures, maps = _search(problem, n_range, tol, points)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
     if spectrum.entries:
@@ -327,4 +361,4 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
             else:
                 nodes[n] = xs
     return NodalData(nodes=nodes, source="numeric", failures=failures,
-                     eigenvalues=spectrum.entries, brackets=spectrum.brackets)
+                     eigenvalues=spectrum.entries)

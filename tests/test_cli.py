@@ -58,8 +58,10 @@ def test_config_error_exit(tmp_path, capsys):
     ["forward", "--problem", FREE_YAML, "--lam", "3.0", "inf"],
     ["forward", "--problem", FREE_YAML, "--lam", "nan"],
     ["reconstruct", "--data", "nodes.csv", "--known-m", "nan"],
+    ["forward", "--problem", FREE_YAML, "--lam", "3.0", "--points", "1"],
 ])
 def test_nonfinite_option_exits_config(argv, tmp_path, capsys):
+    # non-finite options, and a step count below 2, are configuration errors
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     cat, _ = _category(capsys)

@@ -241,20 +241,17 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
     # maps built once for the grid (300 steps: two full blocks and a partial
-    # one) give exactly what a call building its own maps gives, whether
-    # composed for every lambda the guard admits or for twice the batch's
-    # max|lambda| (a cap above the batch's own, and above the guard's)
+    # one) give exactly what a call building its own maps gives
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
     lams = np.array([17.5, -9.0, 4.25, 1.0, 0.0])
-    for maps in (grid_maps(problem, n_steps), grid_maps(problem, n_steps, lam_bound=2 * 17.5)):
-        for fn in (char_fn, char_fn_normalized, endpoint_states):
-            assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
-                                  fn(problem, lams, points=n_steps))
-        assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
-                              solve_batch(problem, lams, points=n_steps).Z)
-        assert (char_fn(problem, 6.0, points=n_steps, maps=maps)
-                == char_fn(problem, 6.0, points=n_steps))
+    maps = grid_maps(problem, n_steps)
+    for fn in (char_fn, char_fn_normalized, endpoint_states):
+        assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
+                              fn(problem, lams, points=n_steps))
+    assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
+                          solve_batch(problem, lams, points=n_steps).Z)
+    assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0, points=n_steps)
 
 
 @pytest.mark.parametrize("n_steps, lams", [
@@ -303,8 +300,8 @@ def _full_degree_endpoint(problem, lams, maps):
 def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_kernel_problem,
                                               monkeypatch):
     # endpoint solves apply each block's composed maps only up to the cap
-    # whose majorant tail is below rounding for the batch's max|lambda|,
-    # whatever cap the maps were composed to; the uncapped products applied
+    # whose majorant tail is below rounding for the batch's max|lambda|;
+    # the uncapped products applied
     # at full degree 4 _SPAN give the same endpoints to rounding.  Of the
     # 129 degrees of a product of 32 steps, 24 are applied at
     # |lambda| h = 0.05 (23 is the largest degree) and 43 at the guard.
@@ -318,7 +315,8 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
     monkeypatch.setattr(forward, "_stepper", lambda block, powers: applied.append(
         block[0].shape[-1] // block[0].shape[1]) or stepper(block, powers))
     end = endpoint_states(problem, lams, points=n_steps, maps=maps)
-    caps = forward._caps(maps.majorants, lam * PI / n_steps)
+    majorants = np.stack([forward._majorant(block, PI / n_steps) for block in maps.blocks])
+    caps = forward._caps(majorants, lam * PI / n_steps)
     assert applied == (caps + 1).tolist()  # one cut-off per block, at the batch's cap
     assert max(applied) - 1 <= (23 if phase <= 0.05 else 42)
     monkeypatch.setattr(forward, "_stepper", stepper)
@@ -336,13 +334,15 @@ def test_majorant_bounds_the_dropped_coefficients(kind, cosine_problem, exp_kern
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 1003
     h = PI / n_steps
+    maps = grid_maps(problem, n_steps)
     for phase in (0.05, 0.2):
         lam = phase / h
-        maps = grid_maps(problem, n_steps, lam_bound=lam)
-        caps = forward._caps(maps.majorants, phase)
-        assert maps.spans.shape[-1] == (caps.max() + 1) * maps.size < 4 * forward._SPAN * maps.size
         powers = lam ** np.arange(4 * forward._SPAN + 1)
-        for block, majorant, cap in zip(maps.blocks, maps.majorants, caps):
+        for block in maps.blocks:
+            majorant = forward._majorant(block, h)
+            cap = forward._caps(majorant, phase)
+            cut = forward._cut(block, h, lam)[0]
+            assert cut.shape[-1] == (cap + 1) * maps.size < 4 * forward._SPAN * maps.size
             spans = _compose(block, 4 * forward._SPAN)
             Q = spans.reshape(spans.shape[0], maps.size, -1, maps.size)  # (run, row, degree, col)
             norms = np.abs(Q).sum(axis=-1).max(axis=1)  # ||Q_k||_inf of each run
@@ -357,24 +357,21 @@ def test_majorant_bounds_the_dropped_coefficients(kind, cosine_problem, exp_kern
 @pytest.mark.parametrize("kind", ["zero", "separable", "wide"])
 def test_capped_maps_match_single_steps(kind, phase, cosine_problem, exp_kernel_problem,
                                         monkeypatch):
-    # maps composed only to the cap of the batch's lambda bound (grid_maps
-    # with lam_bound) give the endpoints of single steps to rounding; a
-    # batch above the bound does too, composing each block itself (with the
-    # cap of its own lambda) rather than applying the cut maps, so it equals
-    # a call without maps bit for bit
+    # an endpoint solve over the grid's maps composes each block of single
+    # steps in turn, to the cap of the batch's max|lambda| (_cut): it gives
+    # the endpoints of single steps to rounding, and those of a call without
+    # maps bit for bit
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 1003
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
     bound = 1e-12 * np.maximum(1.0, lams * lams)
     last = solve_batch(problem, lams, points=n_steps).Z[:2, -1]
-    maps = grid_maps(problem, n_steps, lam_bound=lam)
-    assert np.all(np.abs(endpoint_states(problem, lams, points=n_steps, maps=maps) - last) <= bound)
-    low = grid_maps(problem, n_steps, lam_bound=0.3 * lam)
+    maps = grid_maps(problem, n_steps)
     composed = []
     monkeypatch.setattr(forward, "_compose", lambda *args: composed.append(1) or _compose(*args))
-    end = endpoint_states(problem, lams, points=n_steps, maps=low)
-    assert len(composed) == len(low.blocks)  # every block composed afresh
+    end = endpoint_states(problem, lams, points=n_steps, maps=maps)
+    assert len(composed) == len(maps.blocks)  # every block composed, once
     assert np.all(np.abs(end - last) <= bound)
     assert np.array_equal(end, endpoint_states(problem, lams, points=n_steps))
 
@@ -404,14 +401,14 @@ def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):
     # maps in the coupled layout (more than 6 memory states: the 32
     # Chebyshev states of the general exponential kernel, and 7 separable
     # terms, the shortest such state) are not composed: endpoint_states then
-    # takes the very steps of solve_batch, and grid_maps stores no composed
-    # maps
+    # takes the very steps of solve_batch, with or without the grid's maps
     monkeypatch.setattr(forward, "_compose", None)
     lams = np.array([17.5, -9.0, 1.0])
     for problem in (exp_kernel_problem, _separable_problem(7)):
-        assert np.array_equal(endpoint_states(problem, lams, points=300),
-                              solve_batch(problem, lams, points=300).Z[:2, -1])
-        assert grid_maps(problem, 300).spans is None
+        last = solve_batch(problem, lams, points=300).Z[:2, -1]
+        assert np.array_equal(endpoint_states(problem, lams, points=300), last)
+        assert np.array_equal(endpoint_states(problem, lams, points=300,
+                                              maps=grid_maps(problem, 300)), last)
 
 
 def test_grid_maps_refused_for_another_problem(cosine_problem):

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 import nodalrec.forward as forward
 import nodalrec.spectrum as spectrum
@@ -16,6 +17,8 @@ from nodalrec.spectrum import (
     NodalData,
     Spectrum,
     _bracketed_roots,
+    _slopes,
+    _window_roots,
     compute_spectrum,
     find_eigenvalue,
     find_nodes,
@@ -24,6 +27,7 @@ from nodalrec.spectrum import (
 
 from nodalrec.problem import problem_from_mapping
 
+import _rk4_oracle
 from _bullets import covers
 from conftest import CORRIDOR_DOC, sup, trajectory
 
@@ -133,14 +137,9 @@ def test_compute_spectrum_rejects_bad_ranges(free_prob):
 
 def test_spectrum_container_guards():
     with pytest.raises(ValueError):
-        Spectrum(entries={5: 6.5}, residuals={5: 0.0}, brackets={5: (6.0, 7.0)}, offset=0.0)
+        Spectrum(entries={5: 6.5}, residuals={5: 0.0}, offset=0.0)
     with pytest.raises(ValueError):
-        Spectrum(
-            entries={5: 5.2, 6: 5.1},
-            residuals={5: 0.0, 6: 0.0},
-            brackets={5: (5.0, 5.5), 6: (5.0, 5.5)},
-            offset=0.0,
-        )
+        Spectrum(entries={5: 5.2, 6: 5.1}, residuals={5: 0.0, 6: 0.0}, offset=0.0)
 
 
 def test_nodal_container_guards():
@@ -363,27 +362,87 @@ def test_bracketed_roots_stop_at_float_resolution():
 
 
 # ---------------------------------------------------------------------------
+# real roots of a window's Chebyshev series
+
+
+def test_window_roots_of_known_series():
+    # one batch of series in T_0..T_15: samples of known functions at the
+    # 16 first-kind points, and exact coefficient lists padded with zeros,
+    # whose trailing zeros are trimmed before the colleague matrix is built
+    # (a division by zero would be a RuntimeWarning, an error here)
+    nodes, to_coeffs = forward._chebyshev(16)
+    u = 2.0 * nodes / math.pi - 1.0
+
+    def exact(*c):
+        return np.pad(np.array(c, dtype=float), (0, 16 - len(c)))
+
+    even = to_coeffs @ np.cos(2.0 * u)
+    even[1::2] = 0.0  # an even function: its odd coefficients, c_15 the last, are 0
+    cases = [
+        (to_coeffs @ (np.exp(u) - 1.5), [math.log(1.5)]),  # one simple root
+        (to_coeffs @ (np.cos(2.0 * u) - 0.5), [-math.pi / 6, math.pi / 6]),  # two roots
+        (to_coeffs @ (np.exp(u) + 0.5), []),  # no root
+        (exact(2.0, 1.0), []),  # the root -2 outside [-1, 1]
+        (exact(0.75, 0.0, 0.5), []),  # u^2 + 0.25: only a complex pair
+        (exact(-1.0, 1.0), [1.0]),  # u - 1: a root at the end u = 1
+        (to_coeffs @ ((u + 1.0) * np.exp(u)), [-1.0]),  # a root at u = -1
+        (even, [-math.pi / 4, math.pi / 4]),  # leading coefficient exactly 0
+        (exact(-0.25 + 0.5, 0.0, 0.5), [-0.5, 0.5]),  # u^2 - 0.25, degree 2
+        (exact(1.0), []),  # a constant
+    ]
+    roots = _window_roots(np.stack([c for c, _ in cases], axis=1))
+    assert len(roots) == len(cases)
+    for got, (_, want) in zip(roots, cases):
+        assert got.size == len(want)
+        assert np.all(np.abs(got - want) <= 1e-13), (got, want)
+
+
+def test_window_slopes_match_numpy_chebyshev():
+    # the derivative of each column's series at its own point, the ends
+    # u = +-1 included, against numpy's Chebyshev derivative
+    coeffs = np.random.default_rng(3).normal(size=(16, 5))
+    at = np.array([-1.0, -0.4, 0.0, 0.7, 1.0])
+    want = chebyshev.chebval(at, chebyshev.chebder(coeffs), tensor=False)
+    assert np.all(np.abs(_slopes(coeffs, at) - want) <= 1e-12 * np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
 # guards on the eigenvalue search
 
 
-def test_search_makes_few_delta_evaluations(worked_problem, worked_spectrum_3060, monkeypatch):
-    # one scan plus a few batched updates; bisecting the 0.08-wide scan
-    # cells down to tol / 4 would take 29 more
+def test_search_makes_one_delta_evaluation(worked_problem, worked_spectrum_3060, monkeypatch):
+    # compute_spectrum and nodal_data each evaluate the characteristic
+    # function once, in one batch over the Chebyshev points of every window
     calls = []
-    original = spectrum.char_fn_normalized
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "char_fn_normalized", counted)
+    normalized, endpoints = spectrum.char_fn_normalized, forward.endpoint_states
+    monkeypatch.setattr(spectrum, "char_fn_normalized",
+                        lambda *a, **k: calls.append("normalized") or normalized(*a, **k))
+    monkeypatch.setattr(forward, "endpoint_states",
+                        lambda *a, **k: calls.append("endpoints") or endpoints(*a, **k))
     spec = compute_spectrum(worked_problem, (30, 60))
-    assert len(calls) <= 6
+    assert calls == ["normalized", "endpoints"]
     assert spec.entries == worked_spectrum_3060.entries
-    for n in spec.indices:
-        lo, hi = spec.brackets[n]
-        assert hi - lo <= 1e-9 / 4.0
-        assert spec.entries[n] in (lo, hi)
+    calls.clear()
+    data = nodal_data(worked_problem, (30, 60))
+    assert calls == ["normalized", "endpoints"]
+    assert data.eigenvalues == spec.entries
+
+
+@pytest.mark.parametrize("which, n_range", [("cosine", (20, 30)), ("general", (8, 12))])
+def test_eigenvalues_lie_in_sign_changes_of_stage_form_rk4(which, n_range, cosine_problem,
+                                                          exp_kernel_problem):
+    # tol bounds the distance of lambda_n from a root of the discrete
+    # characteristic function by tol / 4: stage-form RK4 on the same grid
+    # (_rk4_oracle, which shares no code with the search) changes sign
+    # between lambda_n - tol / 4 and lambda_n + tol / 4
+    problem = {"cosine": cosine_problem, "general": exp_kernel_problem}[which]
+    tol, points = 1e-9, 768
+    spec = compute_spectrum(problem, n_range, tol=tol, points=points)
+    assert spec.indices == list(range(n_range[0], n_range[1] + 1))
+    lams = np.array([spec.entries[n] for n in spec.indices])
+    below = _rk4_oracle.char_fn(problem, lams - tol / 4.0, points)
+    above = _rk4_oracle.char_fn(problem, lams + tol / 4.0, points)
+    assert np.all(below * above < 0)
 
 
 def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
@@ -404,28 +463,6 @@ def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
     grid.clear()
     data = nodal_data(worked_problem, (20, 30), points=1000)
     assert grid == blocks
-    assert data.indices == list(range(20, 31)) and not data.failures
-
-
-def test_nodal_data_frees_composed_maps_before_trajectories(worked_problem, monkeypatch):
-    # the composed maps serve the search's endpoint solves only; they are
-    # freed before nodal_data's trajectory pass, so they are not resident
-    # beside its crossing scan
-    spans, freed = [], []
-    evaluate, solve = spectrum.char_fn_normalized, spectrum.solve_batch
-
-    def evaluating(problem, lam, points=None, *, maps=None):
-        spans.append(weakref.ref(maps.spans))
-        return evaluate(problem, lam, points=points, maps=maps)
-
-    def solving(problem, lam, points=None, *, maps=None, crossings=False):
-        freed.append(maps.spans is None and all(ref() is None for ref in spans))
-        return solve(problem, lam, points=points, maps=maps, crossings=crossings)
-
-    monkeypatch.setattr(spectrum, "char_fn_normalized", evaluating)
-    monkeypatch.setattr(spectrum, "solve_batch", solving)
-    data = nodal_data(worked_problem, (20, 30), points=1000)
-    assert len(spans) > 1 and freed == [True]
     assert data.indices == list(range(20, 31)) and not data.failures
 
 
@@ -535,15 +572,14 @@ def test_general_kernel_nodes_converge(exp_kernel_problem):
 
 def test_nodal_data_carries_its_spectrum(worked_problem, worked_numeric_nodes, worked_synth_data,
                                         tmp_path):
-    # nodal_data keeps the eigenvalues and final brackets of its own search;
-    # synthetic data and CSV read-back have none, and the CSV is unchanged
+    # nodal_data keeps the eigenvalues of its own search; synthetic data and
+    # CSV read-back have none, and the CSV is unchanged
     spec = compute_spectrum(worked_problem, (20, 60))
     assert worked_numeric_nodes.eigenvalues == spec.entries
-    assert worked_numeric_nodes.brackets == spec.brackets
-    assert worked_synth_data.eigenvalues == {} and worked_synth_data.brackets == {}
+    assert worked_synth_data.eigenvalues == {}
     with_spectrum, without = tmp_path / "a.csv", tmp_path / "b.csv"
     write_nodal_csv(worked_numeric_nodes, str(with_spectrum))
     write_nodal_csv(NodalData(nodes=worked_numeric_nodes.nodes), str(without))
     assert with_spectrum.read_bytes() == without.read_bytes()
     back = read_nodal_csv(str(with_spectrum))
-    assert back.eigenvalues == {} and back.brackets == {}
+    assert back.eigenvalues == {}
