@@ -10,21 +10,30 @@ CSV rows end in ``\\r\\n``, the line end of ``csv.writer``; comment lines
 number of rows at a time: ``_shortest`` computes repr's digits of each node
 exactly from an error-free product with a power of ten, and hands the few
 it cannot certify (powers of two, exact decimal ties, values below 1e-4) to
-``repr`` itself, so the bytes are repr's by construction.  The reader takes
-the file in pieces of whole lines of about ``_CHUNK`` characters, with
-universal newlines, so LF, CRLF and CR files read the same.  In each piece one regular expression
-notes a ``# source=synthetic`` tag and another drops the blank lines and
-the ``#`` comment lines, wherever they stand; the first row left is the
-header, and ``np.loadtxt`` parses the others of the piece in one call.  It
-rounds decimal strings correctly, so every written float reads back bit for
-bit, and it rejects a ``#`` after a cell.  Rows may come in any order: rows
-not already in (n, j) order, as the writer puts them, are sorted by (n, j),
+``repr`` itself, so the bytes are repr's by construction.
+
+The reader is the writer's inverse.  It takes the file as bytes in pieces
+of whole lines of about ``_CHUNK`` bytes.  A piece whose rows are all in
+the writer's form, ``n,j,D.F\\r\\n`` (after the writer's tag and header in
+the first), is parsed in numpy: eight digits at a time from 8-byte words,
+and x as the correctly rounded M / 10**p of the digits M of D.F, by one
+division where M < 2**53 and with an exact residual check above; the rare
+cell it cannot certify is read by ``float``.  Any other piece is decoded
+as UTF-8 with universal newlines, so LF, CRLF and CR files read the same.
+In it one regular expression notes a ``# source=synthetic`` tag and
+another drops the blank lines and the ``#`` comment lines, wherever they
+stand; the first row left in the file is the header, and ``np.loadtxt``
+parses the other rows of the piece in one call.  Both round decimal
+strings correctly, so every written float reads back bit for bit, and a
+row outside the writer's form gets loadtxt's value or error, which
+rejects a ``#`` after a cell.  Rows may come in any order: rows not
+already in (n, j) order, as the writer puts them, are sorted by (n, j),
 and the positions j of each n must be 0..len-1.  A file that is not UTF-8
 text is a ProblemFormatError.
 """
 
 import csv
-import itertools
+import io
 import json
 import math
 import operator
@@ -220,7 +229,15 @@ def _split(a):
 
 
 _NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
-_CHUNK = 1 << 15  # characters the reader takes at a time, to the next line end
+_CHUNK = 1 << 18  # bytes the reader takes at a time, cut back to the last line end
+# what write_nodal_csv writes before its rows
+_WRITTEN_HEADS = (b"n,j,x\r\n", b"# source=synthetic\nn,j,x\r\n")
+_MARKS = np.frombuffer(b",,.\r\n", np.uint8)  # the non-digits of a written row, in order
+_LEAD = b"0" * 24  # digits before a piece, so that every word read below starts in it
+# _KEEP[k] keeps the top k bytes of a little-endian word: the last k characters
+_KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * k)) for k in range(1, 9)], np.uint64)
+_TENS = 10 ** np.arange(18)  # int64
+_EXACT_TENS = np.array([float(10 ** k) for k in range(23)])  # the powers of ten that are doubles
 # in a piece of whole lines with a "\n" before and after each: the tag line,
 # and a blank or comment line with the line end before it (the first
 # lookahead turns a data row away at its first character)
@@ -233,70 +250,64 @@ def _parse_rows(lines):
 
 
 def read_nodal_csv(path):
-    """Inverse of write_nodal_csv; unknown comments are ignored."""
+    """Inverse of write_nodal_csv; unknown comments are ignored.
+
+    The file is read in pieces of whole lines of about ``_CHUNK`` bytes.  A
+    piece whose rows are all in the writer's form is parsed in numpy
+    (``_written_rows``); any other piece is decoded as UTF-8 with universal
+    newlines and parsed by ``np.loadtxt`` after its blank and comment lines
+    are dropped, so its values, errors and row numbers are loadtxt's.
+    """
     source = "numeric"
     count = 0  # rows before the piece being parsed, header included
-    lines = []  # that piece's rows
-    rows = iter(lines)  # the parser's place in them
-
-    def pieces(fh):
-        """An iterator over the rows of each piece that has any; the header
-        is checked before the first."""
-        nonlocal source, count, lines, rows
-        while chunk := read(fh, _CHUNK):
-            piece = f"\n{chunk}{read(fh)}\n"  # a last line may lack its "\n"
-            if "#" in piece and _TAG.search(piece):
-                source = "synthetic"
-            body = _SKIP.sub("", piece)[1:-1]
-            if body and not count:
-                header, _, body = body.partition("\n")
-                header = header.strip()
-                if [c.strip() for c in header.split(",")] != ["n", "j", "x"]:
-                    raise ProblemFormatError(f"{path}: expected header n,j,x, got {header!r}")
-                count = 1
-            if body:
-                count += len(lines)
-                lines = body.split("\n")
-                rows = iter(lines)
-                yield rows
-
-    def read(fh, size=None):
-        """fh.read(size), or the rest of the line without a size."""
-        try:
-            return fh.readline() if size is None else fh.read(size)
-        except UnicodeDecodeError as exc:
-            raise ProblemFormatError(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
-
-    with open(path, encoding="utf-8") as fh:
-        todo = pieces(fh)
-        first = next(todo, None)
-        if first is None:
-            if not count:
-                raise ProblemFormatError(f"{path}: no rows")
-            return NodalData(nodes={}, source=source)
-        try:
-            table = _parse_rows(itertools.chain(first, itertools.chain.from_iterable(todo)))
-        except ValueError as exc:
-            # the parser pulls one line at a time, so the last line it took
-            # is the faulty row; parsed again alone and stripped, it gives a
-            # message that quotes its cells without the line's outer spaces
-            faulty = len(lines) - operator.length_hint(rows)
-            try:
-                _parse_rows([lines[faulty - 1].strip()])
-            except ValueError as alone:
-                exc = alone
-            reason = str(exc).split(" at row ")[0]
-            raise ProblemFormatError(f"{path}:{count + faulty}: {reason}") from None
-
-    n, j = table["n"], table["j"]
+    with open(path, "rb") as fh:
+        # the n, j and x of the rows, with room for rows of 20 bytes or more,
+        # grown if they are shorter; pages never written are never resident
+        size = os.fstat(fh.fileno()).st_size // 20 + 1
+        columns = [np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)]
+        for piece in _pieces(fh):
+            rows = None
+            if count:
+                rows = _written_rows(piece)
+            else:
+                head = next((h for h in _WRITTEN_HEADS if piece.startswith(h)), b"")
+                if head and (rows := _written_rows(piece, len(head))) is not None:
+                    count = 1
+                    if head.startswith(b"#"):
+                        source = "synthetic"
+            if rows is None:
+                text = f"\n{_text(path, piece)}\n"  # a last line may lack its "\n"
+                if "source=synthetic" in text and _TAG.search(text):
+                    source = "synthetic"
+                body = _SKIP.sub("", text)[1:-1]
+                if body and not count:
+                    header, _, body = body.partition("\n")
+                    header = header.strip()
+                    if [c.strip() for c in header.split(",")] != ["n", "j", "x"]:
+                        raise ProblemFormatError(f"{path}: expected header n,j,x, got {header!r}")
+                    count = 1
+                if not body:
+                    continue
+                table = _loaded_rows(path, body.split("\n"), count)
+                rows = table["n"], table["j"], table["x"]
+            stop = count - 1 + rows[0].size
+            for column, part in zip(columns, rows):
+                if stop > column.size:
+                    column.resize(2 * stop, refcheck=False)
+                column[count - 1:stop] = part
+            count += rows[0].size
+    if not count:
+        raise ProblemFormatError(f"{path}: no rows")
+    for column in columns:
+        column.resize(count - 1, refcheck=False)
+    n, j, x = columns
+    if not n.size:
+        return NodalData(nodes={}, source=source)
     if np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (j[1:] > j[:-1]))):
-        x = table["x"].copy()  # the rows come in (n, j) order, as write_nodal_csv writes them
-        order = None
+        order = None  # the rows come in (n, j) order, as write_nodal_csv writes them
     else:  # a repeated (n, j) is an error, so (n, j) alone fixes the order
         order = np.lexsort((j, n))
-        n, j, x = n[order], j[order], table["x"][order]
-    del table
+        n, j, x = n[order], j[order], x[order]
     new = np.concatenate(([True], n[1:] != n[:-1]))  # first row of each n
     starts = np.flatnonzero(new)
     stops = np.append(starts[1:], n.size)
@@ -315,6 +326,146 @@ def read_nodal_csv(path):
         return NodalData(nodes=nodes, source=source)
     except ValueError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from None
+
+
+def _pieces(fh):
+    """The bytes of a binary file in pieces of whole lines of about _CHUNK
+    bytes; only the last may lack its line end, and no "\\r\\n" is cut."""
+    buf = bytearray()
+    while block := fh.read(_CHUNK):
+        seen = max(len(buf) - 1, 0)  # a "\r" left at the end may end a line
+        buf += block
+        # the last line end, where a "\r" at the very end may start a "\r\n"
+        cut = max(buf.rfind(b"\n", seen), buf.rfind(b"\r", seen, len(buf) - 1)) + 1
+        if cut:
+            yield bytes(buf[:cut])
+            del buf[:cut]
+    if buf:
+        yield bytes(buf)
+
+
+def _text(path, piece):
+    """A piece as text with universal newlines, as a text-mode file reads it."""
+    try:
+        text = piece.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+    return io.IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+
+
+def _loaded_rows(path, lines, count):
+    """np.loadtxt's rows of a piece's lines, or a ProblemFormatError that
+    names the faulty row, numbered after the `count` rows before them."""
+    rows = iter(lines)  # the parser's place in them
+    try:
+        return _parse_rows(rows)
+    except ValueError as exc:
+        # the parser pulls one line at a time, so the last line it took
+        # is the faulty row; parsed again alone and stripped, it gives a
+        # message that quotes its cells without the line's outer spaces
+        faulty = len(lines) - operator.length_hint(rows)
+        try:
+            _parse_rows([lines[faulty - 1].strip()])
+        except ValueError as alone:
+            exc = alone
+        reason = str(exc).split(" at row ")[0]
+        raise ProblemFormatError(f"{path}:{count + faulty}: {reason}") from None
+
+
+def _written_rows(piece, start=0):
+    """The n, j and x of the rows of piece[start:], if every line is a row
+    as write_nodal_csv writes it, else None.
+
+    Such a row is "n,j,D.F\\r\\n": n and j are 1 to 8 ASCII digits, D is one
+    digit and F any number of them, so its five non-digits fix every field.
+    Each field of up to 8 digits is read from the 8-byte word that ends
+    with it, and F from up to three such words (Lemire's eight-digit
+    parse); the p digits of F give M = D * 10**p + F, exact in int64.  For M < 2**53 and p <= 22, M and
+    10**p are doubles, so one division rounds M / 10**p correctly
+    (Clinger's fast path).  Up to 10**18 the quotient is checked with an
+    exact residual and moved by an ulp if need be (``_rounded``).  A cell
+    with more than 22 fraction digits or M >= 10**18 is read by ``float``.
+    Below 10, a decimal tie between two doubles has at least 50 fraction
+    digits, so every other cell is certified.
+    """
+    body = piece[start:]
+    if b"#" in body or (body and not body.endswith(b"\r\n")):
+        return None  # a comment, LF or CR line ends, or a last line without its end
+    b = np.frombuffer(_LEAD + body, np.uint8)
+    marks = np.flatnonzero(b - 48 > 9)
+    if marks.size % 5:
+        return None  # a row with other non-digits
+    marks = marks.reshape(-1, 5)
+    if not (b[marks] == _MARKS).all():
+        return None
+    comma1, comma2, dot, cr, nl = marks.T
+    first = np.concatenate(([len(_LEAD)], nl[:-1] + 1))  # where each row starts
+    n_size, j_size = comma1 - first, comma2 - comma1 - 1
+    if not np.all((dot == comma2 + 2) & (nl == cr + 1) & (n_size >= 1) & (n_size <= 8)
+                  & (j_size >= 1) & (j_size <= 8)):
+        return None
+    words = np.ndarray((b.size - 7,), "<u8", b, 0, (1,))  # the 8 bytes from each offset
+    d = b[comma2 + 1] - np.int64(48)
+    p = cr - dot - 1
+    f = [_digits(words, cr - 8 * k, np.clip(p - 8 * k, 0, 8)) for k in range(3)]
+    # M < 10**18 when it has at most 18 digits, or D = 0 and F < 10**18;
+    # where it is not, or where 10**p is not a double, float reads the cell
+    sure = (p <= 17) | ((p <= 22) & (d == 0) & (f[2] < 100))
+    whole = d * _TENS[np.minimum(p, 17)] + f[2] * 10 ** 16 + f[1] * 10 ** 8 + f[0]
+    scale = _EXACT_TENS[np.minimum(p, 22)]
+    x = whole / scale
+    big = np.flatnonzero(sure & (whole >= 1 << 53))
+    if big.size:
+        x[big], sure[big] = _rounded(x[big], whole[big], scale[big])
+    for i in np.flatnonzero(~sure).tolist():
+        x[i] = float(b[comma2[i] + 1:cr[i]].tobytes())
+    return _digits(words, comma1, n_size), _digits(words, comma2, j_size), x
+
+
+def _digits(words, stops, sizes):
+    """The values of the fields of 0 to 8 ASCII digits that end before the
+    offsets `stops`, read from the little-endian `words` that end there."""
+    v = words[stops - 8] ^ np.uint64(0x3030303030303030)
+    v &= _KEEP[sizes]  # the digits before a field read as leading zeros
+    v = v * np.uint64(10) + (v >> np.uint64(8))  # digit pairs in bytes 0, 2, 4 and 6
+    v = ((v & np.uint64(0xFF000000FF)) * np.uint64(100 + (1000000 << 32))
+         + ((v >> np.uint64(16)) & np.uint64(0xFF000000FF)) * np.uint64(1 + (10000 << 32)))
+    return (v >> np.uint64(32)).astype(np.int64)
+
+
+def _rounded(q, m, t, moves=1):
+    """The doubles nearest the quotients m / t, from q within 1.5 ulp of
+    them, and whether each is certified.
+
+    m is an int64 in [2**53, 10**18) and t = 10**p a double, p <= 22.  The
+    residual m - q * t is exact (``_residual``), and so are half the gaps
+    to q's neighbours times t.  So q is the nearest double when the
+    residual lies strictly between those; otherwise the neighbour on the
+    residual's side is tried, `moves` times at most.  A tie is not
+    certified.
+    """
+    r = 2 * _residual(q, m, t)
+    up, down = np.nextafter(q, np.inf), np.nextafter(q, 0.0)
+    near = ((down - q) * t < r) & (r < (up - q) * t)
+    far = np.flatnonzero(~near)
+    if far.size and moves:
+        q[far] = np.where(r[far] > 0, up[far], down[far])
+        q[far], near[far] = _rounded(q[far], m[far], t[far], moves - 1)
+    return q, near
+
+
+def _residual(q, m, t):
+    """m - q * t, exactly, for q within 2 ulp of m / t: q * t = hi + lo
+    exactly (Dekker's two-product), and hi is an integer, as it lies near
+    m >= 2**53.  The residual is a multiple of u = min(1, 2**p ulp(q)) and
+    below 2 ulp(q) 10**p in size: fewer than 2 * 5**p < 2**53 units where
+    u < 1 (p <= 22), and below 2**-51 m < 2**9 where u = 1, so a double."""
+    hi = q * t
+    qh, ql = _split(q)
+    th, tl = _split(t)
+    lo = ((qh * th - hi) + qh * tl + ql * th) + ql * tl
+    return (m - hi.astype(np.int64)) - lo
 
 
 def write_spectrum_csv(spectrum, path):

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -418,6 +420,173 @@ def test_read_sorts_only_rows_out_of_order(tmp_path, worked_synth_data, monkeypa
     assert sorted(shuffled.nodes) == list(back.nodes)
     for n, xs in back.nodes.items():
         assert xs.tobytes() == shuffled.nodes[n].tobytes()
+
+
+def _count_loadtxt_rows(monkeypatch):
+    """A list of the rows np.loadtxt parses from here on."""
+    rows, parse = [], nodal_io._parse_rows
+
+    def counted(lines):
+        table = parse(lines)
+        rows.extend(table.tolist())
+        return table
+
+    monkeypatch.setattr(nodal_io, "_parse_rows", counted)
+    return rows
+
+
+def test_read_hard_doubles_bit_for_bit(tmp_path, monkeypatch):
+    # the writer's rows are parsed in numpy; every double comes back, and
+    # only the pieces with exponent-form cells (below 1e-4) go to loadtxt
+    values = _hard_doubles()
+    small = values[values < 1e-4]
+    rng = np.random.default_rng(8)
+    nodes, rest, n = {}, values[values >= 1e-4], 3
+    while rest.size:
+        take = int(rng.integers(1, 3 * 10 ** 4))
+        nodes[n], rest, n = rest[:take], rest[take:], n + int(rng.integers(1, 10 ** 4))
+    nodes[n] = small
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(NodalData(nodes=nodes, source="synthetic"), path)
+    loaded = _count_loadtxt_rows(monkeypatch)
+    back = read_nodal_csv(path)
+    assert back.source == "synthetic"
+    assert list(back.nodes) == list(nodes)
+    for n, xs in nodes.items():
+        assert back.nodes[n].tobytes() == xs.tobytes()
+    assert small.size <= len(loaded) < small.size + nodal_io._CHUNK // 9
+
+
+def _decimal_cells(rng):
+    """Decimal strings D.F in (0, 3) that are not all shortest reprs."""
+    def digits(k):
+        return "".join(map(str, rng.integers(0, 10, k)))
+
+    cells = []
+    for p in range(1, 23):  # 1 to 22 fraction digits
+        cells += [f"{d}.{digits(p - 1)}{rng.integers(1, 10)}" for d in (0, 1, 2) for _ in range(6)]
+    cells += [f"0.0001{digits(17)}" for _ in range(20)]  # 21 fraction digits
+    # 21 to 23 fraction digits, five of them leading zeros
+    cells += [f"0.00000{rng.integers(1, 10)}{digits(k)}" for k in (15, 16, 17) for _ in range(6)]
+    cells += [f"{rng.integers(1, 3)}.{digits(k)}" for k in range(17, 26) for _ in range(6)]
+    cells += [f"0.{rng.integers(1, 10)}{digits(k)}" for k in range(17, 26) for _ in range(6)]
+    cells += [repr(float(v)) for v in rng.uniform(0.0, 3.0, 200)]
+    # M = 2**53 + 1, 3 and 5, whose conversion to a double is a tie
+    cells += ["0.9007199254740993", "0.9007199254740995", "2.9007199254740993", "0.0009007199254740993"]
+    # just below 1 + 2**-53, the midpoint of 1 and the next double, then the
+    # exact midpoints there and at 2 - 2**-53 (ties, which round to even)
+    cells += ["1.00000000000000011102230246251565"]
+    exact = Context(prec=80)
+    for x in (1.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0)):
+        mid = exact.divide(exact.add(Decimal(x), Decimal(np.nextafter(x, 3.0).item())), 2)
+        cells.append(format(mid, "f"))
+    cells += ["0.30000000000000004", "0.1", "2.0", "1.", "0.000100000000000000004792"]
+    return cells
+
+
+def test_read_decimals_as_float_reads_them(tmp_path, monkeypatch):
+    # rows in the writer's grammar whose x are not shortest reprs: 1 to 22
+    # fraction digits and more, 18 or more significant digits, ties in the
+    # conversion of M = D.F * 10**p to a double and exact midpoints between
+    # doubles, with n and j written with leading zeros
+    rng = np.random.default_rng(24)
+    cells = sorted(_decimal_cells(rng), key=float)
+    # every 8th cell, so that the cells that read as the same double (never
+    # more than 8 in a row here) go to different lists, 5 to a list
+    lists = [part[k:k + 5] for part in (cells[i::8] for i in range(8)) for k in range(0, len(part), 5)]
+    groups, lines = {}, ["n,j,x"]
+    for k, group in enumerate(lists):
+        n_text = f"{k + 1:0{1 + k % 4}d}" if k % 3 else str(k + 1)
+        groups[int(n_text)] = group
+        for j, cell in enumerate(group):
+            lines.append(f"{n_text},{j:0{1 + (j + k) % 3}d},{cell}")
+    path = tmp_path / "nodes.csv"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert len(cells) > 400 and max(len(line) for line in lines) > 50
+    loaded = _count_loadtxt_rows(monkeypatch)
+    back = read_nodal_csv(path)
+    assert loaded == []  # every row in the writer's grammar
+    assert list(back.nodes) == list(groups)
+    for n, group in groups.items():
+        assert back.nodes[n].tobytes() == np.array([float(c) for c in group]).tobytes()
+    # cells above pi, which a nodal file refuses, through the numpy parse alone
+    rows = ["1,0,9.007199254740993", "2,0,9.007199254740995", "3,0,9.999999999999999999",
+            "12345678,87654321,9.00000000000000000000001", "4,5,7.0", "6,7,3.14159265358979323846"]
+    ns, js, xs = nodal_io._written_rows("".join(row + "\r\n" for row in rows).encode())
+    for row, (n, j, x) in zip(rows, zip(ns.tolist(), js.tolist(), xs.tolist())):
+        cells = row.split(",")
+        assert (n, j, x) == (int(cells[0]), int(cells[1]), float(cells[2]))
+        assert np.float64(x).tobytes() == np.float64(float(cells[2])).tobytes()
+    # and a row outside that grammar leaves its piece to loadtxt
+    for row in (b"123456789,0,0.5\r\n", b"1,123456789,0.5\r\n", b",0,0.5\r\n", b"1,0,10.5\r\n",
+                b"1,,0.5\r\n", b"1,0,+1.0\r\n", b"1,0,1e-5\r\n", b"1,0,0.5\n", b"1,0,0.5",
+                b"1,0,0.5\r\r\n", b"1,0,0.5\r5\n2,0,0.5\r\n", b"12"):
+        assert nodal_io._written_rows(b"5,0,0.5\r\n" + row) is None, row
+
+
+def _split_lines(raw):
+    return re.split(r"\r\n|\r|\n", raw.decode())
+
+
+def _reference_read(raw):
+    """The source and nodes of a nodal CSV, parsed line by line in Python:
+    blank and comment lines dropped, then the header, then int, int, float
+    cells; lists in the order each n first appears."""
+    source, nodes = "numeric", {}
+    lines = [line for line in _split_lines(raw) if line.strip() and not line.strip().startswith("#")]
+    if any(line.strip().replace(" ", "") == "#source=synthetic" for line in _split_lines(raw)):
+        source = "synthetic"
+    for line in lines[1:]:
+        n, j, x = (cell.strip() for cell in line.split(","))
+        nodes.setdefault(int(n), {})[int(j)] = float(x)
+    return source, {n: np.array([xs[j] for j in sorted(xs)]) for n, xs in nodes.items()}
+
+
+def _written_lines(j0, size):
+    """Rows of n = 7 from position j0 on, in the writer's bytes, of about
+    `size` bytes in all."""
+    rows, total = [], 0
+    while total < size:
+        rows.append(f"7,{j0 + len(rows)},{0.1 + 1e-5 * (j0 + len(rows))!r}\r\n".encode())
+        total += len(rows[-1])
+    return rows
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r"], ids=["lf", "cr-only"])
+def test_read_hand_written_piece_between_written_pieces(tmp_path, newline, monkeypatch):
+    # the writer's rows for more than two pieces, then lines in other forms
+    # mid-file, then the writer's rows again: the file reads as a line by
+    # line parse reads it
+    first = _written_lines(0, 2 * nodal_io._CHUNK + 100)
+    hand = ["", "# a comment", " 5 ,\t1 , 1.5", "# source=synthetic", "5,0,5e-1", "4,0,+1.0", "  "]
+    last = _written_lines(len(first), nodal_io._CHUNK // 2)
+    raw = b"n,j,x\r\n" + b"".join(first) + newline.join(hand).encode() + newline.encode() + b"".join(last)
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(raw)
+    loaded = _count_loadtxt_rows(monkeypatch)
+    back = read_nodal_csv(path)
+    assert 3 <= len(loaded) < len(first) / 2  # the hand-written piece only
+    source, nodes = _reference_read(raw)
+    assert back.source == source == "synthetic"
+    assert list(back.nodes) == list(nodes) == [7, 5, 4]
+    for n, xs in nodes.items():
+        assert back.nodes[n].tobytes() == xs.tobytes()
+    assert back.nodes[7].size == len(first) + len(last)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ("7,x,0.5", "could not convert string 'x'"),
+    ("7,0,0.5,1", "the dtype passed requires 3 columns"),
+    ("7,0,1e-0.5", "could not convert string '1e-0.5'"),
+])
+def test_read_error_names_the_row_after_written_pieces(tmp_path, bad, reason):
+    rows = _written_lines(0, 3 * nodal_io._CHUNK)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# source=synthetic\nn,j,x\r\n" + b"".join(rows) + bad.encode() + b"\r\n"
+                     + b"".join(_written_lines(len(rows), 1000)))
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value).startswith(f"{path}:{len(rows) + 2}: {reason}")
 
 
 def test_read_memory_per_node(tmp_path, worked_synth_data):
