@@ -31,11 +31,12 @@ solves behind char_fn step over runs of _SPAN = 32 steps multiplied out
 (_compose): the same RK4 grid in 32 times fewer numpy calls, with results
 that differ from single steps by rounding only.  A product has degree 128,
 but at |lambda| h <= 0.2 the coefficients of high degree cannot reach the
-result.  So each block is multiplied out and applied only up to the cap C
-(_caps) past which a majorant of its terms (_majorant: the single steps'
-per-degree norms raised to the _SPAN-th power) sums to at most 2^-60 of
-the product's lambda-free term at the batch's max|lambda| (C = 23 on a
-search grid at |lambda| h = 0.05, 42 at the guard 0.2).  Maps in the
+result.  So each block of _BLOCK = 1024 steps is bounded, multiplied out
+and applied only up to the cap C (_caps) past which a majorant of its
+terms (_majorant: the single steps' per-degree norms raised to the
+_SPAN-th power) sums to at most 2^-60 of the product's lambda-free term
+at the batch's max|lambda| (C = 23 on a search grid at |lambda| h = 0.05,
+42 at the guard 0.2).  Maps in the
 coupled layout (more than 6 memory states, see _step_maps) are not
 composed: endpoint solves take their single steps.  An eigenvalue search
 builds its grid's single-step maps once (grid_maps) and passes them as
@@ -48,11 +49,11 @@ stage form from the query's state, on the coefficients of AugmentedSystem,
 and builds no maps.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
-each block of _BLOCK steps to a consumer: one stacks them into the full
-trajectories Z, the other (crossings=True) keeps only the sign changes of
-phi1 and the augmented states at their left grid nodes (Crossings), which
-is all node refinement needs; its memory grows with the nodes found, not
-with the grid.
+each slice of _SLICE = 128 steps of a block to a consumer: one stacks
+them into the full trajectories Z, the other (crossings=True) keeps only
+the sign changes of phi1 and the augmented states at their left grid
+nodes (Crossings), which is all node refinement needs; its memory grows
+with the nodes found, not with the grid.
 
 Resolution policy: the per-step phase |lambda| h may never exceed
 GUARD_LIMIT = 0.2 (hard precondition).  When the caller does not fix the
@@ -238,10 +239,17 @@ class AugmentedSystem:
 # ---------------------------------------------------------------------------
 # the stepper: each RK4 step as a polynomial map in lambda
 
-# steps whose maps are built at once (and a quarter of the node-refinement
-# queries stepped at once); bounds the builder's arrays independently of
-# the step count
-_BLOCK = 128
+# steps whose maps are built, bounded (_majorant) and composed at once; a
+# multiple of _SPAN, so the runs start at the same steps whatever its
+# value.  It bounds the builder's arrays independently of the step count,
+# and it is long enough that a search pays for arithmetic rather than
+# numpy calls (of 512, 1024 and 2048, 1024 timed fastest on cosine)
+_BLOCK = 1024
+# steps whose states a trajectory solve hands to its consumer at once, so
+# the states buffer stays small whatever _BLOCK is
+_SLICE = 128
+# node-refinement queries stepped at once (_single_steps)
+_QUERIES = 512
 # consecutive steps multiplied into one map for endpoint-only solves (a
 # power of two dividing _BLOCK), when the maps are in the plain layout;
 # chosen by timing searches with the maps cut at the degree the search's
@@ -429,11 +437,11 @@ def _cut(maps, h, lam_max):
 
 def _single_steps(system, z, lam, x0, x1):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
-    at lambda = lam[q], in stage form on the coefficients of system, 4 _BLOCK
+    at lambda = lam[q], in stage form on the coefficients of system, _QUERIES
     columns at a time.  Used by node refinement."""
     out = np.empty_like(z)
-    for lo in range(0, z.shape[1], 4 * _BLOCK):
-        sl = slice(lo, lo + 4 * _BLOCK)
+    for lo in range(0, z.shape[1], _QUERIES):
+        sl = slice(lo, lo + _QUERIES)
         a, b = x0[sl], x1[sl]
         h = (b - a)[:, None, None]
         (F0, Fm, F1), (B0, Bm, B1) = (np.split(c, 3) for c in system.coefficients(
@@ -518,7 +526,7 @@ def grid_maps(problem, points):
 
 
 class _Stack:
-    """Block consumer of _solve that stacks the blocks into Z: a
+    """Consumer of _solve that stacks the slices of states into Z: a
     BatchSolution."""
 
     def __init__(self, lam, n_steps, size):
@@ -557,16 +565,16 @@ class Crossings:
 
 
 class _CrossingScan:
-    """Block consumer of _solve that keeps the sign changes of phi1 and the
+    """Consumer of _solve that keeps the sign changes of phi1 and the
     states at their left nodes: Crossings.  Each column's crossing in the
-    last cell of a block is carried to the next block, so adjacent cells
-    across a block boundary are seen too."""
+    last cell of a slice is carried to the next slice, so adjacent cells
+    across a slice boundary are seen too."""
 
     def __init__(self, lam, n_steps, size):
         self.lam, self.points = lam, n_steps
-        self.last = np.zeros(lam.size, dtype=bool)  # a crossing in the previous block's last cell
+        self.last = np.zeros(lam.size, dtype=bool)  # a crossing in the previous slice's last cell
         self.adjacent = np.zeros(lam.size, dtype=bool)
-        self.found = []  # (cells, cols, states) per block
+        self.found = []  # (cells, cols, states) per slice
 
     def __call__(self, first, states):
         sign = np.where(states[0] >= 0, 1.0, -1.0)
@@ -588,8 +596,9 @@ def _solve(problem, lam, points, maps, consumer=None):
     """Check the arguments, then step over the uniform grid on [0, pi].
 
     With a consumer class (_Stack or _CrossingScan), the steps are single
-    steps, and each block's states, shape (2 + S, n + 1, B) with the block's
-    left and right grid nodes, are checked for magnitude and handed to
+    steps, and the states of each slice of _SLICE steps of a block, shape
+    (2 + S, n + 1, B) with the slice's left and right grid nodes, are
+    checked for magnitude and handed to
     consumer(lam, n_steps, 2 + S)(first step, states); returns the
     consumer's result().  Without, returns the endpoint states (2, B) over
     the maps composed in runs of _SPAN steps, each block composed in turn
@@ -623,18 +632,22 @@ def _solve(problem, lam, points, maps, consumer=None):
         terms = P.shape[-1] // P.shape[1]  # lambda^0..lambda^degree, the degree read off the maps
         if powers is None or powers.shape[0] < terms:
             powers = lam ** np.arange(terms)[:, None, None]
-        step = _stepper(block, powers[:terms])
-        states = None if consume is None else np.empty((size, P.shape[0] + 1, lam.size))
-        for i in range(P.shape[0]):
-            if states is not None:
-                states[:, i] = z
-            z = step(z, i)
-        if states is not None:
-            states[:, -1] = z
-            _check_magnitude(states[:2], lam)
-            consume(first, states)
-        first += P.shape[0]
-        del block, P, step, states  # free a built block's maps before the next is built
+        step, n = _stepper(block, powers[:terms]), P.shape[0]
+        if consume is None:
+            for i in range(n):
+                z = step(z, i)
+        else:
+            for lo in range(0, n, _SLICE):
+                hi = min(lo + _SLICE, n)
+                states = np.empty((size, hi - lo + 1, lam.size))
+                for i in range(lo, hi):
+                    states[:, i - lo] = z
+                    z = step(z, i)
+                states[:, -1] = z
+                _check_magnitude(states[:2], lam)
+                consume(first + lo, states)
+        first += n
+        del block, P, step  # free a built block's maps before the next is built
     if consume is None:
         _check_magnitude(z[:2], lam)
         return z[:2]
@@ -644,8 +657,8 @@ def _solve(problem, lam, points, maps, consumer=None):
 def solve_batch(problem, lam, points=None, *, maps=None, crossings=False):
     """Integrate the IVP for a batch of lambda values; returns BatchSolution.
     maps: a GridMaps of this problem and step count, or None to build them.
-    crossings=True returns the Crossings of phi1 instead, found block by
-    block while the solve runs, and stores no trajectory: memory
+    crossings=True returns the Crossings of phi1 instead, found slice by
+    slice while the solve runs, and stores no trajectory: memory
     O(crossings (2 + S)) in place of O(points B (2 + S))."""
     return _solve(problem, lam, points, maps, _CrossingScan if crossings else _Stack)
 

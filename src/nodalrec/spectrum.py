@@ -98,12 +98,25 @@ class NodalData:
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
             raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
-        for n, xs in self.nodes.items():
-            xs = np.asarray(xs, dtype=float)
-            if xs.size and not (np.all(np.diff(xs) > 0)):
-                raise ValueError(f"node list for n = {n} not strictly increasing")
-            if xs.size and not (xs[0] > 0.0 and xs[-1] < math.pi):
-                raise ValueError(f"node list for n = {n} leaves (0, pi)")
+        # every list in one pass over their concatenation; the first n in
+        # dict order that fails is reported, its order before its bounds
+        lists = [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
+        if not lists:
+            return
+        sizes = np.array([xs.size for xs in lists])
+        x = np.concatenate(lists)
+        ends = np.cumsum(sizes)
+        falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
+        falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
+        unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
+        full = np.flatnonzero(sizes)
+        outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
+        first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
+        n = None if first is None else list(self.nodes)[first]
+        if unsorted.size and unsorted[0] == first:
+            raise ValueError(f"node list for n = {n} not strictly increasing")
+        if first is not None:
+            raise ValueError(f"node list for n = {n} leaves (0, pi)")
 
     @property
     def indices(self):

@@ -216,11 +216,14 @@ def _kernel_kinds(cosine_problem, exp_kernel_problem):
 
 @pytest.mark.parametrize("phase", [0.05, 0.2])
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
-def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_problem):
+def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_problem,
+                                        monkeypatch):
     # the polynomial step maps against the four-stage RK4 of _rk4_oracle on
-    # the same grid (300 steps: two full blocks and a partial one), for a
-    # kernel-free problem, the separable cosine kernel and a separable one of
-    # 6 terms (maps on (y, W)), and the general exponential kernel (32 memory
+    # the same grid (300 steps: in blocks of 128, two full blocks and a
+    # partial one; at the default _BLOCK, one block whose states reach the
+    # consumer in two full slices and a partial one), for a kernel-free
+    # problem, the separable cosine kernel and a separable one of 6 terms
+    # (maps on (y, W)), and the general exponential kernel (32 memory
     # states, maps on (y, C W)); find_nodes refines with stage-form steps
     # from the states kept at the crossings
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
@@ -229,29 +232,34 @@ def test_step_maps_match_stage_form_rk4(kind, phase, cosine_problem, exp_kernel_
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0])
     bound = 1e-12 * max(1.0, lam * lam)
     Z = _rk4_oracle.solve(problem, lams, n_steps)
-    assert sup_err(solve_batch(problem, lams, points=n_steps).Z, Z) <= bound
-    assert sup_err(char_fn(problem, lams, points=n_steps),
-                   _rk4_oracle.char_fn(problem, lams, n_steps)) <= bound
-    nodes = find_nodes(problem, lam, points=n_steps)
     ref = _rk4_oracle.nodes(problem, lam, n_steps)
-    assert nodes.size == ref.size > 0
-    assert sup_err(nodes, ref) <= bound
+    for block in (128, forward._BLOCK):
+        monkeypatch.setattr(forward, "_BLOCK", block)
+        assert sup_err(solve_batch(problem, lams, points=n_steps).Z, Z) <= bound
+        assert sup_err(char_fn(problem, lams, points=n_steps),
+                       _rk4_oracle.char_fn(problem, lams, n_steps)) <= bound
+        nodes = find_nodes(problem, lam, points=n_steps)
+        assert nodes.size == ref.size > 0
+        assert sup_err(nodes, ref) <= bound
 
 
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
-def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem):
-    # maps built once for the grid (300 steps: two full blocks and a partial
-    # one) give exactly what a call building its own maps gives
+def test_grid_maps_equal_plain_calls(kind, cosine_problem, exp_kernel_problem, monkeypatch):
+    # maps built once for the grid (300 steps, in blocks of 128 and of the
+    # default _BLOCK) give exactly what a call building its own maps gives
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     n_steps = 300
     lams = np.array([17.5, -9.0, 4.25, 1.0, 0.0])
-    maps = grid_maps(problem, n_steps)
-    for fn in (char_fn, char_fn_normalized, endpoint_states):
-        assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
-                              fn(problem, lams, points=n_steps))
-    assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
-                          solve_batch(problem, lams, points=n_steps).Z)
-    assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0, points=n_steps)
+    for block in (128, forward._BLOCK):
+        monkeypatch.setattr(forward, "_BLOCK", block)
+        maps = grid_maps(problem, n_steps)
+        for fn in (char_fn, char_fn_normalized, endpoint_states):
+            assert np.array_equal(fn(problem, lams, points=n_steps, maps=maps),
+                                  fn(problem, lams, points=n_steps))
+        assert np.array_equal(solve_batch(problem, lams, points=n_steps, maps=maps).Z,
+                              solve_batch(problem, lams, points=n_steps).Z)
+        assert char_fn(problem, 6.0, points=n_steps, maps=maps) == char_fn(problem, 6.0,
+                                                                           points=n_steps)
 
 
 @pytest.mark.parametrize("n_steps, lams", [
@@ -305,9 +313,9 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
     # at full degree 4 _SPAN give the same endpoints to rounding.  Of the
     # 129 degrees of a product of 32 steps, 24 are applied at
     # |lambda| h = 0.05 (23 is the largest degree) and 43 at the guard.
-    # 1003 steps leave a padded last run
+    # Two full blocks and a partial one, which leaves a padded last run
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
-    n_steps = 1003
+    n_steps = 2 * forward._BLOCK + 43
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
     maps = grid_maps(problem, n_steps)
@@ -330,9 +338,9 @@ def test_majorant_bounds_the_dropped_coefficients(kind, cosine_problem, exp_kern
     # run of _SPAN steps is within its majorant, and the coefficients the
     # cap drops for a lambda bound sum to at most 2^-60 of the smallest
     # ||Q_0||, which the kept terms exceed.  Checked at the guard and on a
-    # search-like grid (|lambda| h = 0.05), 1003 steps
+    # search-like grid (|lambda| h = 0.05), two full blocks and a partial one
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
-    n_steps = 1003
+    n_steps = 2 * forward._BLOCK + 43
     h = PI / n_steps
     maps = grid_maps(problem, n_steps)
     for phase in (0.05, 0.2):
@@ -360,9 +368,9 @@ def test_capped_maps_match_single_steps(kind, phase, cosine_problem, exp_kernel_
     # an endpoint solve over the grid's maps composes each block of single
     # steps in turn, to the cap of the batch's max|lambda| (_cut): it gives
     # the endpoints of single steps to rounding, and those of a call without
-    # maps bit for bit
+    # maps bit for bit; two full blocks and a partial one
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
-    n_steps = 1003
+    n_steps = 2 * forward._BLOCK + 43
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
     bound = 1e-12 * np.maximum(1.0, lams * lams)
@@ -376,12 +384,12 @@ def test_capped_maps_match_single_steps(kind, phase, cosine_problem, exp_kernel_
     assert np.array_equal(end, endpoint_states(problem, lams, points=n_steps))
 
 
-@pytest.mark.parametrize("queries", [4 * forward._BLOCK - 1, 4 * forward._BLOCK,
-                                     4 * forward._BLOCK + 1])
+@pytest.mark.parametrize("queries", [forward._QUERIES - 1, forward._QUERIES,
+                                     forward._QUERIES + 1])
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_single_steps_match_stage_form_rk4(kind, queries, cosine_problem, exp_kernel_problem):
     # node refinement's steps, one per query from its own state, lambda and
-    # interval, taken in chunks of 4 _BLOCK queries, against the stage-form
+    # interval, taken in chunks of _QUERIES queries, against the stage-form
     # step of _rk4_oracle on each query
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     system = forward.AugmentedSystem(problem)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.polynomial import chebyshev
 
 import nodalrec.forward as forward
@@ -151,6 +153,58 @@ def test_nodal_container_guards():
         NodalData(nodes={5: np.array([0.5])}, source="guessed")
 
 
+def _first_bad_list(nodes):
+    """The ValueError message NodalData gives for nodes, or None, by an
+    independent check of one list at a time in dict order."""
+    for n, xs in nodes.items():
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            if xs.size and not np.all(np.diff(xs) > 0):
+                return f"node list for n = {n} not strictly increasing"
+        if xs.size and not (xs[0] > 0.0 and xs[-1] < math.pi):
+            return f"node list for n = {n} leaves (0, pi)"
+    return None
+
+
+def _nodal_data_error(nodes):
+    try:
+        NodalData(nodes=nodes)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_nodal_container_names_the_first_bad_list():
+    # the 951 lists of n = 50..1000 are checked at once; a bad list among
+    # them is named by the order check before the bounds check, and of two
+    # bad lists the first in dict order
+    nodes = {n: math.pi * np.arange(1, n) / n for n in range(50, 1001)}
+    assert _nodal_data_error(nodes) is None
+    for edit in ({500: nodes[500][::-1]},
+                 {500: nodes[500] + 0.01},
+                 {500: np.append(-1.0, nodes[500][::-1])},  # both faults
+                 {500: nodes[500] - 0.01, 600: nodes[600][::-1]},
+                 {500: np.array([]), 501: np.array([math.nan]), 502: nodes[502][::-1]},
+                 {1000: np.append(nodes[1000], math.pi)}):
+        message = _first_bad_list({**nodes, **edit})
+        assert message is not None and _nodal_data_error({**nodes, **edit}) == message
+    assert _nodal_data_error(dict(reversed({**nodes, 300: nodes[300][::-1],
+                                            700: nodes[700] - 1.0}.items()))) == (
+        "node list for n = 700 leaves (0, pi)")
+
+
+_node_value = st.one_of(st.floats(-0.5, 3.5), st.sampled_from(
+    [0.0, -0.0, math.pi, math.nan, math.inf, -math.inf, 5e-324, np.nextafter(math.pi, 0.0)]))
+
+
+@given(st.dictionaries(st.integers(1, 60), st.tuples(st.lists(_node_value, max_size=6),
+                                                     st.booleans()), max_size=8))
+def test_nodal_container_checks_like_one_list_at_a_time(drawn):
+    nodes = {n: np.sort(xs) if ordered else np.array(xs, dtype=float)
+             for n, (xs, ordered) in drawn.items()}
+    assert _nodal_data_error(nodes) == _first_bad_list(nodes)
+
+
 def test_find_nodes_requires_resolution(worked_problem):
     with pytest.raises(ResolutionError):
         find_nodes(worked_problem, 40.0, points=64)
@@ -199,12 +253,14 @@ def _reference_nodes(problem, lams, points):
 
 @pytest.mark.parametrize("which", ["cosine", "mass"])
 def test_streamed_nodes_equal_stored_trajectory_scan(which, cosine_problem):
-    # 1000 steps are 7 full blocks of 128 and a partial one of 104
+    # a full block and a partial one of 1000 steps, each handed to the scan
+    # in slices of _SLICE = 128 steps, the last of 104
     problem = {"cosine": cosine_problem, "mass": constant_mass_problem()}[which]
-    data = nodal_data(problem, (20, 40), points=1000)
+    points = forward._BLOCK + 1000
+    data = nodal_data(problem, (20, 40), points=points)
     assert data.indices == list(range(20, 41)) and not data.failures
     lams = [data.eigenvalues[n] for n in data.indices]
-    for n, ref in zip(data.indices, _reference_nodes(problem, lams, 1000)):
+    for n, ref in zip(data.indices, _reference_nodes(problem, lams, points)):
         assert np.array_equal(data.nodes[n], ref), n
 
 
@@ -264,19 +320,27 @@ def test_adjacent_sign_changes_fail_only_their_column(free_prob, monkeypatch):
 
 
 def test_adjacent_sign_changes_across_a_block_boundary(free_prob, monkeypatch):
-    # node 128 closes the first block of 128 steps and opens the second, so
-    # cell 127 is the first block's last and cell 128 the second's first
+    # node k closes one slice of states that the crossing scan receives and
+    # opens the next (at k = _BLOCK also one block of maps and the next), so
+    # cell k - 1 is the first slice's last and cell k the second's first
     lams = [5.0, 6.0, 7.0]
-    phi1 = solve_batch(free_prob, lams, points=1000).Y[0, 127:130]
-    assert (np.abs(np.diff(np.sign(phi1), axis=0)).sum(axis=0) == 0).all()
-    clean = _streamed_nodes(free_prob, lams, 1000)
-    _plant_adjacent_sign_changes(monkeypatch, 2, 128)
-    out = _streamed_nodes(free_prob, lams, 1000)
-    assert isinstance(out[2], ResolutionError)
-    assert out[2].required_points == 2000
-    assert "lambda = 7;" in str(out[2])
-    for b in (0, 1):
-        assert np.array_equal(out[b], clean[b])
+    scan = forward._CrossingScan.__call__
+    for points, k in ((1000, forward._SLICE), (2000, forward._BLOCK)):
+        monkeypatch.setattr(forward._CrossingScan, "__call__", scan)
+        phi1 = solve_batch(free_prob, lams, points=points).Y[0, k - 1 : k + 2]
+        assert (np.abs(np.diff(np.sign(phi1), axis=0)).sum(axis=0) == 0).all()
+        clean = _streamed_nodes(free_prob, lams, points)
+        _plant_adjacent_sign_changes(monkeypatch, 2, k)
+        firsts, planted = [], forward._CrossingScan.__call__
+        monkeypatch.setattr(forward._CrossingScan, "__call__", lambda self, first, states:
+                            firsts.append(first) or planted(self, first, states))
+        out = _streamed_nodes(free_prob, lams, points)
+        assert k in firsts  # a slice starts at node k
+        assert isinstance(out[2], ResolutionError)
+        assert out[2].required_points == 2 * points
+        assert "lambda = 7;" in str(out[2])
+        for b in (0, 1):
+            assert np.array_equal(out[b], clean[b])
 
 
 def test_nodal_data_records_underresolved_column(free_prob, monkeypatch):
@@ -446,9 +510,9 @@ def test_eigenvalues_lie_in_sign_changes_of_stage_form_rk4(which, n_range, cosin
 
 
 def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
-    # the search grid's step maps are built once, 128 steps at a time, and
-    # serve the scan, every update and nodal_data's trajectory solve; node
-    # refinement steps each query in stage form and builds no maps at all
+    # the search grid's step maps are built once, _BLOCK steps at a time,
+    # and serve the scan, every update and nodal_data's trajectory solve;
+    # node refinement steps each query in stage form and builds no maps at all
     grid = []
     original = forward._step_maps
 
@@ -457,13 +521,48 @@ def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
         return original(system, x0, x1, h)
 
     monkeypatch.setattr(forward, "_step_maps", counted)
-    blocks = [128] * 7 + [104]  # ceil(1000 / 128) blocks
-    compute_spectrum(worked_problem, (20, 30), points=1000)
+    blocks = [forward._BLOCK] * 2 + [104]  # two full blocks and a partial one
+    compute_spectrum(worked_problem, (20, 30), points=sum(blocks))
     assert grid == blocks
     grid.clear()
-    data = nodal_data(worked_problem, (20, 30), points=1000)
+    data = nodal_data(worked_problem, (20, 30), points=sum(blocks))
     assert grid == blocks
     assert data.indices == list(range(20, 31)) and not data.failures
+
+
+@pytest.mark.parametrize("which, n_range", [
+    ("cosine", (20, 120)), ("worked", (20, 60)), ("mass", (5, 120)), ("general", (8, 12)),
+])
+def test_block_length_changes_no_result(which, n_range, cosine_problem, worked_problem,
+                                        exp_kernel_problem, monkeypatch):
+    # the maps are built, bounded and composed _BLOCK steps at a time, in
+    # runs of _SPAN steps that start at the same steps whatever _BLOCK is,
+    # and trajectory states reach their consumer in slices of _SLICE steps:
+    # the eigenvalues, residuals, nodes and failures are bit for bit those
+    # of 128-step blocks, and nodal_data's traced peak grows by at most half
+    problem = {"cosine": cosine_problem, "worked": worked_problem,
+               "mass": constant_mass_problem(), "general": exp_kernel_problem}[which]
+    runs = []
+    for block in (forward._BLOCK, 128):
+        monkeypatch.setattr(forward, "_BLOCK", block)
+        spec = compute_spectrum(problem, n_range)
+        tracemalloc.start()
+        try:
+            data = nodal_data(problem, n_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((spec, data, peak))
+    (spec, data, peak), (ref_spec, ref_data, ref_peak) = runs
+    assert spec.indices == ref_spec.indices == data.indices == ref_data.indices
+    for got, ref in ((spec.entries, ref_spec.entries), (spec.residuals, ref_spec.residuals),
+                     (data.eigenvalues, ref_data.eigenvalues)):
+        assert np.array_equal([got[n] for n in spec.indices], [ref[n] for n in spec.indices])
+    for n in data.indices:
+        assert np.array_equal(data.nodes[n], ref_data.nodes[n]), n
+    assert data.failures == ref_data.failures
+    if which == "cosine":
+        assert peak <= 1.5 * ref_peak, (peak, ref_peak)
 
 
 def test_nodal_data_frees_grid_maps_before_node_refinement(worked_problem, monkeypatch):
