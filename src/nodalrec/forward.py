@@ -38,7 +38,8 @@ _SPAN-th power) sums to at most 2^-60 of the product's lambda-free term
 at the batch's max|lambda| (C = 23 on a search grid at |lambda| h = 0.05,
 42 at the guard 0.2).  Maps in the
 coupled layout (more than 6 memory states, see _step_maps) are not
-composed: endpoint solves take their single steps.  An eigenvalue search
+composed: endpoint solves take their single steps, and the maps are built
+_SLICE steps at a time.  An eigenvalue search
 builds its grid's single-step maps once (grid_maps) and passes them as
 maps= to its one batched evaluation, which composes each block in turn,
 capped for its batch (_cut), and to nodal_data's trajectory solve, after
@@ -261,6 +262,11 @@ _CUTOFF = 2.0**-60
 _J = np.array([-1.0, 1.0])[:, None, None]  # J y = _J * (y2, y1), J = ((0, -1), (1, 0))
 
 
+def _coupled(size):
+    """Whether _step_maps keeps z = (y, W) of this size in the coupled layout."""
+    return size > 8  # z is longer than v = (y, C0 W, Cm W, C1 W)
+
+
 def _step_maps(system, x0, x1, h):
     """RK4 steps from x0 to x1 (n steps of length h) as maps with leading
     axis n, polynomial of degree 4 in lambda.
@@ -285,7 +291,7 @@ def _step_maps(system, x0, x1, h):
     BB = np.concatenate(np.split(B, 3), axis=2)
     del F, B  # the maps' own arrays are all that outlives this point
     (C0, Cm, C1), (B0, Bm, B1) = np.split(CC, 3, axis=1), np.split(BB, 3, axis=2)
-    coupled = S > 6  # z = (y, W) is longer than v = (y, C0 W, Cm W, C1 W)
+    coupled = _coupled(2 + S)
     D = 8 if coupled else 2 + S
 
     # a linear form has axes (degree in lambda, row, entry of the input, step)
@@ -493,10 +499,12 @@ def _check_resolution(lam, points):
 
 def _map_blocks(system, n_steps):
     """The maps from _step_maps of each block of _BLOCK steps of the uniform
-    grid of n_steps steps on [0, pi], built as they are taken."""
+    grid of n_steps steps on [0, pi], built as they are taken; _SLICE steps
+    in the coupled layout, which is never composed (smaller temporaries)."""
     h = math.pi / n_steps
-    for lo in range(0, n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, n_steps)
+    block = _SLICE if _coupled(system.size) else _BLOCK
+    for lo in range(0, n_steps, block):
+        hi = min(lo + block, n_steps)
         x = np.arange(lo, hi + 1) * h  # the nodes of np.linspace(0, pi, n_steps + 1)
         if hi == n_steps:
             x[-1] = math.pi

@@ -1,15 +1,16 @@
 """Eigenvalues as zeros of the characteristic function, and nodal points as
 zeros of the first solution component.
 
-Eigenvalue search per index n: seed at the closed-form asymptote, and take
-the window of half-width SCAN_HALF_WIDTH = 0.45 around it (eigenvalues sit
-asymptotically 1 apart, so the window isolates one root).  One batched
-characteristic-function evaluation at WINDOW_POINTS = 16 Chebyshev points of
-every window gives each window's Chebyshev interpolant of Delta / (1 +
-lambda^2), and the real roots of the interpolants come from their colleague
-matrices (Good 1961; Battles & Trefethen 2004).  A window must hold exactly
-one.  The interpolant's last two coefficients estimate its error, which
-bounds the root's error (tol) and |Delta(lambda_n)| (the residual).
+Eigenvalue search: a root within SCAN_HALF_WIDTH = 0.45 of n's closed-form
+seed is n's (eigenvalues sit asymptotically 1 apart).  One batched
+characteristic-function evaluation at 56 Chebyshev points of one window per
+group of 16 indices (n // 16 = k) gives each window's interpolant of Delta /
+(1 + lambda^2), whose real roots come from its colleague matrix (Good 1961;
+Battles & Trefethen 2004; Boyd 2013).  A window counts when each seed owns
+one root and each root one seed; the indices of any other are searched again
+on windows seed +- 0.45 of 16 points, in one more evaluation.  The last two
+coefficients estimate the interpolant's error, which bounds the root's
+error (tol) and |Delta(lambda_n)| (the residual).
 
 Nodes are grid sign changes of phi1, found block by block while the
 trajectory solve runs (solve_batch(..., crossings=True)), and refined by a
@@ -27,15 +28,19 @@ import numpy as np
 from .asymptotics import lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
-    AugmentedSystem, _chebyshev, _single_steps, char_fn_normalized, grid_maps, resolution_points,
-    solve_batch,
+    GUARD_LIMIT, AugmentedSystem, _chebyshev, _single_steps, char_fn_normalized, grid_maps,
+    resolution_points, solve_batch,
 )
 
 N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
-# Chebyshev points per search window: 16 terms of Delta / (1 + lambda^2)
-# reach rounding on a window of width 0.9 (12 leave tails near 1e-11)
+# Chebyshev points per single-seed window: 16 terms of Delta / (1 +
+# lambda^2) reach rounding at width 0.9 (12 leave tails near 1e-11)
 WINDOW_POINTS = 16
+# a wide window holds the GROUP indices with n // GROUP = k; Delta is of
+# exponential type pi, so on width w its coefficients fall off past degree
+# about pi w / 2: 56 reach rounding at width 17 (48 leave tails near 4e-9)
+GROUP, WIDE_POINTS = 16, 56
 # a root of a window's interpolant within this of the real segment [-1, 1]
 # (in the window's variable) is a real root in the window
 _REAL_TOL = 1e-8
@@ -212,17 +217,53 @@ def _slopes(coeffs, u):
     return out
 
 
+def _windows(problem, seeds, groups, reach, K, maps):
+    """One window per group of consecutive seeds (positions in seeds),
+    reaching `reach` past its first and last seed, evaluated in one batch at
+    K first-kind Chebyshev points each; the real roots of each window's
+    interpolant p of Delta / (1 + lambda^2) (analytic on the real axis,
+    unlike Delta / max(1, lambda^2)) from its colleague matrix.  A root
+    belongs to each seed within SCAN_HALF_WIDTH of it.  Returns found[i] =
+    (roots of seed i, a lone root's estimated error tail / |dp/dlambda|, the
+    window's tail |c_{K-2}| + |c_{K-1}|) for each seed of the groups, and the
+    seeds of the windows where each seed owns one root and each root one seed."""
+    if not groups:
+        return {}, set()
+    first, last = seeds[[g[0] for g in groups]], seeds[[g[-1] for g in groups]]
+    center, radius = 0.5 * (first + last), 0.5 * (last - first) + reach
+    nodes, to_coeffs = _chebyshev(K)
+    u = 2.0 * nodes / math.pi - 1.0  # the first-kind Chebyshev points in (-1, 1)
+    lam = center[:, None] + radius[:, None] * u
+    vals = char_fn_normalized(problem, lam.ravel(), points=maps.points, maps=maps).reshape(lam.shape)
+    coeffs = to_coeffs @ (vals * np.maximum(1.0, lam * lam) / (1.0 + lam * lam)).T
+    tail = np.abs(coeffs[-2:]).sum(axis=0)  # bounds |p - Delta / (1 + lambda^2)|, by estimate
+    found, accepted = {}, set()
+    windows = _window_roots(coeffs)
+    sizes = [roots.size for roots in windows]
+    win = np.repeat(np.arange(len(groups)), sizes)
+    slopes = np.abs(_slopes(coeffs[:, win], np.concatenate(windows))) / radius[win]  # |dp/dlambda|
+    slopes = np.split(slopes, np.cumsum(sizes)[:-1])
+    for w, (group, roots, slope) in enumerate(zip(groups, windows, slopes)):
+        cands = center[w] + radius[w] * roots
+        # within _REAL_TOL, as a root counts as inside its window
+        own = np.abs(cands[:, None] - seeds[group]) <= SCAN_HALF_WIDTH * (1.0 + _REAL_TOL)
+        for j, i in enumerate(group):
+            lone = slope[own[:, j]][0] if own[:, j].sum() == 1 else 0.0
+            found[i] = (cands[own[:, j]], float(tail[w] / lone) if lone else math.inf, tail[w])
+        if (own.sum(axis=0) == 1).all() and (own.sum(axis=1) == 1).all():
+            accepted.update(group)
+    return found, accepted
+
+
 def _search(problem, n_range, tol, points):
-    """Shared engine: argument checks, then one batched evaluation of the
-    normalized characteristic function at WINDOW_POINTS Chebyshev points of
-    each window seed +- SCAN_HALF_WIDTH.  On each window, Delta / (1 +
-    lambda^2) (analytic on the real axis, unlike Delta / max(1, lambda^2))
-    is interpolated, and its real roots are those of the colleague matrix.
-    A window with no real root is that n's BracketingError, one with more
-    than one, or whose root leaves the corridor (see Spectrum), its
-    AmbiguityError: its index is not certain.  The root's error is
-    estimated by the last two coefficients over the slope; above tol / 4 it
-    is that n's ResolutionError.
+    """Shared engine: argument checks, then the windows (_windows): one per
+    lattice group {n >= N_MIN : n // GROUP = k} the range touches, evaluated
+    whole, so lambda_n does not depend on where the range starts; then one
+    per index of the groups not accepted (or past GUARD_LIMIT on the grid,
+    which is sized for the range's largest seed), seed +- SCAN_HALF_WIDTH.
+    An n that owns no root is that n's BracketingError; more than one, or a
+    root outside the corridor (see Spectrum), its AmbiguityError: its index
+    is not certain; an estimated error above tol / 4, its ResolutionError.
 
     Returns (spectrum, failures, maps): the Spectrum of the n found, the
     failures by n, and the GridMaps of the grid searched on.
@@ -234,35 +275,33 @@ def _search(problem, n_range, tol, points):
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    ns = list(range(n_lo, n_hi + 1))
-    seeds = lambda_asym(problem, np.array(ns))
+    ns = np.arange(max(N_MIN, n_lo - n_lo % GROUP), n_hi - n_hi % GROUP + GROUP)
+    seeds = lambda_asym(problem, ns)
+    inside = np.flatnonzero((ns >= n_lo) & (ns <= n_hi))
     n_steps = points if points is not None else resolution_points(
-        float(np.max(np.abs(seeds))) + SCAN_HALF_WIDTH)  # every lambda the search evaluates
+        float(np.max(np.abs(seeds[inside]))) + SCAN_HALF_WIDTH)
     maps = grid_maps(problem, n_steps)
 
-    nodes, to_coeffs = _chebyshev(WINDOW_POINTS)
-    u = 2.0 * nodes / math.pi - 1.0  # the first-kind Chebyshev points in (-1, 1)
-    lam = seeds[:, None] + SCAN_HALF_WIDTH * u
-    vals = char_fn_normalized(problem, lam.ravel(), points=n_steps, maps=maps).reshape(lam.shape)
-    coeffs = to_coeffs @ (vals * np.maximum(1.0, lam * lam) / (1.0 + lam * lam)).T
-    tail = np.abs(coeffs[-2:]).sum(axis=0)  # bounds |p - Delta / (1 + lambda^2)|, by estimate
-    windows = _window_roots(coeffs)
-    at = np.array([roots[0] if roots.size == 1 else 0.0 for roots in windows])
-    slopes = np.abs(_slopes(coeffs, at)) / SCAN_HALF_WIDTH  # |dp/dlambda| at the lone roots
+    top = GUARD_LIMIT * n_steps / math.pi - 0.5  # the largest seed a wide window may end at
+    groups = [g.tolist() for g in np.split(np.arange(ns.size), np.flatnonzero(np.diff(ns // GROUP)) + 1)
+              if max(abs(seeds[g[0]]), abs(seeds[g[-1]])) <= top]
+    found, accepted = _windows(problem, seeds, groups, 0.5, WIDE_POINTS, maps)
+    found.update(_windows(problem, seeds, [[i] for i in inside.tolist() if i not in accepted],
+                          SCAN_HALF_WIDTH, WINDOW_POINTS, maps)[0])
 
     failures, entries, residuals = {}, {}, {}
     offset = (problem.bc.beta - problem.bc.theta) / math.pi
-    for k, (n, roots) in enumerate(zip(ns, windows)):
-        if roots.size == 0:
+    for k in inside.tolist():
+        n, (cands, err, tail) = int(ns[k]), found[k]
+        if cands.size == 0:
             failures[n] = BracketingError(
                 f"no real root of the normalized characteristic function in "
                 f"[{seeds[k] - SCAN_HALF_WIDTH:.6g}, {seeds[k] + SCAN_HALF_WIDTH:.6g}] "
                 f"for n = {n}", index=n)
             continue
-        cands = seeds[k] + SCAN_HALF_WIDTH * roots
-        if roots.size > 1:
+        if cands.size > 1:
             failures[n] = AmbiguityError(
-                f"{roots.size} sign changes in the search window for n = {n}; "
+                f"{cands.size} sign changes in the search window for n = {n}; "
                 f"candidate roots {', '.join(f'{c:.6g}' for c in cands)}")
             continue
         lam_n = float(cands[0])
@@ -270,13 +309,12 @@ def _search(problem, n_range, tol, points):
         if miss:
             failures[n] = AmbiguityError(miss)
             continue
-        err = float(tail[k] / slopes[k]) if slopes[k] else math.inf
         if not err <= tol / 4.0:
             failures[n] = ResolutionError(
                 f"lambda_{n} = {lam_n:.6g} carries an estimated error {err:.2g} above "
                 f"tol/4 = {tol / 4.0:.2g} (the Chebyshev tail of its window)")
             continue
-        entries[n], residuals[n] = lam_n, float((1.0 + lam_n * lam_n) * tail[k])
+        entries[n], residuals[n] = lam_n, float((1.0 + lam_n * lam_n) * tail)
     return Spectrum(entries, residuals, offset), failures, maps
 
 

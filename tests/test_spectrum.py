@@ -627,6 +627,91 @@ def test_root_outside_the_corridor_is_ambiguous():
 
 
 # ---------------------------------------------------------------------------
+# wide search windows against single-seed windows
+
+
+def _single_seed_windows(monkeypatch):
+    """Accept no wide window, so every n is searched on its own window
+    seed +- SCAN_HALF_WIDTH, the fallback of the search."""
+    wide = spectrum._windows
+    monkeypatch.setattr(spectrum, "_windows", lambda *args: (wide(*args)[0], set()))
+
+
+def _complex_pair_doc(c):
+    # theta = 0.2, beta = 0.1, m = 0.5, chi11 = chi22 = chi12 = c exp(-(x - t))
+    # and chi21 = -c: at c = 5 a pair 5.89 +- 0.48i sits where lambda_6 and
+    # lambda_7 are expected
+    return {"bc": {"theta": 0.2, "beta": 0.1}, "coeffs": {"m": 0.5, "chi_separable": {
+        **{label: [{"a": f"{c}*exp(-x)", "b": "exp(t)"}] for label in ("11", "12", "22")},
+        "21": [{"a": f"{-c}", "b": "1"}],
+    }}}
+
+
+@pytest.mark.parametrize("which, n_range, later", [
+    ("cosine", (20, 120), (37, 120)), ("mass", (5, 120), (21, 120)),
+])
+def test_eigenvalues_do_not_depend_on_the_range_start(which, n_range, later, cosine_problem):
+    # every lattice group of indices the range touches is searched whole,
+    # so at the same n_max, lambda_n and its residual are bit for bit the
+    # same whatever the range starts at
+    problem = {"cosine": cosine_problem, "mass": constant_mass_problem()}[which]
+    full, part = compute_spectrum(problem, n_range), compute_spectrum(problem, later)
+    assert part.indices == list(range(later[0], later[1] + 1))
+    for n in part.indices:
+        assert full.entries[n] == part.entries[n], n
+        assert full.residuals[n] == part.residuals[n], n
+
+
+@pytest.mark.parametrize("which, n_range", [
+    ("cosine", (20, 120)), ("worked", (5, 120)), ("mass", (5, 120)), ("general", (8, 12)),
+])
+def test_wide_windows_agree_with_single_seed_windows(which, n_range, cosine_problem, worked_problem,
+                                                    exp_kernel_problem, monkeypatch):
+    problem = {"cosine": cosine_problem, "worked": worked_problem,
+               "mass": constant_mass_problem(), "general": exp_kernel_problem}[which]
+    wide = compute_spectrum(problem, n_range)
+    _single_seed_windows(monkeypatch)
+    single = compute_spectrum(problem, n_range)
+    assert wide.indices == single.indices == list(range(n_range[0], n_range[1] + 1))
+    assert sup([wide.entries[n] - single.entries[n] for n in wide.indices]) <= 1e-12
+
+
+def test_search_evaluates_under_a_third_of_the_single_seed_lambdas(cosine_problem, monkeypatch):
+    # cosine n = 20..120 on single-seed windows evaluates 101 windows x 16
+    # points = 1616 lambda; the wide windows evaluate at most 30 % of that,
+    # in one call
+    counts = []
+    original = forward.char_fn_normalized
+    monkeypatch.setattr(spectrum, "char_fn_normalized",
+                        lambda problem, lam, *a, **k: counts.append(np.size(lam))
+                        or original(problem, lam, *a, **k))
+    spec = compute_spectrum(cosine_problem, (20, 120))
+    assert spec.indices == list(range(20, 121))
+    assert len(counts) == 1 and counts[0] <= 0.3 * 1616, counts
+
+
+@pytest.mark.parametrize("doc, n_range, failing", [
+    (_complex_pair_doc(5), (5, 15), [5, 6, 7]),
+    ({"bc": {"theta": 0.3, "beta": 0.1}, "coeffs": {"m": 6}}, (5, 40), [7]),
+    ({"bc": {"theta": 0.3, "beta": 0.1, "b1": 200}}, (5, 40), [12]),
+    ({"bc": {"theta": 0.3, "beta": 0.1, "d2": 30}}, (5, 40), [5]),
+    (CORRIDOR_DOC, (5, 40), [5]),
+], ids=["complex-pair", "m6", "b1", "d2", "corridor"])
+def test_hostile_problems_fail_as_on_single_seed_windows(doc, n_range, failing, monkeypatch):
+    # where the seeds mislabel the spectrum, or eigenvalues are not real, the
+    # wide windows are not accepted and each n fails, with the same category
+    # and message, as on its own single-seed window
+    problem = problem_from_mapping(doc)
+    data = nodal_data(problem, n_range)
+    _single_seed_windows(monkeypatch)
+    ref = nodal_data(problem, n_range)
+    assert set(failing) <= set(data.failures)
+    assert data.failures == ref.failures
+    assert sorted(data.eigenvalues) == sorted(ref.eigenvalues)
+    assert sup([data.eigenvalues[n] - ref.eigenvalues[n] for n in data.eigenvalues] + [0.0]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # node refinement against a bisection oracle
 
 
