@@ -237,12 +237,12 @@ def _windows(problem, seeds, groups, reach, K, maps):
     vals = char_fn_normalized(problem, lam.ravel(), points=maps.points, maps=maps).reshape(lam.shape)
     coeffs = to_coeffs @ (vals * np.maximum(1.0, lam * lam) / (1.0 + lam * lam)).T
     tail = np.abs(coeffs[-2:]).sum(axis=0)  # bounds |p - Delta / (1 + lambda^2)|, by estimate
-    found, accepted = {}, set()
     windows = _window_roots(coeffs)
     sizes = [roots.size for roots in windows]
     win = np.repeat(np.arange(len(groups)), sizes)
     slopes = np.abs(_slopes(coeffs[:, win], np.concatenate(windows))) / radius[win]  # |dp/dlambda|
     slopes = np.split(slopes, np.cumsum(sizes)[:-1])
+    found, accepted = {}, set()
     for w, (group, roots, slope) in enumerate(zip(groups, windows, slopes)):
         cands = center[w] + radius[w] * roots
         # within _REAL_TOL, as a root counts as inside its window

@@ -676,7 +676,18 @@ def test_wide_windows_agree_with_single_seed_windows(which, n_range, cosine_prob
     assert sup([wide.entries[n] - single.entries[n] for n in wide.indices]) <= 1e-12
 
 
-def test_search_evaluates_under_a_third_of_the_single_seed_lambdas(cosine_problem, monkeypatch):
+def test_wide_window_past_the_guard_falls_back(cosine_problem, monkeypatch):
+    # on 1600 steps the guard |lambda| h <= 0.2 admits lambda_100 + 0.45, but
+    # not the wide window of its group n = 96..111: that group is searched on
+    # single-seed windows, not refused
+    spec = compute_spectrum(cosine_problem, (90, 100), points=1600)
+    _single_seed_windows(monkeypatch)
+    ref = compute_spectrum(cosine_problem, (90, 100), points=1600)
+    assert spec.indices == ref.indices == list(range(90, 101))
+    assert sup([spec.entries[n] - ref.entries[n] for n in spec.indices]) <= 1e-12
+
+
+def test_wide_windows_evaluate_at_most_30_percent_of_the_lambdas(cosine_problem, monkeypatch):
     # cosine n = 20..120 on single-seed windows evaluates 101 windows x 16
     # points = 1616 lambda; the wide windows evaluate at most 30 % of that,
     # in one call
