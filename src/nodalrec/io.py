@@ -81,7 +81,9 @@ _SCALES = np.array([1e20, 1e19, 1e18, 1e17, 1e16])  # 10**(16 - e), exact
 # goes in the null byte
 _HEADS = np.frombuffer(
     b"0.000\0\0\0" b"0.00\0\0\0\0" b"0.0\0\0\0\0\0" b"0.\0\0\0\0\0\0" b"\0.\0\0\0\0\0\0", np.uint64)
-_WIDTH = 24  # bytes of a cell of _shortest: 7 before the 17 digits
+# bytes of a cell of _shortest: 7 before the 17 digits; also the longest
+# repr of any double (sign, 17 digits, ".", "e-308"), so every cell fits
+_WIDTH = 24
 
 
 def _chunks(data):
@@ -214,8 +216,6 @@ def _shortest(x):
     if slow.size:
         text = np.array([repr(v) for v in x[slow].tolist()], dtype=bytes)
         width = text.dtype.itemsize
-        if width > _WIDTH:
-            cells = np.pad(cells, ((0, 0), (0, width - _WIDTH)))
         cells[slow] = 0
         cells[slow, :width] = text.view(np.uint8).reshape(-1, width)
     return cells

@@ -13,11 +13,13 @@ coefficients estimate the interpolant's error, which bounds the root's
 error (tol) and |Delta(lambda_n)| (the residual).
 
 Nodes are grid sign changes of phi1, found block by block while the
-trajectory solve runs (solve_batch(..., crossings=True)), and refined by a
-bracketed Illinois update; each refinement query is one stage-form RK4
-step of the forward solver's scheme (forward._single_steps) from the exact
-augmented state (solution pair and memory states) kept at the cell's left
-node.  No trajectory is stored, and refinement builds no step maps.
+trajectory solve runs (solve_batch(..., crossings=True)).  One function
+(_nodes_from_crossings) refines them by a bracketed Illinois update,
+_REFINE_CHUNK crossings at a time, and cuts the roots into per-column
+lists; each refinement query is one stage-form RK4 step of the forward
+solver's scheme (forward._single_steps) from the exact augmented state
+(solution pair and memory states) kept at the cell's left node.  No
+trajectory is stored, and refinement builds no step maps.
 """
 
 import math
@@ -337,15 +339,18 @@ def find_eigenvalue(problem, n, tol=1e-9, points=None):
 # nodes
 
 
-def _refine_nodes(problem, found, keep):
-    """Bracketed refinement to NODE_TOL of the phi1 zeros in the cells of the
-    crossings found[keep] (a Crossings and a boolean mask over them); each
-    query is one stage-form RK4 step from the exact augmented state at the
-    cell's left node.  The crossings are refined _REFINE_CHUNK at a time;
-    each bracket shrinks on its own, so the chunks change no result.
-    Returns the refined positions, in order."""
+def _nodes_from_crossings(problem, found):
+    """Per-column node lists from a Crossings.  A column whose phi1 changes
+    sign in two adjacent cells (node spacing < 2h cannot be trusted) comes
+    back as a ResolutionError in place of its list.  The crossings of the
+    other columns are refined to NODE_TOL, _REFINE_CHUNK at a time (each
+    bracket shrinks on its own, so the chunks change no result); each query
+    is one stage-form RK4 step from the exact augmented state at the cell's
+    left node.  Crossings come ordered by column, then cell, and each root
+    stays in its cell, so splitting the roots at the column boundaries gives
+    ascending lists."""
     system, h = AugmentedSystem(problem), found.step
-    picked = np.flatnonzero(keep)
+    picked = np.flatnonzero(~found.adjacent[found.cols])
     roots = np.empty(picked.size)
     for lo in range(0, picked.size, _REFINE_CHUNK):
         sel = picked[lo : lo + _REFINE_CHUNK]
@@ -357,30 +362,11 @@ def _refine_nodes(problem, found, keep):
 
         right = phi1_at(xL + h, slice(None))
         roots[lo : lo + sel.size] = _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]
-    return roots
-
-
-def _nodes_from_crossings(problem, found):
-    """Per-column refined node lists from a Crossings.  A column whose phi1
-    changes sign in two adjacent cells (node spacing < 2h cannot be trusted)
-    comes back as a ResolutionError in place of its list; the other columns
-    are refined."""
-    h = found.step
-    keep = ~found.adjacent[found.cols]
-    refined = _refine_nodes(problem, found, keep) if keep.any() else np.empty(0)
-    cols = found.cols[keep]
-    out = []
-    for b, lam in enumerate(found.lam):
-        if found.adjacent[b]:
-            out.append(ResolutionError(
-                f"adjacent grid cells both carry sign changes of phi1 at "
-                f"lambda = {lam:.6g}; node spacing < 2h",
-                required_points=2 * found.points,
-            ))
-            continue
-        vals = np.sort(refined[cols == b])
-        out.append(vals[(vals > h) & (vals < math.pi - h)])
-    return out
+    lists = np.split(roots, np.searchsorted(found.cols[picked], np.arange(1, found.lam.size)))
+    return [ResolutionError(f"adjacent grid cells both carry sign changes of phi1 at "
+                            f"lambda = {lam:.6g}; node spacing < 2h", required_points=2 * found.points)
+            if adjacent else xs[(xs > h) & (xs < math.pi - h)]
+            for lam, adjacent, xs in zip(found.lam, found.adjacent, lists)]
 
 
 def find_nodes(problem, lambda_n, points=None):

@@ -13,6 +13,7 @@ from conftest import CORRIDOR_DOC
 
 REPO = Path(__file__).resolve().parent.parent
 FREE_YAML = str(REPO / "problems" / "free.yaml")
+COSINE_YAML = str(REPO / "problems" / "cosine.yaml")
 WORKED_YAML = str(REPO / "problems" / "worked_example.yaml")
 
 ROTATED_FREE = """\
@@ -59,9 +60,11 @@ def test_config_error_exit(tmp_path, capsys):
     ["forward", "--problem", FREE_YAML, "--lam", "nan"],
     ["reconstruct", "--data", "nodes.csv", "--known-m", "nan"],
     ["forward", "--problem", FREE_YAML, "--lam", "3.0", "--points", "1"],
+    ["reconstruct", "--data", "nodes.csv", "--grid-points", "15"],
 ])
 def test_nonfinite_option_exits_config(argv, tmp_path, capsys):
-    # non-finite options, and a step count below 2, are configuration errors
+    # non-finite options, a step count below 2 and a reconstruction grid
+    # below 16 points are configuration errors
     rc = main(argv + ["--out", str(tmp_path)])
     assert rc == 2
     cat, _ = _category(capsys)
@@ -203,6 +206,16 @@ def test_nodes_command(tmp_path, capsys):
         assert worst <= 1e-8
 
 
+def test_out_names_a_csv_in_a_new_directory(tmp_path, capsys):
+    # an --out ending in .csv is the file itself; its directories are made
+    path = tmp_path / "new" / "dir" / "eigen.csv"
+    rc = main(["spectrum", "--problem", FREE_YAML, "--n-min", "5", "--n-max", "8",
+               "--out", str(path)])
+    assert rc == 0
+    assert path.read_text().splitlines()[0].startswith("n,")
+    assert sorted(p.name for p in path.parent.iterdir()) == ["eigen.csv"]
+
+
 @covers("cli.byte-determinism")
 def test_synth_nodes_byte_deterministic(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -297,6 +310,23 @@ def test_roundtrip_synthetic_free(tmp_path, capsys):
         assert value <= 1e-9, (key, value)
     out = capsys.readouterr().out
     assert "error V_sup" in out
+
+
+def test_roundtrip_numeric_cosine(tmp_path, capsys):
+    # nodal_data, then reconstruct: a report with the five errors, of which
+    # theta and beta are the ones that converge (ROADMAP State table)
+    rc = main([
+        "roundtrip", "--problem", COSINE_YAML, "--mode", "numeric",
+        "--n-max", "60", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert (report["mode"], report["n_min"], report["n_max"]) == ("numeric", 20, 60)
+    errors = report["errors"]
+    assert sorted(errors) == ["Lprime_sup", "V_sup", "beta", "m", "theta"]
+    assert all(math.isfinite(v) for v in errors.values())
+    assert errors["theta"] <= 1e-4 and errors["beta"] <= 1e-4
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_roundtrip_numeric_cap_gate(tmp_path, capsys):

@@ -210,6 +210,18 @@ def test_find_nodes_requires_resolution(worked_problem):
         find_nodes(worked_problem, 40.0, points=64)
 
 
+def test_tol_below_the_window_error_is_a_resolution_failure(cosine_problem):
+    # no window's Chebyshev tail reaches tol / 4 = 2.5e-31: every n is a
+    # ResolutionError, recorded per n by nodal_data and raised by
+    # compute_spectrum
+    data = nodal_data(cosine_problem, (20, 30), tol=1e-30)
+    assert not data.nodes and sorted(data.failures) == list(range(20, 31))
+    assert all(msg.startswith("ResolutionError: lambda_") and "above tol/4" in msg
+               for msg in data.failures.values())
+    with pytest.raises(ResolutionError, match="lambda_20 = .* above tol/4"):
+        compute_spectrum(cosine_problem, (20, 30), tol=1e-30)
+
+
 def test_nodal_data_rejects_bad_ranges(free_prob):
     with pytest.raises(ValueError):
         nodal_data(free_prob, (4, 10))
@@ -270,9 +282,9 @@ def test_node_refinement_in_chunks_changes_no_node(cosine_problem, cosine_numeri
     # shrinks on its own, so chunks of 1000 crossings (the last one short)
     # give the nodes bit for bit of the search up to n = 120, which refines
     # its crossings in one piece
-    kept, refine, chunk = [], spectrum._refine_nodes, spectrum._REFINE_CHUNK
-    monkeypatch.setattr(spectrum, "_refine_nodes", lambda problem, found, keep: kept.append(
-        int(keep.sum())) or refine(problem, found, keep))
+    kept, refine, chunk = [], spectrum._nodes_from_crossings, spectrum._REFINE_CHUNK
+    monkeypatch.setattr(spectrum, "_nodes_from_crossings", lambda problem, found: kept.append(
+        int((~found.adjacent[found.cols]).sum())) or refine(problem, found))
     monkeypatch.setattr(spectrum, "_REFINE_CHUNK", 1000)
     data = nodal_data(cosine_problem, (20, 120))
     assert len(kept) == 1 and 1000 < kept[0] <= chunk and kept[0] % 1000
@@ -569,19 +581,19 @@ def test_nodal_data_frees_grid_maps_before_node_refinement(worked_problem, monke
     # node refinement steps from the states kept at the crossings, so the
     # grid's single-step maps are freed when the trajectory pass returns
     steps, freed = [], []
-    build, refine = spectrum.grid_maps, spectrum._refine_nodes
+    build, refine = spectrum.grid_maps, spectrum._nodes_from_crossings
 
     def building(problem, points, **kwargs):
         maps = build(problem, points, **kwargs)
         steps.append(weakref.ref(maps.blocks[0][0]))
         return maps
 
-    def refining(problem, found, keep):
+    def refining(problem, found):
         freed.append(all(ref() is None for ref in steps))
-        return refine(problem, found, keep)
+        return refine(problem, found)
 
     monkeypatch.setattr(spectrum, "grid_maps", building)
-    monkeypatch.setattr(spectrum, "_refine_nodes", refining)
+    monkeypatch.setattr(spectrum, "_nodes_from_crossings", refining)
     data = nodal_data(worked_problem, (20, 30), points=1000)
     assert len(steps) == 1 and freed == [True]
     assert data.indices == list(range(20, 31)) and not data.failures
@@ -707,11 +719,17 @@ def test_wide_windows_evaluate_at_most_30_percent_of_the_lambdas(cosine_problem,
     ({"bc": {"theta": 0.3, "beta": 0.1, "b1": 200}}, (5, 40), [12]),
     ({"bc": {"theta": 0.3, "beta": 0.1, "d2": 30}}, (5, 40), [5]),
     (CORRIDOR_DOC, (5, 40), [5]),
-], ids=["complex-pair", "m6", "b1", "d2", "corridor"])
+    ({"bc": {"theta": 0.3, "beta": 0.1, "b1": -300}}, (5, 40), list(range(5, 21))),
+    ({"bc": {"theta": 0.3, "beta": 0.1, "b1": -500}}, (5, 40), list(range(5, 35))),
+], ids=["complex-pair", "m6", "b1", "d2", "corridor", "b1-300", "b1-500"])
 def test_hostile_problems_fail_as_on_single_seed_windows(doc, n_range, failing, monkeypatch):
     # where the seeds mislabel the spectrum, or eigenvalues are not real, the
     # wide windows are not accepted and each n fails, with the same category
-    # and message, as on its own single-seed window
+    # and message, as on its own single-seed window.  The b1 = -300 and -500
+    # cases (C-hat about -89 and -148) put windows near lambda = 0, where the
+    # interpolant of Delta / (1 + lambda^2) converges slowly (poles at +-i):
+    # there the wide window's own roots would change the messages, and at
+    # -500 a category, so those indices keep the single-seed fallback
     problem = problem_from_mapping(doc)
     data = nodal_data(problem, n_range)
     _single_seed_windows(monkeypatch)
