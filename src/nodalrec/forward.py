@@ -24,8 +24,10 @@ t by Chebyshev polynomials first (a degenerate-kernel approximation whose
 degree is checked against the kernel, or the entry is refused).  One RK4
 step is then a matrix polynomial of degree 4 in lambda whose coefficients
 depend only on the grid: _step_maps builds them for a block of steps, and
-trajectory solves apply them to their lambda batch (_stepper), O(N) per
-trajectory.  A product of consecutive step maps is again an exact
+trajectory solves apply them to their lambda batch, O(N) per trajectory,
+in place: lambda^k z goes into one buffer per block and the map's product
+back into z (_solve; the coupled layout through _stepper).  A product of
+consecutive step maps is again an exact
 polynomial map in lambda (a propagator matrix), so the endpoint-only
 solves behind char_fn step over runs of _SPAN = 32 steps multiplied out
 (_compose): the same RK4 grid in 32 times fewer numpy calls, with results
@@ -47,7 +49,8 @@ which nodal_data releases them, before node refinement.  A standalone call
 builds them lazily, one block at a time, so its memory does not grow with
 the grid.  Node refinement (_single_steps) takes each query's RK4 step in
 stage form from the query's state, on the coefficients of AugmentedSystem,
-and builds no maps.
+and builds no maps; a crossing's first stage is computed once for all its
+queries (_first_stages), which then evaluate coefficients at two points.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each slice of _SLICE = 128 steps of a block to a consumer: one stacks
@@ -134,7 +137,8 @@ _SAMPLE_T = _SAMPLE_X[:, None] * np.linspace(0.0, 1.0, 33)
 
 def _values(fn, *args):
     """fn(*args) as a float array of the arguments' broadcast shape."""
-    return np.broadcast_to(np.asarray(fn(*args), dtype=float), np.broadcast(*args).shape)
+    v, shape = np.asarray(fn(*args), dtype=float), np.broadcast(*args).shape
+    return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
 def _chebyshev(K):
@@ -286,7 +290,8 @@ def _step_maps(system, x0, x1, h):
     """
     n = x0.size
     F, B = system.coefficients(np.concatenate([x0, x0 + 0.5 * h, x1]))
-    S, G = B.shape[-2], F[:, [0, 1], [1, 0]].reshape(3, n, 2)  # (r, -p)
+    # (r, -p), and the factors in mul, with the step axis of the forms contiguous
+    S, G = B.shape[-2], F[:, [0, 1], [1, 0]].reshape(3, n, 2).transpose(0, 2, 1).copy()
     CC = np.concatenate(np.split(F[..., 2:], 3), axis=1)
     BB = np.concatenate(np.split(B, 3), axis=2)
     del F, B  # the maps' own arrays are all that outlives this point
@@ -304,14 +309,14 @@ def _step_maps(system, x0, x1, h):
         return L
 
     def mul(M, L):  # M L for matrices M of shape (n, rows, 2)
-        M = M.transpose(1, 2, 0)[None, :, :, None, :]
+        M = np.ascontiguousarray(M.transpose(1, 2, 0))[None, :, :, None, :]
         return M[:, :, 0] * L[:, None, 0] + M[:, :, 1] * L[:, None, 1]
 
     def stage(g, y, col, C, dW=None):
         """(G + lambda J) y + C W_i, J = ((0, -1), (1, 0)); dW = (c, B_j, y_j)
         gives the stage's memory increment W_i - W = c h B_j y_j."""
         k = np.zeros((y.shape[0] + 1, 2, D, n))  # lambda J raises the degree by one
-        k[:-1] = g.T[:, None] * y[:, ::-1]  # G y with G = ((0, r), (-p, 0))
+        k[:-1] = g[:, None] * y[:, ::-1]  # G y with G = ((0, r), (-p, 0))
         k[1:] += _J * y[:, ::-1]
         if S and dW is not None:
             k[: dW[2].shape[0]] += (dW[0] * h) * mul(C @ dW[1], dW[2])
@@ -349,23 +354,19 @@ def _step_maps(system, x0, x1, h):
 
 
 def _stepper(maps, powers):
-    """step(z, i) applying map i of one block of maps from _step_maps to z
-    (2 + S, B).  Maps of degree d in lambda take powers = lambda^0..lambda^d
-    of shape (d + 1, 1, B): d = 4 for single steps, and for composed maps
-    (_compose) the cap C they are cut off at (_caps).  The maps' form is
-    read here, once per block, not at every step."""
-    P = maps[0]
+    """step(z, i) applying map i of one block of maps (P, CC, BB) in the
+    coupled layout from _step_maps to z (2 + S, B), with powers = lambda^0..
+    lambda^4 of shape (5, 1, B): the maps act on v = (y, C W), then W is
+    advanced.  The plain layout (P,) is applied in _solve's loop."""
+    P, CC, BB = maps
     lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
-    if len(maps) == 1:  # the maps act on z itself
-        return lambda z, i: P[i] @ lift(z)
-    _, CC, BB = maps
 
-    def coupled(z, i):  # the maps act on v = (y, C W), then W is advanced
+    def step(z, i):
         W = z[2:]
         out = P[i] @ lift(np.concatenate([z[:2], CC[i] @ W]))
         return np.concatenate([out[:2], W + BB[i] @ out[2:]])
 
-    return coupled
+    return step
 
 
 def _majorant(maps, h):
@@ -441,28 +442,42 @@ def _cut(maps, h, lam_max):
     return (_compose(maps, _caps(_majorant(maps, h), lam_max * h)),)
 
 
-def _single_steps(system, z, lam, x0, x1):
+def _chunks(size):  # the slices of _QUERIES columns that _single_steps takes at once
+    return (slice(lo, lo + _QUERIES) for lo in range(0, size, _QUERIES))
+
+
+def _deriv(v, lam, F, B):
+    """(F + lambda J) v for columns v (Q, 2 + S, 1) at lambda = lam (Q,),
+    with W' = B y in the memory rows: one RK4 stage of _single_steps."""
+    lamJ = np.stack([-lam, lam], axis=-1)[..., None]
+    return np.concatenate([F @ v + lamJ * v[:, 1::-1], B @ v[:, :2]], axis=1)
+
+
+def _first_stages(system, z, lam, x0):
+    """The first RK4 stage of _single_steps from each column of z (2 + S, Q)
+    at x0, shape (Q, 2 + S, 1), _QUERIES columns at a time."""
+    return np.concatenate([_deriv(z[:, sl].T[..., None], lam[sl], *system.coefficients(x0[sl]))
+                           for sl in _chunks(z.shape[1])])
+
+
+def _single_steps(system, z, lam, x0, x1, k1=None):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
     at lambda = lam[q], in stage form on the coefficients of system, _QUERIES
-    columns at a time.  Used by node refinement."""
+    columns at a time.  k1 is the first stage from _first_stages, or None to
+    compute it here (the coefficients then also evaluated at x0).  Used by
+    node refinement."""
     out = np.empty_like(z)
-    for lo in range(0, z.shape[1], _QUERIES):
-        sl = slice(lo, lo + _QUERIES)
-        a, b = x0[sl], x1[sl]
+    for sl in _chunks(z.shape[1]):
+        a, b, y = x0[sl], x1[sl], z[:, sl].T[..., None]  # y: (Q, 2 + S, 1)
         h = (b - a)[:, None, None]
-        (F0, Fm, F1), (B0, Bm, B1) = (np.split(c, 3) for c in system.coefficients(
-            np.concatenate([a, a + 0.5 * (b - a), b])))
-        lamJ = np.stack([-lam[sl], lam[sl]], axis=-1)[..., None]
-        y = z[:, sl].T[..., None]  # (Q, 2 + S, 1)
-
-        def deriv(v, F, B):  # (F + lambda J) v, with W' = B y in the memory rows
-            return np.concatenate([F @ v + lamJ * v[:, 1::-1], B @ v[:, :2]], axis=1)
-
-        k1 = deriv(y, F0, B0)
-        k2 = deriv(y + (0.5 * h) * k1, Fm, Bm)
-        k3 = deriv(y + (0.5 * h) * k2, Fm, Bm)
-        k4 = deriv(y + h * k3, F1, B1)
-        out[:, sl] = (y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[..., 0].T
+        xs = ([] if k1 is not None else [a]) + [a + 0.5 * (b - a), b]
+        (*F0, Fm, F1), (*B0, Bm, B1) = (np.split(c, len(xs)) for c in system.coefficients(
+            np.concatenate(xs)))
+        k = k1[sl] if k1 is not None else _deriv(y, lam[sl], *F0, *B0)
+        k2 = _deriv(y + (0.5 * h) * k, lam[sl], Fm, Bm)
+        k3 = _deriv(y + (0.5 * h) * k2, lam[sl], Fm, Bm)
+        k4 = _deriv(y + h * k3, lam[sl], F1, B1)
+        out[:, sl] = (y + (h / 6.0) * (k + 2.0 * (k2 + k3) + k4))[..., 0].T
     return out
 
 
@@ -585,7 +600,7 @@ class _CrossingScan:
         self.found = []  # (cells, cols, states) per slice
 
     def __call__(self, first, states):
-        sign = np.where(states[0] >= 0, 1.0, -1.0)
+        sign = states[0] >= 0  # NaN falls with the negatives, as in Crossings
         cross = sign[:-1] != sign[1:]  # (cell, column)
         self.adjacent |= (self.last & cross[0]) | (cross[:-1] & cross[1:]).any(axis=0)
         self.last = cross[-1]
@@ -636,26 +651,37 @@ def _solve(problem, lam, points, maps, consumer=None):
     z[:2] = initial_state(problem.bc, lam)
     powers, first = None, 0
     for block in blocks:
-        P = block[0]
+        P, n = block[0], block[0].shape[0]
         terms = P.shape[-1] // P.shape[1]  # lambda^0..lambda^degree, the degree read off the maps
         if powers is None or powers.shape[0] < terms:
             powers = lam ** np.arange(terms)[:, None, None]
-        step, n = _stepper(block, powers[:terms]), P.shape[0]
-        if consume is None:
-            for i in range(n):
-                z = step(z, i)
+        pw = powers[:terms]
+        if len(block) == 1:  # in place: lambda^k z into one buffer (the powers at its shape
+            # multiply contiguous rows, not broadcast ones), the map's product into z
+            coupled, lifted = None, np.empty((terms, size, lam.size))
+            flat = lifted.reshape(P.shape[-1], -1)
+            pw = np.ascontiguousarray(np.broadcast_to(pw, lifted.shape))
         else:
-            for lo in range(0, n, _SLICE):
-                hi = min(lo + _SLICE, n)
+            coupled = _stepper(block, pw)
+        for lo in range(0, n, _SLICE):
+            hi = min(lo + _SLICE, n)
+            if consume is not None:
                 states = np.empty((size, hi - lo + 1, lam.size))
-                for i in range(lo, hi):
-                    states[:, i - lo] = z
-                    z = step(z, i)
-                states[:, -1] = z
+                states[:, 0] = z
+            for i in range(lo, hi):
+                if coupled is None:
+                    np.multiply(pw, z, out=lifted)
+                    np.matmul(P[i], flat, out=z)
+                else:
+                    z = coupled(z, i)
+                if consume is not None:
+                    states[:, i - lo + 1] = z
+            if consume is not None:
                 _check_magnitude(states[:2], lam)
                 consume(first + lo, states)
         first += n
-        del block, P, step  # free a built block's maps before the next is built
+        # free the block's maps and buffers before the next block is built
+        block = P = coupled = pw = lifted = flat = None
     if consume is None:
         _check_magnitude(z[:2], lam)
         return z[:2]

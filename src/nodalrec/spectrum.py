@@ -30,8 +30,8 @@ import numpy as np
 from .asymptotics import lambda_asym
 from .errors import AmbiguityError, BracketingError, ResolutionError
 from .forward import (
-    GUARD_LIMIT, AugmentedSystem, _chebyshev, _single_steps, char_fn_normalized, grid_maps,
-    resolution_points, solve_batch,
+    GUARD_LIMIT, AugmentedSystem, _chebyshev, _first_stages, _single_steps, char_fn_normalized,
+    grid_maps, resolution_points, solve_batch,
 )
 
 N_MIN = 5
@@ -346,19 +346,22 @@ def _nodes_from_crossings(problem, found):
     other columns are refined to NODE_TOL, _REFINE_CHUNK at a time (each
     bracket shrinks on its own, so the chunks change no result); each query
     is one stage-form RK4 step from the exact augmented state at the cell's
-    left node.  Crossings come ordered by column, then cell, and each root
-    stays in its cell, so splitting the roots at the column boundaries gives
-    ascending lists."""
+    left node, whose first stage is computed once per crossing.  Crossings
+    come ordered by column, then cell, and each root stays in its cell, so
+    splitting the roots at the column boundaries gives ascending lists."""
     system, h = AugmentedSystem(problem), found.step
     picked = np.flatnonzero(~found.adjacent[found.cols])
     roots = np.empty(picked.size)
     for lo in range(0, picked.size, _REFINE_CHUNK):
         sel = picked[lo : lo + _REFINE_CHUNK]
         lam, xL, ZL = found.lam[found.cols[sel]], found.cells[sel] * h, found.Z[:, sel]
+        k1 = _first_stages(system, ZL, lam, xL)
 
         def phi1_at(xq, idx):
-            """phi1(xq) by one step from the left node of crossing idx."""
-            return _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq)[0]
+            """phi1(xq) by one step from the left node of crossing idx (a copy,
+            so the step's other rows are freed while the brackets shrink)."""
+            step = _single_steps(system, ZL[:, idx], lam[idx], xL[idx], xq, k1[idx])
+            return step[0].copy()
 
         right = phi1_at(xL + h, slice(None))
         roots[lo : lo + sel.size] = _bracketed_roots(phi1_at, xL, xL + h, ZL[0], right, NODE_TOL)[2]

@@ -294,12 +294,10 @@ def _full_degree_endpoint(problem, lams, maps):
     full = 4 * forward._SPAN + 1
     z = np.zeros((maps.size, lams.size))
     z[:2] = initial_state(problem.bc, lams)
-    step = lambda spans: forward._stepper((spans,), lams ** np.arange(full)[:, None, None])
+    powers = lams ** np.arange(full)[:, None, None]
     for block in maps.blocks:
-        spans = _compose(block, full - 1)
-        apply = step(spans)
-        for i in range(spans.shape[0]):
-            z = apply(z, i)
+        for run in _compose(block, full - 1):  # a run maps (lambda^k z) to z
+            z = run @ (powers * z).reshape(run.shape[-1], -1)
     return z[:2]
 
 
@@ -319,15 +317,14 @@ def test_composed_maps_cut_off_below_rounding(kind, phase, cosine_problem, exp_k
     lam = phase * n_steps / PI * (1.0 - 1e-12)  # |lambda| h = phase
     lams = np.array([lam, -0.5 * lam, 0.3 * lam, 1.0, 0.0])
     maps = grid_maps(problem, n_steps)
-    applied, stepper = [], forward._stepper
-    monkeypatch.setattr(forward, "_stepper", lambda block, powers: applied.append(
-        block[0].shape[-1] // block[0].shape[1]) or stepper(block, powers))
+    applied = []  # the number of powers of lambda each block's composed maps take
+    monkeypatch.setattr(forward, "_compose", lambda *args: applied.append(
+        (spans := _compose(*args)).shape[-1] // spans.shape[1]) or spans)
     end = endpoint_states(problem, lams, points=n_steps, maps=maps)
     majorants = np.stack([forward._majorant(block, PI / n_steps) for block in maps.blocks])
     caps = forward._caps(majorants, lam * PI / n_steps)
     assert applied == (caps + 1).tolist()  # one cut-off per block, at the batch's cap
     assert max(applied) - 1 <= (23 if phase <= 0.05 else 42)
-    monkeypatch.setattr(forward, "_stepper", stepper)
     ref = _full_degree_endpoint(problem, lams, maps)
     assert np.all(np.abs(end - ref) <= 1e-12 * np.maximum(1.0, lams * lams))
 
@@ -403,6 +400,34 @@ def test_single_steps_match_stage_form_rk4(kind, queries, cosine_problem, exp_ke
                            (x1 - x0)[:, None, None], system.coefficients(x0),
                            system.coefficients(x0 + 0.5 * (x1 - x0)), system.coefficients(x1))
     assert sup_err(out, ref[..., 0].T) <= 1e-14 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("queries", [3, forward._QUERIES, forward._QUERIES + 1,
+                                     2 * forward._QUERIES])
+@pytest.mark.parametrize("kind", ["separable", "wide", "general"])
+def test_hoisted_first_stage_changes_no_bit(kind, queries, cosine_problem, exp_kernel_problem):
+    # node refinement computes each crossing's first RK4 stage once
+    # (_first_stages) and hands it to every step from that state: those
+    # steps equal the ones that evaluate it themselves bit for bit, in the
+    # plain and the coupled layout, at query counts that are and are not
+    # multiples of _QUERIES, and for a subset of the queries, as the
+    # Illinois rounds take them
+    problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
+    system = forward.AugmentedSystem(problem)
+    assert forward._coupled(system.size) == (kind == "general")
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-60.0, 60.0, queries)
+    x0 = rng.uniform(0.0, PI - 0.004, queries)
+    z = rng.normal(size=(system.size, queries)) * np.maximum(1.0, np.abs(lam))
+    k1 = forward._first_stages(system, z, lam, x0)
+    assert k1.shape == (queries, system.size, 1)
+    for x1 in (x0 + rng.uniform(0.0, 0.004, queries), x0 + 0.004):
+        hoisted = forward._single_steps(system, z, lam, x0, x1, k1)
+        assert np.array_equal(hoisted, forward._single_steps(system, z, lam, x0, x1))
+    idx = rng.permutation(queries)[: queries // 2 + 1]
+    assert np.array_equal(forward._single_steps(system, z[:, idx], lam[idx], x0[idx], x1[idx],
+                                                k1[idx]),
+                          forward._single_steps(system, z[:, idx], lam[idx], x0[idx], x1[idx]))
 
 
 def test_long_states_take_single_steps(exp_kernel_problem, monkeypatch):

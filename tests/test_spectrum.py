@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import weakref
@@ -11,7 +12,7 @@ import nodalrec.forward as forward
 import nodalrec.spectrum as spectrum
 from nodalrec.asymptotics import asymptotic_constants
 from nodalrec.errors import AmbiguityError, BracketingError, ResolutionError
-from nodalrec.fixtures import constant_mass_problem
+from nodalrec.fixtures import DOCUMENTS, constant_mass_problem
 from nodalrec.forward import solve_batch
 from nodalrec.io import read_nodal_csv, write_nodal_csv
 from nodalrec.spectrum import (
@@ -781,6 +782,40 @@ def test_general_kernel_nodes_converge(exp_kernel_problem):
     fine = find_nodes(exp_kernel_problem, lam, points=1536)
     assert coarse.size == fine.size
     assert sup(coarse, fine) <= 3e-7
+
+
+def _cosine_with(terms):
+    """The cosine problem with separable kernel terms added, by entry."""
+    doc = copy.deepcopy(DOCUMENTS["cosine"])
+    for entry, more in terms.items():
+        doc["coeffs"]["chi_separable"].setdefault(entry, []).extend(more)
+    return problem_from_mapping(doc)
+
+
+def test_nodes_carry_partial_information_on_the_kernel(cosine_problem):
+    # the paper's "partial information" (ROADMAP item 9): up to O(n^-2) the
+    # nodes see the kernel only through L(x) - x L(pi)/pi, so kernel changes
+    # that keep it move the n-th nodes by O(n^-3), a factor of about 8 per
+    # doubling of n (measured: 8.1-8.9), while a change of L(x) - x L(pi)/pi
+    # moves them by O(n^-2), a factor of about 4 (measured: 4.0)
+    witnesses = {
+        "chi11 = chi22 = 0.4 (K changes, L does not)":
+            {"11": [{"a": "0.4", "b": "1"}], "22": [{"a": "0.4", "b": "1"}]},
+        "chi21 += x - t (zero on the diagonal)":
+            {"21": [{"a": "x", "b": "1"}, {"a": "-1", "b": "t"}]},
+        "chi21 = 0.3 (L' shifted by a constant)": {"21": [{"a": "0.3", "b": "1"}]},
+    }
+    control = {"21": [{"a": "0.3*cos(x)", "b": "1"}]}
+    ns = (20, 40, 80)
+    base = [nodal_data(cosine_problem, (n, n)).nodes[n] for n in ns]
+    for name, terms in [*witnesses.items(), ("control", control)]:
+        problem = _cosine_with(terms)
+        moved = [sup(nodal_data(problem, (n, n)).nodes[n], ref) for n, ref in zip(ns, base)]
+        decay = [a / b for a, b in zip(moved, moved[1:])]
+        if name == "control":
+            assert all(3.0 <= d <= 5.0 for d in decay), (name, moved)
+        else:
+            assert all(d >= 6.0 for d in decay), (name, moved)
 
 
 def test_nodal_data_carries_its_spectrum(worked_problem, worked_numeric_nodes, worked_synth_data,
