@@ -39,7 +39,7 @@ def _check(node, variables, source):
             _reject(node, f"unary {type(node.op).__name__} not allowed", source)
         _check(node.operand, variables, source)
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             _reject(node, f"literal {node.value!r} not allowed", source)
         try:
             node.value = float(node.value)

@@ -25,32 +25,32 @@ degree is checked against the kernel, or the entry is refused).  One RK4
 step is then a matrix polynomial of degree 4 in lambda whose coefficients
 depend only on the grid: _step_maps builds them for a block of steps, and
 trajectory solves apply them to their lambda batch, O(N) per trajectory,
-in place: lambda^k z goes into one buffer per block and the map's product
-back into z (_solve; the coupled layout through _stepper).  A product of
-consecutive step maps is again an exact
-polynomial map in lambda (a propagator matrix), so the endpoint-only
-solves behind char_fn step over runs of _SPAN = 32 steps multiplied out
-(_compose): the same RK4 grid in 32 times fewer numpy calls, with results
-that differ from single steps by rounding only.  A product has degree 128,
-but at |lambda| h <= 0.2 the coefficients of high degree cannot reach the
+in place in either layout of the maps: lambda^k v goes into one buffer per
+block and the map's product into another, or straight back into z (_solve).
+A product of consecutive step maps is again an exact polynomial map in
+lambda (a propagator matrix), so the endpoint-only solves behind char_fn
+step over runs of _SPAN = 32 steps multiplied out (_compose): the same
+RK4 grid in 32 times fewer numpy calls, with results that differ from
+single steps by rounding only.  A product has degree 128, but at
+|lambda| h <= 0.2 the coefficients of high degree cannot reach the
 result.  So each block of _BLOCK = 1024 steps is bounded, multiplied out
 and applied only up to the cap C (_caps) past which a majorant of its
 terms (_majorant: the single steps' per-degree norms raised to the
 _SPAN-th power) sums to at most 2^-60 of the product's lambda-free term
 at the batch's max|lambda| (C = 23 on a search grid at |lambda| h = 0.05,
-42 at the guard 0.2).  Maps in the
-coupled layout (more than 6 memory states, see _step_maps) are not
-composed: endpoint solves take their single steps, and the maps are built
-_SLICE steps at a time.  An eigenvalue search
-builds its grid's single-step maps once (grid_maps) and passes them as
-maps= to its one batched evaluation, which composes each block in turn,
-capped for its batch (_cut), and to nodal_data's trajectory solve, after
-which nodal_data releases them, before node refinement.  A standalone call
-builds them lazily, one block at a time, so its memory does not grow with
-the grid.  Node refinement (_single_steps) takes each query's RK4 step in
-stage form from the query's state, on the coefficients of AugmentedSystem,
-and builds no maps; a crossing's first stage is computed once for all its
-queries (_first_stages), which then evaluate coefficients at two points.
+42 at the guard 0.2).  Maps in the coupled layout (more than 6 memory
+states, see _step_maps) are not composed: endpoint solves take their
+single steps, and the maps are built _SLICE steps at a time.  An
+eigenvalue search builds its grid's single-step maps once (grid_maps) and
+passes them as maps= to its one batched evaluation, which composes each
+block in turn, capped for its batch (_cut), and to nodal_data's trajectory
+solve, after which nodal_data releases them, before node refinement.  A
+standalone call builds them lazily, one block at a time, so its memory
+does not grow with the grid.  Node refinement (_single_steps) takes each
+query's RK4 step in stage form from the query's state, on the
+coefficients of AugmentedSystem, and builds no maps; a crossing's first
+stage is computed once for all its queries (_first_stages), which then
+evaluate coefficients at two points.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each slice of _SLICE = 128 steps of a block to a consumer: one stacks
@@ -282,10 +282,10 @@ def _step_maps(system, x0, x1, h):
     Returns (P, CC, BB): P (8, 40) maps (lambda^k v, k = 0..4) to (y_new,
     h/6 y_1, h/3 (y_2 + y_3), h/6 y_4), CC = (C0; Cm; C1), BB = (B0 Bm B1),
     so a step costs O(S) per lambda.  When z = (y, W) is no longer than v,
-    the factors are multiplied out: (P,) with P (2 + S, 5 (2 + S)) mapping
-    (lambda^k z) to z_new (for S = 0, the 2 x 2 RK4 propagator).  This
-    layout is the stepper's one size decision: endpoint-only solves compose
-    the plain layout (P,) (_compose) and take single steps in the coupled
+    the factors are multiplied out: (P, None, None) with P (2 + S, 5 (2 + S))
+    mapping (lambda^k z) to z_new (for S = 0, the 2 x 2 RK4 propagator).
+    This layout is the stepper's one size decision: endpoint-only solves
+    compose the plain layout (_compose) and take single steps in the coupled
     one.
     """
     n = x0.size
@@ -350,30 +350,14 @@ def _step_maps(system, x0, x1, h):
     for L in rows:
         P[:, r : r + L.shape[1], : L.shape[0]] = L.transpose(3, 1, 0, 2)
         r += L.shape[1]
-    return (P.reshape(n, r, -1), CC, BB) if coupled else (P.reshape(n, r, -1),)
-
-
-def _stepper(maps, powers):
-    """step(z, i) applying map i of one block of maps (P, CC, BB) in the
-    coupled layout from _step_maps to z (2 + S, B), with powers = lambda^0..
-    lambda^4 of shape (5, 1, B): the maps act on v = (y, C W), then W is
-    advanced.  The plain layout (P,) is applied in _solve's loop."""
-    P, CC, BB = maps
-    lift = lambda v: (powers * v).reshape(P.shape[-1], -1)
-
-    def step(z, i):
-        W = z[2:]
-        out = P[i] @ lift(np.concatenate([z[:2], CC[i] @ W]))
-        return np.concatenate([out[:2], W + BB[i] @ out[2:]])
-
-    return step
+    return (P.reshape(n, r, -1), CC, BB) if coupled else (P.reshape(n, r, -1), None, None)
 
 
 def _majorant(maps, h):
     """Bounds on the terms of the products _compose makes of one block of
-    single-step maps (P,) from _step_maps with step h: for the coefficient
-    Q_k of lambda^k of any run of _SPAN steps, ||Q_k|| lambda^k <= m[k]
-    (lambda h)^k ||Q_0||.  Returns m, a (4 _SPAN + 1)-vector.
+    single-step maps (P, None, None) from _step_maps with step h: for the
+    coefficient Q_k of lambda^k of any run of _SPAN steps, ||Q_k|| lambda^k
+    <= m[k] (lambda h)^k ||Q_0||.  Returns m, a (4 _SPAN + 1)-vector.
 
     The per-degree norms b_k = max ||P_k||_inf of the single steps, raised
     to the _SPAN-th power by convolution, bound ||Q_k|| (the norm is
@@ -408,15 +392,15 @@ def _caps(majorants, phase):
 
 
 def _compose(maps, cap):
-    """The single-step maps (P,) of one block from _step_maps multiplied in
-    runs of _SPAN consecutive steps up to degree cap in lambda: shape
-    (ceil(n / _SPAN), 2 + S, (cap + 1)(2 + S)), the products of degree
-    4 _SPAN without their terms of degree above cap (_caps), in the layout
-    of P, which _stepper applies alike.  A short last run is padded with
-    identity steps.  Neighbours are multiplied pairwise, one batched product
-    of lambda polynomials per level, one product of late_k with all of early
-    per degree k; each degree sums its terms in the same order whatever the
-    cap, so a kept coefficient does not depend on it."""
+    """The single-step maps (P, None, None) of one block from _step_maps
+    multiplied in runs of _SPAN consecutive steps up to degree cap in
+    lambda: shape (ceil(n / _SPAN), 2 + S, (cap + 1)(2 + S)), the products
+    of degree 4 _SPAN without their terms of degree above cap (_caps), in
+    the layout of P, which _solve applies alike.  A short last run is
+    padded with identity steps.  Neighbours are multiplied pairwise, one
+    batched product of lambda polynomials per level, one product of late_k
+    with all of early per degree k; each degree sums its terms in the same
+    order whatever the cap, so a kept coefficient does not depend on it."""
     M = maps[0]
     n, D = M.shape[:2]
     pad = -n % _SPAN
@@ -437,9 +421,9 @@ def _compose(maps, cap):
 
 
 def _cut(maps, h, lam_max):
-    """The single-step maps (P,) of one block composed (_compose) to the cap
-    for the phase lam_max h."""
-    return (_compose(maps, _caps(_majorant(maps, h), lam_max * h)),)
+    """The single-step maps (P, None, None) of one block composed (_compose)
+    to the cap for the phase lam_max h, in the same format."""
+    return _compose(maps, _caps(_majorant(maps, h), lam_max * h)), None, None
 
 
 def _chunks(size):  # the slices of _QUERIES columns that _single_steps takes at once
@@ -645,35 +629,37 @@ def _solve(problem, lam, points, maps, consumer=None):
         size, blocks = maps.size, maps.blocks
     if consumer is None:  # plain-layout maps composed, to the degree lambda reaches
         lam_max, h = _lam_max(lam), math.pi / n_steps
-        blocks = (_cut(block, h, lam_max) if len(block) == 1 else block for block in blocks)
+        blocks = (_cut(block, h, lam_max) if block[1] is None else block for block in blocks)
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)
-    powers, first = None, 0
-    for block in blocks:
-        P, n = block[0], block[0].shape[0]
-        terms = P.shape[-1] // P.shape[1]  # lambda^0..lambda^degree, the degree read off the maps
-        if powers is None or powers.shape[0] < terms:
-            powers = lam ** np.arange(terms)[:, None, None]
-        pw = powers[:terms]
-        if len(block) == 1:  # in place: lambda^k z into one buffer (the powers at its shape
-            # multiply contiguous rows, not broadcast ones), the map's product into z
-            coupled, lifted = None, np.empty((terms, size, lam.size))
-            flat = lifted.reshape(P.shape[-1], -1)
-            pw = np.ascontiguousarray(np.broadcast_to(pw, lifted.shape))
-        else:
-            coupled = _stepper(block, pw)
+    first = 0
+    for P, CC, BB in blocks:
+        n, rows = P.shape[:2]
+        terms = P.shape[-1] // rows  # lambda^0..lambda^degree, the degree read off the maps
+        # in place: lambda^k v into one buffer (the powers at its shape multiply
+        # contiguous rows, not broadcast ones), the map's product into u; v and
+        # u are z in the plain layout, (y, C W) and (y_new, W's feeds) in the
+        # coupled one
+        v, u = (z, z) if CC is None else np.empty((2, rows, lam.size))
+        lifted = np.empty((terms, rows, lam.size))
+        flat = lifted.reshape(P.shape[-1], -1)
+        pw = np.ascontiguousarray(np.broadcast_to(lam ** np.arange(terms)[:, None, None],
+                                                  lifted.shape))
         for lo in range(0, n, _SLICE):
             hi = min(lo + _SLICE, n)
             if consume is not None:
                 states = np.empty((size, hi - lo + 1, lam.size))
                 states[:, 0] = z
             for i in range(lo, hi):
-                if coupled is None:
-                    np.multiply(pw, z, out=lifted)
-                    np.matmul(P[i], flat, out=z)
-                else:
-                    z = coupled(z, i)
+                if CC is not None:
+                    v[:2] = z[:2]
+                    np.matmul(CC[i], z[2:], out=v[2:])
+                np.multiply(pw, v, out=lifted)
+                np.matmul(P[i], flat, out=u)
+                if CC is not None:
+                    z[:2] = u[:2]
+                    z[2:] += BB[i] @ u[2:]
                 if consume is not None:
                     states[:, i - lo + 1] = z
             if consume is not None:
@@ -681,7 +667,7 @@ def _solve(problem, lam, points, maps, consumer=None):
                 consume(first + lo, states)
         first += n
         # free the block's maps and buffers before the next block is built
-        block = P = coupled = pw = lifted = flat = None
+        P = CC = BB = v = u = pw = lifted = flat = None
     if consume is None:
         _check_magnitude(z[:2], lam)
         return z[:2]

@@ -96,6 +96,21 @@ def test_unevaluable_constant_exits_parse(coeffs, tmp_path, capsys):
     assert "cannot evaluate" in captured.err
 
 
+@pytest.mark.parametrize("body, category, fragment", [
+    ('coeffs: {V: "cos(x)*True"}', "parse", "literal True not allowed (line 1, column 8)"),
+    ("coeffs: [V]", "parse", "'coeffs' must be a mapping"),
+    ("quadrature_points: 16", "invalid-problem", "quadrature_points must be at least 17"),
+], ids=["bool-literal", "coeffs-list", "quadrature-16"])
+def test_rejected_problem_file_exits_3(body, category, fragment, tmp_path, capsys):
+    path = tmp_path / "rejected.yaml"
+    path.write_text(f"bc: {{theta: 0.0, beta: 0.0}}\n{body}\n")
+    rc = main(["spectrum", "--problem", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    cat, captured = _category(capsys)
+    assert cat == category
+    assert fragment in captured.err
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("bc: [unclosed\n")

@@ -86,6 +86,30 @@ def test_folded_constant_parts_keep_their_values():
     assert np.array_equal(f(xs), 2 * math.pi * xs + np.sin(1.0) ** 2 - xs * np.exp(-1.0) / 3)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("cos(x)*True", "literal True not allowed (line 1, column 8)"),
+    ("x + False", "literal False not allowed (line 1, column 5)"),
+    ("x % 2", "operator Mod not allowed (line 1, column 1)"),
+    ("not x", "unary Not not allowed (line 1, column 1)"),
+    ("~x", "unary Invert not allowed (line 1, column 1)"),
+    ("'x'", "literal 'x' not allowed (line 1, column 1)"),
+    ("sin(x, x)", "sin takes exactly one argument (line 1, column 1)"),
+    (3.0, "V: expression must be a string, got float"),
+], ids=["true", "false", "mod", "not", "invert", "string", "two-arguments", "not-a-string"])
+def test_construct_outside_the_grammar_rejected(source, message):
+    # bool is a subclass of int, yet True and False are not numeric literals
+    with pytest.raises(ExpressionError) as info:
+        compile_expression(source, ("x",), name="V")
+    assert str(info.value) == message
+    assert info.value.category == "parse"
+
+
+def test_compiled_callable_takes_one_argument_per_variable():
+    k = compile_expression("x*t", ("x", "t"), name="chi.12")
+    with pytest.raises(TypeError, match=r"^chi\.12 expects 2 argument\(s\), got 1$"):
+        k(1.0)
+
+
 def test_out_of_range_literal_rejected():
     with pytest.raises(ExpressionError, match="literal out of the float range"):
         compile_expression("x + 1" + "0" * 400, ("x",))

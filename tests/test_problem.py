@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import nodalrec.problem as problem_module
 from nodalrec.asymptotics import lambda_asym, phi_asym, synthesize_nodal_data
-from nodalrec.errors import InvalidProblemError, ProblemFormatError
+from nodalrec.errors import ExpressionError, InvalidProblemError, ProblemFormatError
 from nodalrec.fixtures import (
     DOCUMENTS,
     cosine_roundtrip_problem,
@@ -260,3 +260,58 @@ def test_mapping_loader_rejects(doc, fragment):
     with pytest.raises(ProblemFormatError) as info:
         problem_from_mapping(doc)
     assert fragment in str(info.value)
+
+
+def _kernel_that_raises(x, t):
+    raise RuntimeError("kernel failed")
+
+
+_BC = {"theta": 0, "beta": 0}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: problem_from_mapping([_BC]), ProblemFormatError,
+     "<problem>: top level must be a mapping"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": ["V"]}), ProblemFormatError,
+     "<problem>: 'coeffs' must be a mapping"),
+    (lambda: problem_from_mapping({"bc": {"theta": "abc", "beta": 0}}), ProblemFormatError,
+     "<problem>: bad bc value (could not convert string to float: 'abc')"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"m": "heavy"}}), ProblemFormatError,
+     "<problem>: coeffs.m must be a number"),
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": "many"}), ProblemFormatError,
+     "<problem>: quadrature_points must be an integer"),
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": 16}), InvalidProblemError,
+     "quadrature_points must be at least 17"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"chi_separable": {"12": []}}}),
+     ProblemFormatError, "coeffs.chi_separable.12: expected a non-empty list of {a, b} pairs"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"chi_separable": {"12": {"a": "x"}}}}),
+     ProblemFormatError, "coeffs.chi_separable.12: expected a non-empty list of {a, b} pairs"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"chi_separable": {"12": [{"a": "x"}]}}}),
+     ProblemFormatError, "coeffs.chi_separable.12[0]: expected keys 'a' (in x) and 'b' (in t)"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"V": "1/x"}}), InvalidProblemError,
+     "invalid problem: V finite: V(0) is not finite; V zero mean: skipped: V not evaluable"),
+    (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"V": "cos(x)*True"}}), ExpressionError,
+     "literal True not allowed (line 1, column 8)"),
+    (lambda: ProblemDefinition(coeffs=CoefficientSet(
+        chi=KernelMatrix(k12=GeneralKernel(_kernel_that_raises)))), InvalidProblemError,
+     "invalid problem: chi12 finite: raised RuntimeError('kernel failed')"),
+    (lambda: SeparableKernel([]), InvalidProblemError,
+     "separable kernel needs at least one (a, b) term"),
+    (lambda: KernelMatrix(k11="abc"), InvalidProblemError, "cannot interpret kernel entry 'abc'"),
+    (lambda: CoefficientSet(V=3.0), InvalidProblemError, "V must be callable or 0, got 3.0"),
+], ids=["top-list", "coeffs-list", "bc-string", "m-string", "quadrature-string",
+        "quadrature-16", "separable-empty", "separable-mapping", "separable-no-b", "V-infinite",
+        "V-bool-literal", "kernel-raises", "separable-kernel-empty", "kernel-string",
+        "V-number"])
+def test_rejected_input_names_its_fault(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_zero_kernel_expression_adds_no_memory_state():
+    # chi given as the expression "0" folds to ZeroKernel, so the forward
+    # solver carries no memory state for it
+    problem = problem_from_mapping({"bc": _BC, "coeffs": {"chi": {"12": "0"}}})
+    assert isinstance(problem.coeffs.chi.k12, ZeroKernel)
+    assert AugmentedSystem(problem).size == 2

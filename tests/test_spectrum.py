@@ -332,6 +332,15 @@ def test_adjacent_sign_changes_fail_only_their_column(free_prob, monkeypatch):
         assert np.array_equal(out[b], clean[b])
 
 
+def test_find_nodes_raises_on_adjacent_sign_changes(free_prob, monkeypatch):
+    # find_nodes raises the ResolutionError that the node lists return for
+    # a column with adjacent sign changes
+    _plant_adjacent_sign_changes(monkeypatch, 0, _peak_node(free_prob, [6.0], 1024, 0))
+    with pytest.raises(ResolutionError, match="lambda = 6;") as info:
+        find_nodes(free_prob, 6.0, points=1024)
+    assert info.value.required_points == 2048
+
+
 def test_adjacent_sign_changes_across_a_block_boundary(free_prob, monkeypatch):
     # node k closes one slice of states that the crossing scan receives and
     # opens the next (at k = _BLOCK also one block of maps and the next), so
@@ -550,32 +559,38 @@ def test_block_length_changes_no_result(which, n_range, cosine_problem, worked_p
                                         exp_kernel_problem, monkeypatch):
     # the maps are built, bounded and composed _BLOCK steps at a time, in
     # runs of _SPAN steps that start at the same steps whatever _BLOCK is,
-    # and trajectory states reach their consumer in slices of _SLICE steps:
-    # the eigenvalues, residuals, nodes and failures are bit for bit those
-    # of 128-step blocks, and nodal_data's traced peak grows by at most half
+    # and trajectory states reach their consumer in slices of _SLICE steps;
+    # maps in the coupled layout (the general kernel's) are built _SLICE
+    # steps at a time, so _SLICE moves their block boundaries.  The
+    # eigenvalues, residuals, nodes and failures are bit for bit those of
+    # 128-step blocks and of 100-step slices, and nodal_data's traced peak
+    # grows by at most half over that of 128-step blocks
     problem = {"cosine": cosine_problem, "worked": worked_problem,
                "mass": constant_mass_problem(), "general": exp_kernel_problem}[which]
     runs = []
-    for block in (forward._BLOCK, 128):
-        monkeypatch.setattr(forward, "_BLOCK", block)
-        spec = compute_spectrum(problem, n_range)
-        tracemalloc.start()
-        try:
-            data = nodal_data(problem, n_range)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    for setting in ({}, {"_BLOCK": 128}, {"_SLICE": 100}):
+        with monkeypatch.context() as patch:
+            for name, value in setting.items():
+                patch.setattr(forward, name, value)
+            spec = compute_spectrum(problem, n_range)
+            tracemalloc.start()
+            try:
+                data = nodal_data(problem, n_range)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         runs.append((spec, data, peak))
-    (spec, data, peak), (ref_spec, ref_data, ref_peak) = runs
-    assert spec.indices == ref_spec.indices == data.indices == ref_data.indices
-    for got, ref in ((spec.entries, ref_spec.entries), (spec.residuals, ref_spec.residuals),
-                     (data.eigenvalues, ref_data.eigenvalues)):
-        assert np.array_equal([got[n] for n in spec.indices], [ref[n] for n in spec.indices])
-    for n in data.indices:
-        assert np.array_equal(data.nodes[n], ref_data.nodes[n]), n
-    assert data.failures == ref_data.failures
+    (spec, data, peak), (_, _, block_peak) = runs[:2]
+    for ref_spec, ref_data, _ in runs[1:]:
+        assert spec.indices == ref_spec.indices == data.indices == ref_data.indices
+        for got, ref in ((spec.entries, ref_spec.entries), (spec.residuals, ref_spec.residuals),
+                         (data.eigenvalues, ref_data.eigenvalues)):
+            assert np.array_equal([got[n] for n in spec.indices], [ref[n] for n in spec.indices])
+        for n in data.indices:
+            assert np.array_equal(data.nodes[n], ref_data.nodes[n]), n
+        assert data.failures == ref_data.failures
     if which == "cosine":
-        assert peak <= 1.5 * ref_peak, (peak, ref_peak)
+        assert peak <= 1.5 * block_peak, (peak, block_peak)
 
 
 def test_nodal_data_frees_grid_maps_before_node_refinement(worked_problem, monkeypatch):
