@@ -20,42 +20,43 @@ _SCOPE = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def _reject(node, message, source):
+def _reject(node, message, where):  # where: the expression's (name, source)
+    name, source = where
     line = getattr(node, "lineno", 1)
     col = getattr(node, "col_offset", 0) + 1
-    raise ExpressionError(message, line=line, column=col, source=source)
+    raise ExpressionError(f"{name}: {message}", line=line, column=col, source=source)
 
 
-def _check(node, variables, source):
+def _check(node, variables, where):
     if isinstance(node, ast.Expression):
-        _check(node.body, variables, source)
+        _check(node.body, variables, where)
     elif isinstance(node, ast.BinOp):
         if not isinstance(node.op, _BINOPS):
-            _reject(node, f"operator {type(node.op).__name__} not allowed", source)
-        _check(node.left, variables, source)
-        _check(node.right, variables, source)
+            _reject(node, f"operator {type(node.op).__name__} not allowed", where)
+        _check(node.left, variables, where)
+        _check(node.right, variables, where)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.USub, ast.UAdd)):
-            _reject(node, f"unary {type(node.op).__name__} not allowed", source)
-        _check(node.operand, variables, source)
+            _reject(node, f"unary {type(node.op).__name__} not allowed", where)
+        _check(node.operand, variables, where)
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            _reject(node, f"literal {node.value!r} not allowed", source)
+            _reject(node, f"literal {node.value!r} not allowed", where)
         try:
             node.value = float(node.value)
         except OverflowError:
-            _reject(node, "literal out of the float range", source)
+            _reject(node, "literal out of the float range", where)
     elif isinstance(node, ast.Name):
         if node.id not in variables and node.id not in _CONSTANTS:
-            _reject(node, f"unknown name '{node.id}'", source)
+            _reject(node, f"unknown name '{node.id}'", where)
     elif isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-            _reject(node, "only sin, cos, exp may be called", source)
+            _reject(node, "only sin, cos, exp may be called", where)
         if len(node.args) != 1 or node.keywords:
-            _reject(node, f"{node.func.id} takes exactly one argument", source)
-        _check(node.args[0], variables, source)
+            _reject(node, f"{node.func.id} takes exactly one argument", where)
+        _check(node.args[0], variables, where)
     else:
-        _reject(node, f"{type(node).__name__} not allowed", source)
+        _reject(node, f"{type(node).__name__} not allowed", where)
 
 
 def _fold(tree, variables, name, source, prepared):
@@ -94,9 +95,10 @@ def compile_expression(source, variables=("x",), name="<expression>"):
 
     The callable takes one positional argument per entry of ``variables``
     (scalars or arrays) and returns a float array of the broadcast shape
-    (a float for all-scalar input).  Raises ExpressionError with 1-based
-    line/column on any construct outside the grammar, and when a part
-    without variables (evaluated here, once: _fold) has no real value.
+    (a float for all-scalar input).  Raises ExpressionError, its message
+    starting with name, with 1-based line/column on any construct outside
+    the grammar, and when a part without variables (evaluated here, once:
+    _fold) has no real value.
     """
     if not isinstance(source, str):
         raise ExpressionError(f"{name}: expression must be a string, got {type(source).__name__}")
@@ -108,7 +110,7 @@ def compile_expression(source, variables=("x",), name="<expression>"):
         raise ExpressionError(
             f"{name}: {exc.msg}", line=exc.lineno or 1, column=exc.offset or 1, source=source
         ) from None
-    _check(tree, variables, source)
+    _check(tree, variables, (name, source))
     tree = _fold(tree, variables, name, source, prepared)
     code = compile(tree, name, "eval")
     constant = tree.body.value if isinstance(tree.body, ast.Constant) else None

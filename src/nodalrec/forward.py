@@ -48,9 +48,10 @@ solve, after which nodal_data releases them, before node refinement.  A
 standalone call builds them lazily, one block at a time, so its memory
 does not grow with the grid.  Node refinement (_single_steps) takes each
 query's RK4 step in stage form from the query's state, on the
-coefficients of AugmentedSystem, and builds no maps; a crossing's first
-stage is computed once for all its queries (_first_stages), which then
-evaluate coefficients at two points.
+coefficients of AugmentedSystem, and builds no maps; each stage is one
+batch over all the queries of a call, whose number the caller bounds.  A
+crossing's first stage is computed once for all its queries
+(_first_stages), which then evaluate coefficients at two points.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each slice of _SLICE = 128 steps of a block to a consumer: one stacks
@@ -253,8 +254,6 @@ _BLOCK = 1024
 # steps whose states a trajectory solve hands to its consumer at once, so
 # the states buffer stays small whatever _BLOCK is
 _SLICE = 128
-# node-refinement queries stepped at once (_single_steps)
-_QUERIES = 512
 # consecutive steps multiplied into one map for endpoint-only solves (a
 # power of two dividing _BLOCK), when the maps are in the plain layout;
 # chosen by timing searches with the maps cut at the degree the search's
@@ -426,10 +425,6 @@ def _cut(maps, h, lam_max):
     return _compose(maps, _caps(_majorant(maps, h), lam_max * h)), None, None
 
 
-def _chunks(size):  # the slices of _QUERIES columns that _single_steps takes at once
-    return (slice(lo, lo + _QUERIES) for lo in range(0, size, _QUERIES))
-
-
 def _deriv(v, lam, F, B):
     """(F + lambda J) v for columns v (Q, 2 + S, 1) at lambda = lam (Q,),
     with W' = B y in the memory rows: one RK4 stage of _single_steps."""
@@ -439,30 +434,25 @@ def _deriv(v, lam, F, B):
 
 def _first_stages(system, z, lam, x0):
     """The first RK4 stage of _single_steps from each column of z (2 + S, Q)
-    at x0, shape (Q, 2 + S, 1), _QUERIES columns at a time."""
-    return np.concatenate([_deriv(z[:, sl].T[..., None], lam[sl], *system.coefficients(x0[sl]))
-                           for sl in _chunks(z.shape[1])])
+    at x0, shape (Q, 2 + S, 1)."""
+    return _deriv(z.T[..., None], lam, *system.coefficients(x0))
 
 
 def _single_steps(system, z, lam, x0, x1, k1=None):
     """One RK4 step per column of z (2 + S, Q): column q from x0[q] to x1[q]
-    at lambda = lam[q], in stage form on the coefficients of system, _QUERIES
-    columns at a time.  k1 is the first stage from _first_stages, or None to
-    compute it here (the coefficients then also evaluated at x0).  Used by
-    node refinement."""
-    out = np.empty_like(z)
-    for sl in _chunks(z.shape[1]):
-        a, b, y = x0[sl], x1[sl], z[:, sl].T[..., None]  # y: (Q, 2 + S, 1)
-        h = (b - a)[:, None, None]
-        xs = ([] if k1 is not None else [a]) + [a + 0.5 * (b - a), b]
-        (*F0, Fm, F1), (*B0, Bm, B1) = (np.split(c, len(xs)) for c in system.coefficients(
-            np.concatenate(xs)))
-        k = k1[sl] if k1 is not None else _deriv(y, lam[sl], *F0, *B0)
-        k2 = _deriv(y + (0.5 * h) * k, lam[sl], Fm, Bm)
-        k3 = _deriv(y + (0.5 * h) * k2, lam[sl], Fm, Bm)
-        k4 = _deriv(y + h * k3, lam[sl], F1, B1)
-        out[:, sl] = (y + (h / 6.0) * (k + 2.0 * (k2 + k3) + k4))[..., 0].T
-    return out
+    at lambda = lam[q], in stage form on the coefficients of system, all
+    columns in one batch.  k1 is the first stage from _first_stages, or None
+    to compute it here (the coefficients then also evaluated at x0).  Used
+    by node refinement, which bounds Q."""
+    y, h = z.T[..., None], (x1 - x0)[:, None, None]  # y: (Q, 2 + S, 1)
+    xs = ([] if k1 is not None else [x0]) + [x0 + 0.5 * (x1 - x0), x1]
+    (*F0, Fm, F1), (*B0, Bm, B1) = (np.split(c, len(xs)) for c in system.coefficients(
+        np.concatenate(xs)))
+    k = k1 if k1 is not None else _deriv(y, lam, *F0, *B0)
+    k2 = _deriv(y + (0.5 * h) * k, lam, Fm, Bm)
+    k3 = _deriv(y + (0.5 * h) * k2, lam, Fm, Bm)
+    k4 = _deriv(y + h * k3, lam, F1, B1)
+    return (y + (h / 6.0) * (k + 2.0 * (k2 + k3) + k4))[..., 0].T
 
 
 def _check_magnitude(arr, lam):

@@ -18,7 +18,8 @@ trajectory solve runs (solve_batch(..., crossings=True)).  One function
 _REFINE_CHUNK crossings at a time, and cuts the roots into per-column
 lists; each refinement query is one stage-form RK4 step of the forward
 solver's scheme (forward._single_steps) from the exact augmented state
-(solution pair and memory states) kept at the cell's left node.  No
+(solution pair and memory states) kept at the cell's left node, and each
+Illinois round steps all the open brackets of its chunk in one batch.  No
 trajectory is stored, and refinement builds no step maps.
 """
 
@@ -47,10 +48,11 @@ GROUP, WIDE_POINTS = 16, 56
 # (in the window's variable) is a real root in the window
 _REAL_TOL = 1e-8
 NODE_TOL = 1e-12
-# crossings refined at once: bounds refinement's arrays at large n_max
-# (about 500,000 crossings at n_max = 1000) while the searches up to
-# n_max = 120 (about 7,100) refine in one piece
-_REFINE_CHUNK = 16384
+# crossings refined at once, each stage one batch over the chunk: bounds
+# refinement's arrays whatever n_max (about 7,100 crossings at n_max = 120,
+# 500,000 at 1000), and is large enough that a stage pays for arithmetic
+# rather than numpy calls
+_REFINE_CHUNK = 4096
 
 
 def _corridor_miss(n, lam, offset):

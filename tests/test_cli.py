@@ -97,10 +97,12 @@ def test_unevaluable_constant_exits_parse(coeffs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, category, fragment", [
-    ('coeffs: {V: "cos(x)*True"}', "parse", "literal True not allowed (line 1, column 8)"),
+    ('coeffs: {V: "cos(x)*True"}', "parse", "V: literal True not allowed (line 1, column 8)"),
+    ('coeffs: {chi: {"12": "x*True"}}', "parse",
+     "chi.12: literal True not allowed (line 1, column 3)"),
     ("coeffs: [V]", "parse", "'coeffs' must be a mapping"),
     ("quadrature_points: 16", "invalid-problem", "quadrature_points must be at least 17"),
-], ids=["bool-literal", "coeffs-list", "quadrature-16"])
+], ids=["bool-literal", "chi-bool-literal", "coeffs-list", "quadrature-16"])
 def test_rejected_problem_file_exits_3(body, category, fragment, tmp_path, capsys):
     path = tmp_path / "rejected.yaml"
     path.write_text(f"bc: {{theta: 0.0, beta: 0.0}}\n{body}\n")

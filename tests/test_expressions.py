@@ -87,13 +87,13 @@ def test_folded_constant_parts_keep_their_values():
 
 
 @pytest.mark.parametrize("source, message", [
-    ("cos(x)*True", "literal True not allowed (line 1, column 8)"),
-    ("x + False", "literal False not allowed (line 1, column 5)"),
-    ("x % 2", "operator Mod not allowed (line 1, column 1)"),
-    ("not x", "unary Not not allowed (line 1, column 1)"),
-    ("~x", "unary Invert not allowed (line 1, column 1)"),
-    ("'x'", "literal 'x' not allowed (line 1, column 1)"),
-    ("sin(x, x)", "sin takes exactly one argument (line 1, column 1)"),
+    ("cos(x)*True", "V: literal True not allowed (line 1, column 8)"),
+    ("x + False", "V: literal False not allowed (line 1, column 5)"),
+    ("x % 2", "V: operator Mod not allowed (line 1, column 1)"),
+    ("not x", "V: unary Not not allowed (line 1, column 1)"),
+    ("~x", "V: unary Invert not allowed (line 1, column 1)"),
+    ("'x'", "V: literal 'x' not allowed (line 1, column 1)"),
+    ("sin(x, x)", "V: sin takes exactly one argument (line 1, column 1)"),
     (3.0, "V: expression must be a string, got float"),
 ], ids=["true", "false", "mod", "not", "invert", "string", "two-arguments", "not-a-string"])
 def test_construct_outside_the_grammar_rejected(source, message):

@@ -381,13 +381,12 @@ def test_capped_maps_match_single_steps(kind, phase, cosine_problem, exp_kernel_
     assert np.array_equal(end, endpoint_states(problem, lams, points=n_steps))
 
 
-@pytest.mark.parametrize("queries", [forward._QUERIES - 1, forward._QUERIES,
-                                     forward._QUERIES + 1])
+@pytest.mark.parametrize("queries", [511, 512, 513])
 @pytest.mark.parametrize("kind", ["zero", "separable", "general", "wide"])
 def test_single_steps_match_stage_form_rk4(kind, queries, cosine_problem, exp_kernel_problem):
     # node refinement's steps, one per query from its own state, lambda and
-    # interval, taken in chunks of _QUERIES queries, against the stage-form
-    # step of _rk4_oracle on each query
+    # interval, all queries in one batch, against the stage-form step of
+    # _rk4_oracle on each query
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     system = forward.AugmentedSystem(problem)
     rng = np.random.default_rng(7)
@@ -402,16 +401,14 @@ def test_single_steps_match_stage_form_rk4(kind, queries, cosine_problem, exp_ke
     assert sup_err(out, ref[..., 0].T) <= 1e-14 * np.max(np.abs(z))
 
 
-@pytest.mark.parametrize("queries", [3, forward._QUERIES, forward._QUERIES + 1,
-                                     2 * forward._QUERIES])
+@pytest.mark.parametrize("queries", [3, 512, 513, 1024])
 @pytest.mark.parametrize("kind", ["separable", "wide", "general"])
 def test_hoisted_first_stage_changes_no_bit(kind, queries, cosine_problem, exp_kernel_problem):
     # node refinement computes each crossing's first RK4 stage once
     # (_first_stages) and hands it to every step from that state: those
     # steps equal the ones that evaluate it themselves bit for bit, in the
-    # plain and the coupled layout, at query counts that are and are not
-    # multiples of _QUERIES, and for a subset of the queries, as the
-    # Illinois rounds take them
+    # plain and the coupled layout, at several query counts, and for a
+    # subset of the queries, as the Illinois rounds take them
     problem = _kernel_kinds(cosine_problem, exp_kernel_problem)[kind]
     system = forward.AugmentedSystem(problem)
     assert forward._coupled(system.size) == (kind == "general")

@@ -291,7 +291,7 @@ _BC = {"theta": 0, "beta": 0}
     (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"V": "1/x"}}), InvalidProblemError,
      "invalid problem: V finite: V(0) is not finite; V zero mean: skipped: V not evaluable"),
     (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"V": "cos(x)*True"}}), ExpressionError,
-     "literal True not allowed (line 1, column 8)"),
+     "V: literal True not allowed (line 1, column 8)"),
     (lambda: ProblemDefinition(coeffs=CoefficientSet(
         chi=KernelMatrix(k12=GeneralKernel(_kernel_that_raises)))), InvalidProblemError,
      "invalid problem: chi12 finite: raised RuntimeError('kernel failed')"),

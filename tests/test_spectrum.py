@@ -280,18 +280,39 @@ def test_streamed_nodes_equal_stored_trajectory_scan(which, cosine_problem):
 def test_node_refinement_in_chunks_changes_no_node(cosine_problem, cosine_numeric_data,
                                                    monkeypatch):
     # refinement takes the crossings _REFINE_CHUNK at a time and each bracket
-    # shrinks on its own, so chunks of 1000 crossings (the last one short)
-    # give the nodes bit for bit of the search up to n = 120, which refines
-    # its crossings in one piece
+    # shrinks on its own: the search up to n = 120 refines its crossings in
+    # more than one chunk of the default size, and chunks of 1000 crossings
+    # (the last one short) give its nodes bit for bit
     kept, refine, chunk = [], spectrum._nodes_from_crossings, spectrum._REFINE_CHUNK
     monkeypatch.setattr(spectrum, "_nodes_from_crossings", lambda problem, found: kept.append(
         int((~found.adjacent[found.cols]).sum())) or refine(problem, found))
     monkeypatch.setattr(spectrum, "_REFINE_CHUNK", 1000)
     data = nodal_data(cosine_problem, (20, 120))
-    assert len(kept) == 1 and 1000 < kept[0] <= chunk and kept[0] % 1000
+    assert len(kept) == 1 and kept[0] > chunk and kept[0] % 1000
     assert data.indices == cosine_numeric_data.indices and not data.failures
     for n in data.indices:
         assert np.array_equal(data.nodes[n], cosine_numeric_data.nodes[n]), n
+
+
+def test_node_refinement_memory_does_not_grow_with_n_max(cosine_problem, monkeypatch):
+    # the chunk bounds refinement's arrays: its traced peak on the 80,000
+    # crossings of cosine n = 20..400 stays within twice its peak on the
+    # 7,000 of n = 20..120 (measured 4.6 and 3.5 MiB)
+    peaks, refine = [], spectrum._nodes_from_crossings
+
+    def traced(problem, found):
+        tracemalloc.start()
+        try:
+            out = refine(problem, found)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(spectrum, "_nodes_from_crossings", traced)
+    for n_max in (120, 400):
+        assert not nodal_data(cosine_problem, (20, n_max)).failures
+    assert peaks[1] <= 2.0 * peaks[0], peaks
 
 
 def _plant_adjacent_sign_changes(monkeypatch, b, k):
@@ -831,6 +852,19 @@ def test_nodes_carry_partial_information_on_the_kernel(cosine_problem):
             assert all(3.0 <= d <= 5.0 for d in decay), (name, moved)
         else:
             assert all(d >= 6.0 for d in decay), (name, moved)
+
+
+def test_nodes_carry_no_mass_at_zero_angles():
+    # at theta = beta = 0, with V = 0 and no kernel, the nodes do not see a
+    # constant mass m while the eigenvalues do: m = 1 and m = 2 move the
+    # nodes of n = 20..40 by rounding only (measured 3.2e-11) and lambda_n
+    # by 0.075 at n = 20 and 0.037 at n = 40
+    one, two = nodal_data(constant_mass_problem(1.0), (20, 40)), nodal_data(
+        constant_mass_problem(2.0), (20, 40))
+    assert one.indices == two.indices == list(range(20, 41))
+    assert not one.failures and not two.failures
+    assert max(sup(one.nodes[n], two.nodes[n]) for n in one.indices) <= 1e-10
+    assert min(abs(one.eigenvalues[n] - two.eigenvalues[n]) for n in one.indices) > 1e-2
 
 
 def test_nodal_data_carries_its_spectrum(worked_problem, worked_numeric_nodes, worked_synth_data,
