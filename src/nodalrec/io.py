@@ -26,10 +26,15 @@ stand; the first row left in the file is the header, and ``np.loadtxt``
 parses the other rows of the piece in one call.  Both round decimal
 strings correctly, so every written float reads back bit for bit, and a
 row outside the writer's form gets loadtxt's value or error, which
-rejects a ``#`` after a cell.  Rows may come in any order: rows not
-already in (n, j) order, as the writer puts them, are sorted by (n, j),
-and the positions j of each n must be 0..len-1.  A file that is not UTF-8
-text is a ProblemFormatError.
+rejects a ``#`` after a cell.  The rows go into one int32 column each
+for n and j (the writer's fields have 1 to 8 digits) and a float column
+for x; a column widens to int64 before a piece whose values do not fit,
+which only loadtxt rows can need, so every n and j reads as the int of its
+cell.  Rows may come in any order: rows not already in (n, j) order, as
+the writer puts them, are sorted by (n, j), and the positions j of each n
+must be 0..len-1.  The n and j columns are released before the per-n
+views of x are handed to ``NodalData``, so the reader ends holding one
+copy of the nodes.  A file that is not UTF-8 text is a ProblemFormatError.
 """
 
 import csv
@@ -229,6 +234,7 @@ def _split(a):
 
 
 _NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
+_INT32 = np.iinfo(np.int32)
 _CHUNK = 1 << 18  # bytes the reader takes at a time, cut back to the last line end
 # what write_nodal_csv writes before its rows
 _WRITTEN_HEADS = (b"n,j,x\r\n", b"# source=synthetic\nn,j,x\r\n")
@@ -257,6 +263,13 @@ def read_nodal_csv(path):
     (``_written_rows``); any other piece is decoded as UTF-8 with universal
     newlines and parsed by ``np.loadtxt`` after its blank and comment lines
     are dropped, so its values, errors and row numbers are loadtxt's.
+
+    n and j are stored as int32, and a column is widened to int64 before
+    the first piece with a value outside int32 (a loadtxt row).  The
+    positions are checked by one difference of neighbouring j, in j's
+    type; only the n of each list's first row is kept, and the n and j
+    columns are released before the lists (views of the x column) and
+    ``NodalData`` are built.
     """
     source = "numeric"
     count = 0  # rows before the piece being parsed, header included
@@ -264,7 +277,7 @@ def read_nodal_csv(path):
         # the n, j and x of the rows, with room for rows of 20 bytes or more,
         # grown if they are shorter; pages never written are never resident
         size = os.fstat(fh.fileno()).st_size // 20 + 1
-        columns = [np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)]
+        columns = [np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)]
         for piece in _pieces(fh):
             rows = None
             if count:
@@ -291,7 +304,11 @@ def read_nodal_csv(path):
                 table = _loaded_rows(path, body.split("\n"), count)
                 rows = table["n"], table["j"], table["x"]
             stop = count - 1 + rows[0].size
-            for column, part in zip(columns, rows):
+            for k, part in enumerate(rows):
+                column = columns[k]
+                if column.dtype == np.int32 and part.size and not (
+                        _INT32.min <= part.min() and part.max() <= _INT32.max):
+                    column = columns[k] = column[:count - 1].astype(np.int64)
                 if stop > column.size:
                     column.resize(2 * stop, refcheck=False)
                 column[count - 1:stop] = part
@@ -301,6 +318,7 @@ def read_nodal_csv(path):
     for column in columns:
         column.resize(count - 1, refcheck=False)
     n, j, x = columns
+    del columns
     if not n.size:
         return NodalData(nodes={}, source=source)
     if np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (j[1:] > j[:-1]))):
@@ -308,20 +326,31 @@ def read_nodal_csv(path):
     else:  # a repeated (n, j) is an error, so (n, j) alone fixes the order
         order = np.lexsort((j, n))
         n, j, x = n[order], j[order], x[order]
-    new = np.concatenate(([True], n[1:] != n[:-1]))  # first row of each n
-    starts = np.flatnonzero(new)
-    stops = np.append(starts[1:], n.size)
+    starts = np.flatnonzero(np.concatenate(([True], n[1:] != n[:-1])))  # first row of each n
+    keys = n[starts]
+    del n
+    # j must rise by 1 from row to row, and be 0 where a list starts: its
+    # rise into a start is set to j + 1.  An int32 rise wraps, but from a 0
+    # it comes back into range only after 2**31 rows, so a list passes
+    # exactly when it is 0..len-1
+    rise = np.empty_like(j)
+    np.subtract(j[1:], j[:-1], out=rise[1:])
+    rise[starts] = j[starts] + 1
+    del j
+    bad = np.flatnonzero(rise != 1)
+    del rise
+    stops = np.append(starts[1:], x.size)
     # where each n first appears
     first_row = starts if order is None else np.minimum.reduceat(order, starts)
-    bad = np.flatnonzero(np.where(new, j != 0, np.diff(j, prepend=-1) != 1))
+    del order
     if bad.size:
         groups = np.unique(np.searchsorted(starts, bad, side="right") - 1)
         k = groups[np.argmin(first_row[groups])]
         raise ProblemFormatError(
-            f"{path}: node positions for n = {n[starts[k]]} are not 0..{stops[k] - starts[k] - 1}"
+            f"{path}: node positions for n = {keys[k]} are not 0..{stops[k] - starts[k] - 1}"
         )
-    starts, stops = starts.tolist(), stops.tolist()
-    nodes = {int(n[starts[k]]): x[starts[k]:stops[k]] for k in np.argsort(first_row).tolist()}
+    starts, stops, keys = starts.tolist(), stops.tolist(), keys.tolist()
+    nodes = {keys[k]: x[starts[k]:stops[k]] for k in np.argsort(first_row).tolist()}
     try:
         return NodalData(nodes=nodes, source=source)
     except ValueError as exc:

@@ -53,6 +53,9 @@ NODE_TOL = 1e-12
 # 500,000 at 1000), and is large enough that a stage pays for arithmetic
 # rather than numpy calls
 _REFINE_CHUNK = 4096
+# node values NodalData checks at a time, in whole lists: bounds the check's
+# copy (at least one list) whatever the number of nodes
+_CHECK_BLOCK = 1 << 16
 
 
 def _corridor_miss(n, lam, offset):
@@ -97,7 +100,13 @@ class Spectrum:
 @dataclass(frozen=True)
 class NodalData:
     """Map n -> ascending node positions in the open interval (0, pi), and
-    for numeric data the eigenvalues the search found."""
+    for numeric data the eigenvalues the search found.
+
+    The lists are checked in dict order, in blocks of whole lists of about
+    ``_CHECK_BLOCK`` values, each in one pass over the block's
+    concatenation; the first n that fails is named, its order fault before
+    its bounds fault.  So the check copies one block, not every node.
+    """
 
     nodes: dict
     source: str = "numeric"
@@ -107,29 +116,41 @@ class NodalData:
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
             raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
-        # every list in one pass over their concatenation; the first n in
-        # dict order that fails is reported, its order before its bounds
         lists = [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
-        if not lists:
-            return
-        sizes = np.array([xs.size for xs in lists])
-        x = np.concatenate(lists)
-        ends = np.cumsum(sizes)
-        falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
-        falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
-        unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
-        full = np.flatnonzero(sizes)
-        outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
-        first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
-        n = None if first is None else list(self.nodes)[first]
-        if unsorted.size and unsorted[0] == first:
-            raise ValueError(f"node list for n = {n} not strictly increasing")
-        if first is not None:
-            raise ValueError(f"node list for n = {n} leaves (0, pi)")
+        start = size = 0
+        for stop, xs in enumerate(lists, 1):
+            size += xs.size
+            if size < _CHECK_BLOCK and stop < len(lists):
+                continue
+            fault = _first_fault(lists[start:stop])
+            if fault:
+                k, reason = fault
+                raise ValueError(f"node list for n = {list(self.nodes)[start + k]} {reason}")
+            start, size = stop, 0
 
     @property
     def indices(self):
         return sorted(self.nodes)
+
+
+def _first_fault(lists):
+    """(k, reason) for the first of the node lists that fails, by one pass
+    over their concatenation: reason is "not strictly increasing" before
+    "leaves (0, pi)".  None when every list passes."""
+    sizes = np.array([xs.size for xs in lists])
+    x = np.concatenate(lists)
+    ends = np.cumsum(sizes)
+    falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
+    falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
+    unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
+    full = np.flatnonzero(sizes)
+    outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
+    first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
+    if first is None:
+        return None
+    if unsorted.size and unsorted[0] == first:
+        return first, "not strictly increasing"
+    return first, "leaves (0, pi)"
 
 
 # ---------------------------------------------------------------------------

@@ -175,23 +175,55 @@ def _nodal_data_error(nodes):
     return None
 
 
+def _dense_lists():
+    """The node lists of n = 50..1000 (499,275 nodes), all of them valid."""
+    return {n: math.pi * np.arange(1, n) / n for n in range(50, 1001)}
+
+
 def test_nodal_container_names_the_first_bad_list():
-    # the 951 lists of n = 50..1000 are checked at once; a bad list among
-    # them is named by the order check before the bounds check, and of two
-    # bad lists the first in dict order
-    nodes = {n: math.pi * np.arange(1, n) / n for n in range(50, 1001)}
+    # the 951 lists of n = 50..1000 are checked in blocks of whole lists; a
+    # bad list among them is named by the order check before the bounds
+    # check, and of two bad lists the first in dict order, whether they
+    # share a block or not
+    nodes = _dense_lists()
     assert _nodal_data_error(nodes) is None
+    long = math.pi * np.arange(1, 1 << 17) / (1 << 17)  # longer than a block
     for edit in ({500: nodes[500][::-1]},
                  {500: nodes[500] + 0.01},
                  {500: np.append(-1.0, nodes[500][::-1])},  # both faults
                  {500: nodes[500] - 0.01, 600: nodes[600][::-1]},
                  {500: np.array([]), 501: np.array([math.nan]), 502: nodes[502][::-1]},
-                 {1000: np.append(nodes[1000], math.pi)}):
+                 {1000: np.append(nodes[1000], math.pi)},
+                 {60: nodes[60] + 0.05, 990: nodes[990][::-1]},  # blocks apart
+                 {990: nodes[990][::-1], 60: nodes[60] + 0.05},
+                 {700: nodes[700][::-1], 701: nodes[701] - 1.0},  # one block
+                 {701: nodes[701][::-1], 700: nodes[700] - 1.0},
+                 {1001: long, 999: nodes[999][::-1]},
+                 {1001: np.append(long, long[-1]), 2000: nodes[999][::-1]},
+                 {1001: np.insert(long, 100000, long[100000])}):
         message = _first_bad_list({**nodes, **edit})
         assert message is not None and _nodal_data_error({**nodes, **edit}) == message
+    for first in ({0: np.insert(long, 100000, long[100000])}, {0: long, 1: long[::-1]}):
+        message = _first_bad_list({**first, **nodes})
+        assert message is not None and _nodal_data_error({**first, **nodes}) == message
     assert _nodal_data_error(dict(reversed({**nodes, 300: nodes[300][::-1],
                                             700: nodes[700] - 1.0}.items()))) == (
         "node list for n = 700 leaves (0, pi)")
+
+
+def test_nodal_container_checks_without_copying_the_nodes():
+    # the check copies a block of lists at a time, not every node: under 2
+    # bytes a node on the dense lists (a copy of all of them takes 8)
+    nodes = _dense_lists()
+    total = sum(xs.size for xs in nodes.values())
+    NodalData(nodes=nodes)
+    tracemalloc.start()
+    try:
+        NodalData(nodes=nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / total < 2, f"{peak / total:.2f} bytes per node"
 
 
 _node_value = st.one_of(st.floats(-0.5, 3.5), st.sampled_from(
