@@ -329,10 +329,10 @@ def read_nodal_csv(path):
     starts = np.flatnonzero(np.concatenate(([True], n[1:] != n[:-1])))  # first row of each n
     keys = n[starts]
     del n
-    # j must rise by 1 from row to row, and be 0 where a list starts: its
-    # rise into a start is set to j + 1.  An int32 rise wraps, but from a 0
-    # it comes back into range only after 2**31 rows, so a list passes
-    # exactly when it is 0..len-1
+    # j must rise by 1 from row to row and be 0 where a list starts, so the
+    # rise into a start is taken as j + 1.  A rise may wrap around, but a
+    # list that starts at 0 and rises by 1 cannot reach a wrapped value in
+    # fewer than 2**31 rows, so a list passes exactly when it is 0..len-1
     rise = np.empty_like(j)
     np.subtract(j[1:], j[:-1], out=rise[1:])
     rise[starts] = j[starts] + 1
