@@ -16,7 +16,9 @@ when the change wins at least 9 of 10 pairs and its median is better by more
 than the base's interquartile range; otherwise "within bound" when its
 median is no worse than the bound allows, else "worse".  Per-layer metrics
 have no bound and read "gain" or "no gain".  Without --out the JSON goes to
-standard output.
+standard output.  After it, each run whose ``correct`` is not true or whose
+``failed`` is above 0 gets one line on standard error, and the exit status
+is 1 if there is any: a gain is no gain on runs that failed their check.
 """
 
 import argparse
@@ -87,6 +89,14 @@ def metrics(runs, specs, bounded):
     return out
 
 
+def failed_runs(workload, kind, runs):
+    """One line for each run whose result check failed or that failed an
+    operation."""
+    return [f"{workload} {side} {kind}run seed {k}: correct {r['correct']}, failed {r['failed']}"
+            for side in runs for k, r in enumerate(runs[side])
+            if r["correct"] is not True or r["failed"] > 0]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--base", required=True, help="source checkout of the parent")
@@ -108,14 +118,17 @@ def main(argv=None):
         "traced_pairs": {w: args.traced_pairs for w in args.traced},
         "workloads": {},
     }
+    faults = []
     for w in args.workload:
         runs = pairs(args.base, args.change, w, args.pairs, args.seconds, 0)
         entry = metrics(runs, bench["end_to_end"], bounded=True)
+        faults += failed_runs(w, "", runs)
         entry["runs_correct_failed"] = {side: [[r["correct"], r["failed"], r["attempted"]]
                                                for r in runs[side]] for side in runs}
         if w in args.traced:
             traced = pairs(args.base, args.change, w, args.traced_pairs, args.seconds, 1)
             entry["traced"] = metrics(traced, bench["per_layer"], bounded=False)
+            faults += failed_runs(w, "traced ", traced)
         report["workloads"][w] = entry
         for name, m in entry.items():
             if "verdict" in m:
@@ -126,7 +139,9 @@ def main(argv=None):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    for line in faults:
+        print(line, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import numpy as np
 
 from .forward import initial_state
 
+_BLOCK = 1 << 14  # node values per node_asym call in synthesis (2**16 left its heap 4 MB larger)
+
 
 def asymptotic_constants(problem):
     """C_hat, the n-independent part of the 1/lambda_n coefficient in the
@@ -181,23 +183,27 @@ def node_asym(problem, n, j):
     """Predicted j-th node of phi1(., lambda_n) through order 1/n^2.
 
     The curvature corrections are evaluated at the zeroth-order position
-    x* = j pi / n (one-step substitution; iterating changes the value below
-    the formula's own accuracy).  j may run from 0 to n; the extreme values
-    can fall outside (0, pi) and are the caller's burden to clip.  j may be
-    an integer array (one prediction per entry); a scalar j gives a float.
+    x* = j pi / n (one-step substitution).  Known defect (README; ROADMAP
+    item 7): the 1/n^2 coefficient misses two terms, one from expanding
+    1/lambda_n to third order and one from substituting nu at x*, so n^2
+    times the distance to the operator's nodes stays near 0.7 to 2.5
+    instead of falling.  j may run from 0 to n; the extreme values can fall
+    outside (0, pi) and are the caller's burden to clip.  n and j may be
+    integer arrays broadcast against each other, each entry equal to the
+    scalar call; scalars give a float.
     """
-    n = int(n)
-    j = np.asarray(j, dtype=int)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n, j = np.broadcast_arrays(np.asarray(n, dtype=int), np.asarray(j, dtype=int))
+    if (n < 1).any():
+        raise ValueError(f"n must be positive, got {n[n < 1].flat[0]}")
     bad = (j < 0) | (j > n)
     if bad.any():
-        raise ValueError(f"node index j = {j[bad].flat[0]} out of range [0, {n}]")
+        raise ValueError(f"node index j = {j[bad].flat[0]} out of range [0, {n[bad].flat[0]}]")
     ints = problem.integrals
     bc = problem.bc
     m = problem.coeffs.m
     th = bc.theta
     skew = bc.beta - bc.theta
+    n = n.astype(float)  # exact: each product and quotient below rounds as with int n
     xs = j * math.pi / n
     nu = ints.nu_at(xs)
     L = ints.L_at(xs)
@@ -223,14 +229,25 @@ def synthesize_nodal_data(problem, n_range):
 
     Evaluates j = 0..n and keeps the values landing strictly inside
     (0, pi); each kept list is sorted ascending.  Tagged source=synthetic.
+    One node_asym call per block of whole lists of about ``_BLOCK`` values
+    bounds the working memory; each value equals the scalar call.
     """
     from .spectrum import NodalData
 
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    nodes = {}
-    for n in range(n_lo, n_hi + 1):
-        vals = node_asym(problem, n, np.arange(n + 1))
-        nodes[n] = np.sort(vals[(vals > 0.0) & (vals < math.pi)])
+    nodes, lo = {}, n_lo
+    for hi in range(n_lo + 1, n_hi + 2):
+        # lists lo..hi - 1 (n + 1 values each) are a block at _BLOCK values or the range's end
+        if (hi - lo) * (lo + hi + 1) < 2 * _BLOCK and hi <= n_hi:
+            continue
+        sizes = np.arange(lo, hi) + 1
+        starts = np.cumsum(sizes) - sizes
+        j = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)
+        vals = node_asym(problem, np.repeat(sizes - 1, sizes), j)
+        for n, start in zip(range(lo, hi), starts.tolist()):
+            xs = vals[start:start + n + 1]
+            nodes[n] = np.sort(xs[(xs > 0.0) & (xs < math.pi)])
+        lo = hi
     return NodalData(nodes=nodes, source="synthetic")

@@ -10,7 +10,8 @@ CSV rows end in ``\\r\\n``, the line end of ``csv.writer``; comment lines
 number of rows at a time: ``_shortest`` computes repr's digits of each node
 exactly from an error-free product with a power of ten, and hands the few
 it cannot certify (powers of two, exact decimal ties, values below 1e-4) to
-``repr`` itself, so the bytes are repr's by construction.
+``repr`` itself, so the bytes are repr's by construction.  Digits of x and
+j are looked up four at a time in a table of the ASCII of 0..9999.
 
 The reader is the writer's inverse.  It takes the file as bytes in pieces
 of whole lines of about ``_CHUNK`` bytes.  A piece whose rows are all in
@@ -38,6 +39,7 @@ copy of the nodes.  A file that is not UTF-8 text is a ProblemFormatError.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -74,18 +76,15 @@ def write_nodal_csv(data, path):
 
 
 _ROWS = 1 << 13  # rows the writer renders at a time
-# the ASCII digits of 0..99, two bytes each, read as one uint16 in the
-# machine's byte order
-_PAIRS = (48 + np.stack(np.divmod(np.arange(100), 10), axis=1)).astype(np.uint8)
-_PAIRS = _PAIRS.view(np.uint16).ravel()
 # each literal is the smallest double >= its power of ten, so x >= 10**e
 # exactly when x is >= the literal
-_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
 _SCALES = np.array([1e20, 1e19, 1e18, 1e17, 1e16])  # 10**(16 - e), exact
-# the characters before the digits, by decade; above 1 the first digit
-# goes in the null byte
-_HEADS = np.frombuffer(
-    b"0.000\0\0\0" b"0.00\0\0\0\0" b"0.0\0\0\0\0\0" b"0.\0\0\0\0\0\0" b"\0.\0\0\0\0\0\0", np.uint64)
+# the 8 bytes before the last 16 digits, at 5 * f + e + 4 for x's first digit
+# f and x in [10**e, 10**(e + 1)): "0.", -1 - e zeros and f below 1, else "f."
+_HEADS = np.frombuffer(b"".join(
+    (b"0." + b"0" * (-1 - e)).ljust(7, b"\0") + bytes([48 + f]) if e < 0
+    else bytes([48 + f]) + b".".ljust(7, b"\0") for f in range(10) for e in range(-4, 1)), np.uint64)
 # bytes of a cell of _shortest: 7 before the 17 digits; also the longest
 # repr of any double (sign, 17 digits, ".", "e-308"), so every cell fits
 _WIDTH = 24
@@ -118,35 +117,46 @@ def _render(pieces):
     x = np.concatenate(xs)
     stops = np.cumsum(counts)
     j = np.arange(x.size) - np.repeat(stops - counts - j0s, counts)
-    wn = 2 * ((max(map(len, prefixes)) + 1) // 2)  # even, so the digit pairs of j align
+    wn = max(map(len, prefixes))
     names = np.frombuffer(b"".join(p.ljust(wn, b"\0") for p in prefixes), np.uint8)
-    wj = 2 * ((len(str(j.max())) + 1) // 2)
-    cells = _shortest(x)
-    rows = np.empty((x.size, wn + wj + cells.shape[1] + 4), np.uint8)
+    wj = 4 * ((len(str(j.max())) + 3) // 4)
+    rows = np.empty((x.size, wn + wj + _WIDTH + 3), np.uint8)
     for name, start, stop in zip(names.reshape(-1, wn), stops - counts, stops):
         rows[start:stop, :wn] = name
-    rows.view(np.uint16)[:, wn // 2:(wn + wj) // 2] = _pairs(j, wj // 2).T
-    rows[:, wn:wn + wj - 1] *= j[:, None] >= 10 ** np.arange(wj - 1, 0, -1)  # j's leading zeros
-    rows[:, wn + wj:wn + wj + 2] = (ord(","), 0)
-    rows[:, -2 - cells.shape[1]:-2] = cells
+    digits = rows[:, wn:wn + wj].view(np.uint32)
+    digits[:, 0] = _quad_table()[1][_quads(j, digits[:, 1:])]  # the first quad has no leading zeros
+    if wj > 4:  # nor have the others, where j is shorter than the field
+        rows[:, wn:wn + wj - 1] *= j[:, None] >= 10 ** np.arange(wj - 1, 0, -1)
+    rows[:, wn + wj] = ord(",")
+    _shortest(x, rows[:, wn + wj + 1:-2])
     rows[:, -2:] = (13, 10)
     return rows.tobytes().translate(None, b"\0")
 
 
-def _pairs(v, count):
-    """The last 2 * count decimal digits of the non-negative int64 array v,
-    zero-padded, as a (count, len(v)) array of ASCII digit pairs."""
-    pairs = np.empty((count, v.size), np.uint16)
-    for k in range(count - 1, -1, -1):
-        q = v // 100
-        pairs[k] = _PAIRS[v - q * 100]
+@functools.cache  # built by the first write, so that importing costs no memory
+def _quad_table():
+    """The ASCII digits of v = 0..9999, four bytes each, read as one uint32
+    in the machine's byte order: zero-padded in row 0, and in row 1 with
+    the digit of 10**k a null byte while v < 10**k (the last always shows)."""
+    digits = 48 + np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    digits = np.stack([digits, digits * (np.arange(10 ** 4)[:, None] >= [1000, 100, 10, 0])])
+    return digits.view(np.uint32)[..., 0]
+
+
+def _quads(v, out):
+    """Writes the last 4 * out.shape[1] decimal digits of the non-negative
+    int64 array v, zero-padded, into the uint32 columns of out as ASCII,
+    and returns the rest, v // 10**(4 * out.shape[1])."""
+    for k in range(out.shape[1] - 1, -1, -1):
+        q = v // 10 ** 4  # a division by a constant, several times faster than np.divmod
+        out[:, k] = _quad_table()[0][v - q * 10 ** 4]
         v = q
-    return pairs
+    return v
 
 
-def _shortest(x):
-    """repr of each float of x, as a (len(x), width) uint8 array of ASCII
-    left-aligned in null bytes.
+def _shortest(x, cells):
+    """Writes repr of each float of x into the rows of cells, a
+    (len(x), _WIDTH) uint8 array, as ASCII left-aligned in null bytes.
 
     A double x in [1e-4, 10) lies in a decade [10**e, 10**(e + 1)),
     -4 <= e <= 0, and P = x * 10**p with p = 16 - e is exactly hi + lo
@@ -176,7 +186,7 @@ def _shortest(x):
     symmetric, and a 16- or 17-digit rounding of an exact tie, where two
     decimals are as near to x.  A 15-digit tie is never within h.
     """
-    decade = sum(x >= bound for bound in _DECADES)  # e + 5 inside, 0 or 6 outside
+    decade = np.searchsorted(_DECADES, x, side="right")  # e + 5 inside, 0 or 6 outside
     fast = (decade >= 1) & (decade <= 5) & (x.view(np.uint64) & np.uint64((1 << 52) - 1) != 0)
     decade[~fast] = 5
     xs = np.where(fast, x, 1.5)
@@ -199,31 +209,23 @@ def _shortest(x):
     c16 = (q + ((m > 5) | ((m == 5) & (r > 0)))) * 10
     ok16 = np.abs((c16 - whole) - r) < h  # implied by ok15
     fast &= ok15 | (ok16 & ~((m == 5) & (r == 0))) | (~ok16 & (r != 0.5))
-    # the 17 digits at 7..23, after the "0" of the pair they start with
-    cells = np.empty((x.size, _WIDTH), np.uint8)
+    # the 17 digits at 7..23, the first in the head (at byte 0 above 1)
     chosen = np.where(ok15, c15, np.where(ok16, c16, whole + (r > 0.5)))
-    cells.view(np.uint16)[:, 3:] = _pairs(chosen, 9).T
+    first = _quads(chosen, cells[:, 8:].view(np.uint32))
+    cells.view(np.uint64)[:, 0] = _HEADS[5 * first + decade - 1]
     # the trailing zeros: the last one of a 16-digit rounding, and the last
     # two and those of the 15 digits of a 15-digit one
     cells[:, -1] *= ~ok16
     short = np.flatnonzero(ok15)
     size = 15 - np.argmax(cells[short, 21:6:-1] != ord("0"), axis=1)
     cells[short, 7:] *= np.arange(17) < size[:, None]
-    # "0." and 4 - decade zeros before the digits below 1; above, the first
-    # digit before the "."
-    first = cells[:, 7].copy()
-    cells.view(np.uint64)[:, 0] = _HEADS[decade - 1]
-    units = decade == 5
-    cells[:, 0] += first * units
-    cells[:, 7] = first * ~units
-    cells[short[(size == 1) & units[short]], 8] = ord("0")  # "d.0"
+    cells[short[(size == 1) & (decade[short] == 5)], 8] = ord("0")  # "d.0"
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.array([repr(v) for v in x[slow].tolist()], dtype=bytes)
         width = text.dtype.itemsize
         cells[slow] = 0
         cells[slow, :width] = text.view(np.uint8).reshape(-1, width)
-    return cells
 
 
 def _split(a):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,41 @@ def test_node_prediction_array_matches_scalar(worked_problem, cosine_problem, n)
     assert isinstance(node_asym(worked_problem, n, n), float)
     with pytest.raises(ValueError, match=f"j = {n + 1} out of range"):
         node_asym(worked_problem, n, np.array([0, n + 1, -1]))
+    # one call with every n of the parameter list, as a column, broadcast
+    # against j = 0..n (each row clipped to its own n)
+    ns = np.array([1, 7, 50, 333, 1000])[:, None]
+    js = np.minimum(np.arange(n + 1), ns)
+    want = np.array([[node_asym(worked_problem, int(k), int(j)) for j in row]
+                     for k, row in zip(ns[:, 0], js)])
+    assert np.array_equal(node_asym(worked_problem, ns, js), want)
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        node_asym(worked_problem, np.array([n, 0, 3]), 0)
+
+
+def test_synthesis_in_blocks_matches_each_list_alone(worked_problem):
+    # the dense range is evaluated in blocks of whole lists; every list,
+    # inside a block or at its edge, equals the one-index synthesis
+    dense = synthesize_nodal_data(worked_problem, (50, 1000))
+    assert dense.indices == list(range(50, 1001))
+    for n in dense.indices:
+        alone = synthesize_nodal_data(worked_problem, (n, n)).nodes[n]
+        assert dense.nodes[n].tobytes() == alone.tobytes(), n
+
+
+def test_synthesis_working_memory_is_one_block(worked_problem):
+    # traced peak less the returned lists: one block's working set, the
+    # same for 80k and 500k values (a batch over the range grows with it)
+    peaks = []
+    for n_range in ((50, 400), (50, 1000)):
+        synthesize_nodal_data(worked_problem, n_range)  # loads what synthesis needs once
+        tracemalloc.start()
+        try:
+            data = synthesize_nodal_data(worked_problem, n_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - sum(xs.nbytes for xs in data.nodes.values()))
+    assert peaks[1] < 1.5 * peaks[0], f"working peaks {peaks[0]} and {peaks[1]} bytes"
 
 
 def test_synthetic_free_nodes_are_uniform(free_prob):

@@ -348,6 +348,26 @@ def test_nodal_writer_bytes_on_hard_doubles(tmp_path):
     assert path.read_bytes() == _csv_writer_reference(data)
 
 
+def test_nodal_writer_bytes_with_five_digit_j(tmp_path):
+    # lists under n of 1 to 4 digits fill the first chunk up to the start
+    # of one list of 12,000 nodes under n = 123,456, whose rows cross into
+    # the next chunk; there j has 4 and 5 digits, so the j field is two
+    # quads wide and the shorter j lose their leading zeros in both
+    values = _hard_doubles()
+    rng = np.random.default_rng(11)
+    nodes = {n: np.sort(rng.choice(values, size, replace=False))
+             for n, size in ((7, 3), (42, 40), (123, 300), (4321, 500), (123456, 12000))}
+    start = sum(len(xs) for xs in nodes.values()) - 12000
+    assert start < nodal_io._ROWS < start + 12000
+    assert nodal_io._ROWS - start < 10 ** 4 < 12000
+    data = NodalData(nodes=nodes, source="numeric")
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(data, path)
+    raw = path.read_bytes()
+    assert raw == _csv_writer_reference(data)
+    assert b"\r\n123456,9999," in raw and b"\r\n123456,10000," in raw
+
+
 def test_write_memory_does_not_grow_with_nodes(tmp_path, worked_problem, worked_synth_data):
     # the writer renders a bounded number of rows at a time, so its working
     # memory is the same for 79k and 499k nodes

@@ -1,5 +1,8 @@
-"""Smoke test: each script in scripts/ runs to completion on small inputs."""
+"""Each script in scripts/ runs to completion on small inputs, and bench_pairs
+reports runs that failed their check."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +29,30 @@ def test_script_runs(argv, marker):
     )
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+
+
+def test_bench_pairs_exits_1_on_a_failed_run(tmp_path, monkeypatch, capsys):
+    # a run whose result check fails, or that fails an operation, is named
+    # on stderr after the JSON is written, and makes the exit status 1
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    names = [m["name"] for key in ("end_to_end", "per_layer")
+             for m in json.loads((REPO / "BENCHMARK.json").read_text())[key]]
+
+    def fake_run(root, workload, seed, seconds, trace):
+        bad = root == "change" and seed == 1
+        return {"correct": not bad, "failed": int(bad and trace), "attempted": 1,
+                "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--base", "base", "--change", "change", "--workload", "synth_dense",
+            "--pairs", "3", "--traced", "synth_dense", "--traced-pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    assert json.loads(out.read_text())["workloads"]["synth_dense"]["runs_correct_failed"]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-2:] == ["synth_dense change run seed 1: correct False, failed 0",
+                          "synth_dense change traced run seed 1: correct False, failed 1"]
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: fake_run("base", *args[1:]))
+    assert bench_pairs.main(argv) == 0
