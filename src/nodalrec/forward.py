@@ -40,18 +40,20 @@ _SPAN-th power) sums to at most 2^-60 of the product's lambda-free term
 at the batch's max|lambda| (C = 23 on a search grid at |lambda| h = 0.05,
 42 at the guard 0.2).  Maps in the coupled layout (more than 6 memory
 states, see _step_maps) are not composed: endpoint solves take their
-single steps, and the maps are built _SLICE steps at a time.  An
-eigenvalue search builds its grid's single-step maps once (grid_maps) and
-passes them as maps= to its one batched evaluation, which composes each
-block in turn, capped for its batch (_cut), and to nodal_data's trajectory
-solve, after which nodal_data releases them, before node refinement.  A
-standalone call builds them lazily, one block at a time, so its memory
-does not grow with the grid.  Node refinement (_single_steps) takes each
-query's RK4 step in stage form from the query's state, on the
-coefficients of AugmentedSystem, and builds no maps; each stage is one
-batch over all the queries of a call, whose number the caller bounds.  A
-crossing's first stage is computed once for all its queries
-(_first_stages), which then evaluate coefficients at two points.
+single steps, and the maps are built _SLICE steps at a time.  A solve
+without maps= builds them lazily, one block at a time, and frees each
+block before it builds the next, so its memory does not grow with the
+grid; the evaluations of compute_spectrum's search are such solves, each
+block composed in turn, capped for its batch (_cut).  Only nodal_data,
+which solves twice on its search grid, builds the grid's single-step maps
+once (grid_maps) and passes them as maps= to its search's evaluations and
+its trajectory solve, then releases them before node refinement.  Node
+refinement (_single_steps) takes each query's RK4 step in stage form from
+the query's state, on the coefficients of AugmentedSystem, and builds no
+maps; each stage is one batch over all the queries of a call, whose
+number the caller bounds.  A crossing's first stage is computed once for
+all its queries (_first_stages), which then evaluate coefficients at two
+points.
 
 Trajectory solves (solve_batch) take single steps and hand the states of
 each slice of _SLICE = 128 steps of a block to a consumer: one stacks
@@ -506,7 +508,9 @@ class GridMaps:
     steps, as _map_blocks yields them, for reuse by all solves on that grid
     (maps= of solve_batch, endpoint_states, char_fn and char_fn_normalized).
     Trajectory solves step over them; endpoint-only solves compose each
-    block in turn (_cut), for their own max|lambda|."""
+    block in turn (_cut), for their own max|lambda|.  Held whole, they grow
+    with the grid: they pay where one grid serves more than one solve, as in
+    nodal_data; a single solve streams its blocks instead (maps=None)."""
 
     problem: object
     points: int
@@ -601,8 +605,8 @@ def _solve(problem, lam, points, maps, consumer=None):
     the maps composed in runs of _SPAN steps, each block composed in turn
     up to the cap (_caps) for the batch's max|lambda| (single steps for maps
     in the coupled layout).  The maps come from maps (a GridMaps of this
-    problem and step count), or are built a block at a time, so no array
-    grows with the grid."""
+    problem and step count), or are built a block at a time, each freed
+    before the next is built, so no array grows with the grid."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if not np.isfinite(lam).all():
         raise ValueError(f"lambda must be finite, got {float(lam[~np.isfinite(lam)][0])}")
@@ -617,9 +621,11 @@ def _solve(problem, lam, points, maps, consumer=None):
         raise ValueError(f"maps were built for {maps.points} steps, not {n_steps}")
     else:
         size, blocks = maps.size, maps.blocks
-    if consumer is None:  # plain-layout maps composed, to the degree lambda reaches
+    if consumer is None and not _coupled(size):  # composed, to the degree lambda reaches
         lam_max, h = _lam_max(lam), math.pi / n_steps
-        blocks = (_cut(block, h, lam_max) if block[1] is None else block for block in blocks)
+        # map, unlike a generator expression, holds no block once it is cut,
+        # so a block's single steps are freed before the next block is built
+        blocks = map(lambda block: _cut(block, h, lam_max), blocks)
     consume = None if consumer is None else consumer(lam, n_steps, size)
     z = np.zeros((size, lam.size))
     z[:2] = initial_state(problem.bc, lam)

@@ -10,7 +10,10 @@ Battles & Trefethen 2004; Boyd 2013).  A window counts when each seed owns
 one root and each root one seed; the indices of any other are searched again
 on windows seed +- 0.45 of 16 points, in one more evaluation.  The last two
 coefficients estimate the interpolant's error, which bounds the root's
-error (tol) and |Delta(lambda_n)| (the residual).
+error (tol) and |Delta(lambda_n)| (the residual).  Each evaluation builds
+the grid's step maps a block at a time and drops them, so the search's
+memory does not grow with the grid; only nodal_data keeps them (GridMaps),
+for its trajectory solve on the same grid.
 
 Nodes are grid sign changes of phi1, found block by block while the
 trajectory solve runs (solve_batch(..., crossings=True)).  One function
@@ -242,16 +245,17 @@ def _slopes(coeffs, u):
     return out
 
 
-def _windows(problem, seeds, groups, reach, K, maps):
+def _windows(problem, seeds, groups, reach, K, n_steps, maps):
     """One window per group of consecutive seeds (positions in seeds),
     reaching `reach` past its first and last seed, evaluated in one batch at
-    K first-kind Chebyshev points each; the real roots of each window's
-    interpolant p of Delta / (1 + lambda^2) (analytic on the real axis,
-    unlike Delta / max(1, lambda^2)) from its colleague matrix.  A root
-    belongs to each seed within SCAN_HALF_WIDTH of it.  Returns found[i] =
-    (roots of seed i, a lone root's estimated error tail / |dp/dlambda|, the
-    window's tail |c_{K-2}| + |c_{K-1}|) for each seed of the groups, and the
-    seeds of the windows where each seed owns one root and each root one seed."""
+    K first-kind Chebyshev points each on the grid of n_steps steps (maps:
+    its GridMaps, or None); the real roots of each window's interpolant p
+    of Delta / (1 + lambda^2) (analytic on the real axis, unlike Delta /
+    max(1, lambda^2)) from its colleague matrix.  A root belongs to each
+    seed within SCAN_HALF_WIDTH of it.  Returns found[i] = (roots of seed i,
+    a lone root's estimated error tail / |dp/dlambda|, the window's tail
+    |c_{K-2}| + |c_{K-1}|) for each seed of the groups, and the seeds of the
+    windows where each seed owns one root and each root one seed."""
     if not groups:
         return {}, set()
     first, last = seeds[[g[0] for g in groups]], seeds[[g[-1] for g in groups]]
@@ -259,7 +263,7 @@ def _windows(problem, seeds, groups, reach, K, maps):
     nodes, to_coeffs = _chebyshev(K)
     u = 2.0 * nodes / math.pi - 1.0  # the first-kind Chebyshev points in (-1, 1)
     lam = center[:, None] + radius[:, None] * u
-    vals = char_fn_normalized(problem, lam.ravel(), points=maps.points, maps=maps).reshape(lam.shape)
+    vals = char_fn_normalized(problem, lam.ravel(), points=n_steps, maps=maps).reshape(lam.shape)
     coeffs = to_coeffs @ (vals * np.maximum(1.0, lam * lam) / (1.0 + lam * lam)).T
     tail = np.abs(coeffs[-2:]).sum(axis=0)  # bounds |p - Delta / (1 + lambda^2)|, by estimate
     windows = _window_roots(coeffs)
@@ -280,7 +284,7 @@ def _windows(problem, seeds, groups, reach, K, maps):
     return found, accepted
 
 
-def _search(problem, n_range, tol, points):
+def _search(problem, n_range, tol, points, keep_maps=False):
     """Shared engine: argument checks, then the windows (_windows): one per
     lattice group {n >= N_MIN : n // GROUP = k} the range touches, evaluated
     whole, so lambda_n does not depend on where the range starts; then one
@@ -291,7 +295,9 @@ def _search(problem, n_range, tol, points):
     is not certain; an estimated error above tol / 4, its ResolutionError.
 
     Returns (spectrum, failures, maps): the Spectrum of the n found, the
-    failures by n, and the GridMaps of the grid searched on.
+    failures by n, and with keep_maps the GridMaps of the grid searched on,
+    built once for both evaluations; without, each evaluation builds and
+    drops the maps a block at a time, and maps is None.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < N_MIN:
@@ -305,14 +311,14 @@ def _search(problem, n_range, tol, points):
     inside = np.flatnonzero((ns >= n_lo) & (ns <= n_hi))
     n_steps = points if points is not None else resolution_points(
         float(np.max(np.abs(seeds[inside]))) + SCAN_HALF_WIDTH)
-    maps = grid_maps(problem, n_steps)
+    maps = grid_maps(problem, n_steps) if keep_maps else None
 
     top = GUARD_LIMIT * n_steps / math.pi - 0.5  # the largest seed a wide window may end at
     groups = [g.tolist() for g in np.split(np.arange(ns.size), np.flatnonzero(np.diff(ns // GROUP)) + 1)
               if max(abs(seeds[g[0]]), abs(seeds[g[-1]])) <= top]
-    found, accepted = _windows(problem, seeds, groups, 0.5, WIDE_POINTS, maps)
+    found, accepted = _windows(problem, seeds, groups, 0.5, WIDE_POINTS, n_steps, maps)
     found.update(_windows(problem, seeds, [[i] for i in inside.tolist() if i not in accepted],
-                          SCAN_HALF_WIDTH, WINDOW_POINTS, maps)[0])
+                          SCAN_HALF_WIDTH, WINDOW_POINTS, n_steps, maps)[0])
 
     failures, entries, residuals = {}, {}, {}
     offset = (problem.bc.beta - problem.bc.theta) / math.pi
@@ -410,7 +416,7 @@ def nodal_data(problem, n_range, tol=1e-9, points=None):
     Per-n search failures (bracketing, ambiguity, resolution) are recorded
     in .failures instead of aborting the batch.
     """
-    spectrum, failures, maps = _search(problem, n_range, tol, points)
+    spectrum, failures, maps = _search(problem, n_range, tol, points, keep_maps=True)
     failures = {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
     nodes = {}
     if spectrum.entries:

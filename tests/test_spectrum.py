@@ -585,9 +585,11 @@ def test_eigenvalues_lie_in_sign_changes_of_stage_form_rk4(which, n_range, cosin
 
 
 def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
-    # the search grid's step maps are built once, _BLOCK steps at a time,
-    # and serve the scan, every update and nodal_data's trajectory solve;
-    # node refinement steps each query in stage form and builds no maps at all
+    # the search grid's step maps are built once, _BLOCK steps at a time:
+    # compute_spectrum builds each block inside its one evaluation and drops
+    # it there, and nodal_data keeps them (grid_maps) for its search and its
+    # trajectory solve; node refinement steps each query in stage form and
+    # builds no maps at all
     grid = []
     original = forward._step_maps
 
@@ -603,6 +605,93 @@ def test_search_builds_grid_maps_once(worked_problem, monkeypatch):
     data = nodal_data(worked_problem, (20, 30), points=sum(blocks))
     assert grid == blocks
     assert data.indices == list(range(20, 31)) and not data.failures
+
+
+def _count_step_maps(monkeypatch):
+    """Patch forward._step_maps to record each build: (block length, the
+    number of earlier blocks whose maps are still alive, as weakrefs on
+    every array of each result tell)."""
+    builds, refs = [], []
+    original = forward._step_maps
+
+    def counted(system, x0, x1, h):
+        builds.append((x0.size, sum(any(ref() is not None for ref in block) for block in refs)))
+        maps = original(system, x0, x1, h)
+        refs.append([weakref.ref(a) for a in maps if a is not None])
+        return maps
+
+    monkeypatch.setattr(forward, "_step_maps", counted)
+    return builds, refs
+
+
+@pytest.mark.parametrize("which, n_range", [
+    ("cosine", (20, 400)), ("mass", (5, 120)), ("general", (8, 30)),
+])
+def test_spectrum_holds_one_block_of_step_maps_at_a_time(which, n_range, cosine_problem,
+                                                        exp_kernel_problem, monkeypatch):
+    # compute_spectrum keeps no GridMaps: each block of single-step maps is
+    # built, composed (plain layout) or stepped over (coupled layout) and
+    # freed before the next block is built, and none outlives the call
+    problem = {"cosine": cosine_problem, "mass": constant_mass_problem(),
+               "general": exp_kernel_problem}[which]
+    builds, refs = _count_step_maps(monkeypatch)
+    spec = compute_spectrum(problem, n_range)
+    assert spec.indices == list(range(n_range[0], n_range[1] + 1))
+    assert len(builds) > 4 and all(alive == 0 for _, alive in builds), builds
+    assert all(ref() is None for block in refs for ref in block)
+
+
+@pytest.mark.parametrize("which, ranges", [
+    ("cosine", ((20, 120), (20, 400))), ("general", ((8, 12), (8, 30))),
+])
+def test_spectrum_memory_does_not_grow_with_the_grid(which, ranges, cosine_problem,
+                                                     exp_kernel_problem):
+    # the step maps are streamed a block at a time, so the traced peak of
+    # compute_spectrum on the larger range (cosine: 25,158 steps against
+    # 7,565; general: 1,912 against 781, in the coupled layout) stays within
+    # 1.3 times its peak on the smaller (measured 4.8 and 4.8 MiB on cosine,
+    # 1.3 and 1.3 MiB on general; with the grid's maps held whole, 10.6 and
+    # 27.2, 4.7 and 10.8)
+    problem = {"cosine": cosine_problem, "general": exp_kernel_problem}[which]
+    compute_spectrum(problem, ranges[0])
+    peaks = []
+    for n_range in ranges:
+        tracemalloc.start()
+        try:
+            compute_spectrum(problem, n_range)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0], peaks
+
+
+def test_single_seed_fallback_streams_the_maps_again(monkeypatch):
+    # b1 = -300 (see test_hostile_problems_fail_as_on_single_seed_windows)
+    # refuses the wide windows of n = 5..31, so the search makes its second,
+    # single-seed evaluation: streamed, each evaluation builds the grid's
+    # blocks anew, two passes, where the maps nodal_data keeps are built in
+    # one; lambda_n, the residuals and the failures are bit for bit the same
+    problem = problem_from_mapping({"bc": {"theta": 0.3, "beta": 0.1, "b1": -300}})
+    builds, _ = _count_step_maps(monkeypatch)
+    kept, kept_failures, maps = spectrum._search(problem, (5, 40), 1e-9, None, keep_maps=True)
+    blocks = [size for size, _ in builds]
+    assert maps is not None and blocks == [1024, 1024, maps.points - 2048]
+    builds.clear()
+    streamed, failures, maps = spectrum._search(problem, (5, 40), 1e-9, None)
+    assert maps is None and [size for size, _ in builds] == blocks + blocks
+    assert sorted(failures) == sorted(kept_failures) == list(range(5, 21))
+    assert [(type(e), str(e)) for e in failures.values()] == [
+        (type(e), str(e)) for e in kept_failures.values()]
+    assert streamed.indices == kept.indices == list(range(21, 41))
+    for n in streamed.indices:
+        assert streamed.entries[n] == kept.entries[n], n
+        assert streamed.residuals[n] == kept.residuals[n], n
+    with pytest.raises(type(failures[5])) as info:
+        compute_spectrum(problem, (5, 40))
+    assert str(info.value) == str(failures[5])
+    data = nodal_data(problem, (5, 40))
+    assert data.eigenvalues == streamed.entries
+    assert data.failures == {n: f"{type(e).__name__}: {e}" for n, e in failures.items()}
 
 
 @pytest.mark.parametrize("which, n_range", [
