@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .forward import initial_state
+from .io import NodalData
 
 _BLOCK = 1 << 14  # node values per node_asym call in synthesis (2**16 left its heap 4 MB larger)
 
@@ -37,56 +38,11 @@ def asymptotic_constants(problem):
     )
 
 
-def _complex_kernels(chi, x, t):
-    """P, Q of the complex form at (x, t).
-
-    z = phi1 + i phi2 obeys z' = i(lambda - V) z - i m conj(z)
-    + int_0^x [P z + Q conj(z)] dt with
-    P = ((chi21 - chi12) - i(chi11 + chi22)) / 2 and
-    Q = ((chi21 + chi12) + i(chi22 - chi11)) / 2.
-    """
-    c11, c12, c21, c22 = (k.eval(x, t) for _, _, k in chi.entries)
-    P = 0.5 * ((c21 - c12) - 1j * (c11 + c22))
-    Q = 0.5 * ((c21 + c12) + 1j * (c22 - c11))
-    return P, Q
-
-
-def _diagonal_phase(problem, grid):
-    """Cumulative trapezoid integral of the 1/lambda^2 phase rate along the
-    diagonal, on ``grid``:
-
-      S(x) = int_0^x [ -(i/2)(m^2 + 2 P(s,s)) V(s) + d_t P(s,t)|_{t=s}
-                       + (m/2)(chi22 - chi11)(s,s) ] ds,
-
-    where m^2 + 2 P(s,s) = m^2 - L'(s) - i K'(s) and (chi22 - chi11)/2 is the
-    imaginary part of Q(s,s).  The t-derivative is a central difference of the
-    kernel's own ``eval``, with the stencil kept inside [0, pi], so zero,
-    separable and general entries are treated alike.
-    """
-    m = problem.coeffs.m
-    chi = problem.coeffs.chi
-    h = 1e-4
-    t_hi = np.minimum(grid + h, math.pi)
-    t_lo = np.maximum(grid - h, 0.0)
-    P_hi, _ = _complex_kernels(chi, grid, t_hi)
-    P_lo, _ = _complex_kernels(chi, grid, t_lo)
-    P_diag, Q_diag = _complex_kernels(chi, grid, grid)
-    V = np.asarray(problem.coeffs.V(grid), dtype=float)
-    rate = (
-        -0.5j * (m * m + 2.0 * P_diag) * V
-        + (P_hi - P_lo) / (t_hi - t_lo)
-        + m * Q_diag.imag
-    )
-    out = np.zeros(grid.shape, dtype=complex)
-    np.cumsum(0.5 * np.diff(grid) * (rate[1:] + rate[:-1]), out=out[1:])
-    return out
-
-
 def phi_asym(problem, x, lam):
     """Expansion of (phi1, phi2)(x, lambda) with all terms through 1/lambda.
 
     Vectorized over x; lam is a nonzero scalar.  In the complex form
-    z = phi1 + i phi2 (see ``_complex_kernels``) the expansion reads
+    z = phi1 + i phi2 (see ``KernelMatrix.complex_form``) the expansion reads
 
       z = exp(iD) alpha + exp(-iD) beta + gamma,   D = lambda x - nu,
 
@@ -95,12 +51,12 @@ def phi_asym(problem, x, lam):
       beta = [m (1/(2 lambda) + V/(2 lambda^2)) - Q(x,x)/(2 lambda^2)] conj(alpha),
       gamma = -[P(x,0) alpha0 - Q(x,0) conj(alpha0)]/lambda^2,
 
-    where S (``_diagonal_phase``, problem.diagonal_phase once per problem)
-    integrates along the diagonal the V-weighted mass and kernel terms
-    (m^2 - L' - iK') V, the derivative d_t P(x,t) at t = x, and
-    m (chi22 - chi11)(x,x)/2.  The dropped remainder
-    is O(1/lambda^2).  alpha0 is fixed so that x = 0 reproduces the initial
-    state exactly, for every problem and every lambda != 0.
+    where S (``problem.diagonal_phase``, built once per problem by
+    ``nodalrec.problem._diagonal_phase``) integrates along the diagonal the
+    V-weighted mass and kernel terms (m^2 - L' - iK') V, the derivative
+    d_t P(x,t) at t = x, and m (chi22 - chi11)(x,x)/2.  The dropped
+    remainder is O(1/lambda^2).  alpha0 is fixed so that x = 0 reproduces
+    the initial state exactly, for every problem and every lambda != 0.
     """
     if lam == 0:
         raise ValueError("expansion requires lambda != 0")
@@ -118,8 +74,8 @@ def phi_asym(problem, x, lam):
             + (np.interp(x, ints.grid, S.real) + 1j * np.interp(x, ints.grid, S.imag)) * inv2
         )
         lead = np.exp(1j * (lam * x - ints.nu_at(x)) + Lam)
-        P_x0, Q_x0 = _complex_kernels(chi, x, 0.0)
-        _, Q_xx = _complex_kernels(chi, x, x)
+        P_x0, Q_x0 = chi.complex_form(x, 0.0)
+        _, Q_xx = chi.complex_form(x, x)
         V = np.asarray(problem.coeffs.V(x), dtype=float)
         mix = m * (0.5 * inv1 + 0.5 * V * inv2) - 0.5 * Q_xx * inv2
         return lead, lead - P_x0 * inv2, mix * np.conj(lead) + Q_x0 * inv2
@@ -232,8 +188,6 @@ def synthesize_nodal_data(problem, n_range):
     One node_asym call per block of whole lists of about ``_BLOCK`` values
     bounds the working memory; each value equals the scalar call.
     """
-    from .spectrum import NodalData
-
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")

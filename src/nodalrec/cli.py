@@ -237,7 +237,6 @@ def _run_roundtrip(args):
     result = reconstruct(data, grid_size=args.grid_points,
                          n_min=args.n_min, known_m=args.known_m)
     errors = _roundtrip_errors(problem, result)
-    os.makedirs(args.out, exist_ok=True)
     summary_path, curves_path = formats.write_reconstruction(result, args.out)
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:

@@ -701,10 +701,8 @@ def char_fn(problem, lam, points=None, *, maps=None):
 
 
 def char_fn_normalized(problem, lam, points=None, *, maps=None):
-    """Delta(lambda) / max(1, lambda^2); bounded near roots, used for bracketing."""
-    scalar = np.ndim(lam) == 0
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    val = char_fn(problem, lam_arr, points=points, maps=maps)
-    out = val / np.maximum(1.0, lam_arr * lam_arr)
-    return float(out[0]) if scalar else out
+    """Delta(lambda) / max(1, lambda^2); bounded near roots, used for
+    bracketing.  Scalar in, float out, as char_fn."""
+    lam = np.asarray(lam, dtype=float)
+    return char_fn(problem, lam, points=points, maps=maps) / np.maximum(1.0, lam * lam)
 

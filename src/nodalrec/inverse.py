@@ -146,27 +146,12 @@ def _usable_indices(data, n_min):
     return [n for n in sorted(data.nodes) if n >= n_min and len(data.nodes[n]) > 0]
 
 
-def _nearest_samples(data, ns, x):
-    """Per n: the node nearest x and its 0-based position in the sorted list.
-
-    Returns (positions, node_values) arrays aligned with ns.  Used for
-    calibration, where the index origin is still unknown, and for the
-    brute-force check against the raw data.
-    """
-    pos = np.empty(len(ns), dtype=int)
-    val = np.empty(len(ns), dtype=float)
-    for k, n in enumerate(ns):
-        xs = np.asarray(data.nodes[n], dtype=float)
-        i = int(np.searchsorted(xs, x))
-        if i == 0:
-            j = 0
-        elif i >= xs.size:
-            j = xs.size - 1
-        else:
-            j = i if xs[i] - x < x - xs[i - 1] else i - 1
-        pos[k] = j
-        val[k] = xs[j]
-    return pos, val
+def _nearest(xs, x):
+    """Positions in the ascending array xs of the nodes nearest x (a number
+    or an array), the lower of two at equal distance."""
+    i = xs.searchsorted(x)
+    lo, hi = i - (i > 0), i - (i == xs.size)  # the nodes either side of x, or the end node twice
+    return lo + (hi - lo) * (xs[hi] - x < x - xs[lo])
 
 
 def _indexed_samples(data, ns, grid, offset):
@@ -203,7 +188,9 @@ def calibrate_offset(data):
     ns = _usable_indices(data, 1)
     if not ns:
         raise CalibrationError("no nodal data to calibrate")
-    pos, val = _nearest_samples(data, ns, CALIBRATION_X)
+    lists = [np.asarray(data.nodes[n], dtype=float) for n in ns]
+    pos = np.array([_nearest(xs, CALIBRATION_X) for xs in lists])
+    val = np.array([xs[p] for xs, p in zip(lists, pos)])
     narr = np.asarray(ns, dtype=float)
     f0 = (val - pos * math.pi / narr) * narr
     s = int(round(float(np.median(f0)) / math.pi))
@@ -345,13 +332,11 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
     }
 
     radicand = 2.0 * (g_vals[-1] - g_vals[0]) / math.pi
+    diagnostics["m_radicand"] = radicand
+    diagnostics["m_mode"] = "recovered" if known_m is None else "known"
     if known_m is not None:
         m_hat = float(known_m)
-        diagnostics["m_radicand"] = radicand
-        diagnostics["m_mode"] = "known"
     else:
-        diagnostics["m_radicand"] = radicand
-        diagnostics["m_mode"] = "recovered"
         if -1e-6 < radicand < 0.0:
             # massless problems put the radicand at +-roundoff; only a
             # decisively negative value signals a broken normalization
@@ -393,11 +378,8 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
 def _brute_force_check(data, grid, f_vals, offset, n_top):
     """Raw sample of index n_top vs the fitted limit at a few probe points;
     the fit must not drift away from the data it extrapolates."""
-    worst = 0.0
-    for frac in (0.25, 0.5, 0.75):
-        x = float(grid[int(round(frac * (grid.size - 1)))])
-        pos, val = _nearest_samples(data, [n_top], x)
-        raw = (val[0] - (pos[0] + offset) * math.pi / n_top) * n_top
-        fitted = float(np.interp(x, grid, f_vals))
-        worst = max(worst, abs(raw - fitted))
-    return worst
+    x = grid[np.rint(np.array([0.25, 0.5, 0.75]) * (grid.size - 1)).astype(int)]
+    xs = np.asarray(data.nodes[n_top], dtype=float)
+    pos = _nearest(xs, x)
+    raw = (xs[pos] - (pos + offset) * math.pi / n_top) * n_top
+    return float(np.max(np.abs(raw - np.interp(x, grid, f_vals))))

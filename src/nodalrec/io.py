@@ -1,5 +1,9 @@
 """File formats: nodal CSV, spectrum CSV, trajectory CSV, reconstruction output.
 
+``NodalData`` holds what a nodal CSV holds: the node lists by n and their
+source, numeric or synthetic.  This module imports only errors, so the
+solvers that build it and the reader share it without an import cycle.
+
 All numeric cells use ``repr(float(...))``, the shortest representation that
 round-trips the binary value (at least 15 significant digits).  Bodies contain
 no timestamps, so identical inputs produce byte-identical files.
@@ -21,6 +25,7 @@ and x as the correctly rounded M / 10**p of the digits M of D.F, by one
 division where M < 2**53 and with an exact residual check above; the rare
 cell it cannot certify is read by ``float``.  Any other piece is decoded
 as UTF-8 with universal newlines, so LF, CRLF and CR files read the same.
+One UTF-8 byte-order mark at the start of the file is skipped.
 In it one regular expression notes a ``# source=synthetic`` tag and
 another drops the blank lines and the ``#`` comment lines, wherever they
 stand; the first row left in the file is the header, and ``np.loadtxt``
@@ -46,11 +51,71 @@ import math
 import operator
 import os
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProblemFormatError
-from .spectrum import NodalData
+
+# node values NodalData checks at a time, in whole lists: bounds the check's
+# copy (at least one list) whatever the number of nodes
+_CHECK_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class NodalData:
+    """Map n -> ascending node positions in the open interval (0, pi), and
+    for numeric data the eigenvalues the search found.
+
+    The lists are checked in dict order, in blocks of whole lists of about
+    ``_CHECK_BLOCK`` values, each in one pass over the block's
+    concatenation; the first n that fails is named, its order fault before
+    its bounds fault.  So the check copies one block, not every node.
+    """
+
+    nodes: dict
+    source: str = "numeric"
+    failures: dict = field(default_factory=dict)
+    eigenvalues: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.source not in ("numeric", "synthetic"):
+            raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
+        lists = [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
+        start = size = 0
+        for stop, xs in enumerate(lists, 1):
+            size += xs.size
+            if size < _CHECK_BLOCK and stop < len(lists):
+                continue
+            fault = _first_fault(lists[start:stop])
+            if fault:
+                k, reason = fault
+                raise ValueError(f"node list for n = {list(self.nodes)[start + k]} {reason}")
+            start, size = stop, 0
+
+    @property
+    def indices(self):
+        return sorted(self.nodes)
+
+
+def _first_fault(lists):
+    """(k, reason) for the first of the node lists that fails, by one pass
+    over their concatenation: reason is "not strictly increasing" before
+    "leaves (0, pi)".  None when every list passes."""
+    sizes = np.array([xs.size for xs in lists])
+    x = np.concatenate(lists)
+    ends = np.cumsum(sizes)
+    falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
+    falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
+    unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
+    full = np.flatnonzero(sizes)
+    outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
+    first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
+    if first is None:
+        return None
+    if unsorted.size and unsorted[0] == first:
+        return first, "not strictly increasing"
+    return first, "leaves (0, pi)"
 
 
 def format_float(value):
@@ -68,13 +133,13 @@ def write_nodal_csv(data, path):
     cannot certify are printed by ``repr`` itself.
     """
     with open(path, "wb") as fh:
-        if data.source == "synthetic":
-            fh.write(b"# source=synthetic\n")
-        fh.write(b"n,j,x\r\n")
+        fh.write(_WRITTEN_HEADS[data.source == "synthetic"])
         for pieces in _chunks(data):
             fh.write(_render(pieces))
 
 
+# what write_nodal_csv writes before its rows, for numeric and synthetic data
+_WRITTEN_HEADS = (b"n,j,x\r\n", b"# source=synthetic\nn,j,x\r\n")
 _ROWS = 1 << 13  # rows the writer renders at a time
 # each literal is the smallest double >= its power of ten, so x >= 10**e
 # exactly when x is >= the literal
@@ -238,8 +303,6 @@ def _split(a):
 _NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
 _INT32 = np.iinfo(np.int32)
 _CHUNK = 1 << 18  # bytes the reader takes at a time, cut back to the last line end
-# what write_nodal_csv writes before its rows
-_WRITTEN_HEADS = (b"n,j,x\r\n", b"# source=synthetic\nn,j,x\r\n")
 _MARKS = np.frombuffer(b",,.\r\n", np.uint8)  # the non-digits of a written row, in order
 _LEAD = b"0" * 24  # digits before a piece, so that every word read below starts in it
 # _KEEP[k] keeps the top k bytes of a little-endian word: the last k characters
@@ -276,6 +339,8 @@ def read_nodal_csv(path):
     source = "numeric"
     count = 0  # rows before the piece being parsed, header included
     with open(path, "rb") as fh:
+        if fh.read(3) != b"\xef\xbb\xbf":  # skip a leading UTF-8 byte-order mark
+            fh.seek(0)
         # the n, j and x of the rows, with room for rows of 20 bytes or more,
         # grown if they are shorter; pages never written are never resident
         size = os.fstat(fh.fileno()).st_size // 20 + 1

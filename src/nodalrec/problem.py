@@ -155,6 +155,19 @@ class KernelMatrix:
         t = np.asarray(t, dtype=float)
         return self.k12.eval(t, t) - self.k21.eval(t, t)
 
+    def complex_form(self, x, t):
+        """P, Q of the complex form at (x, t).
+
+        z = phi1 + i phi2 obeys z' = i(lambda - V) z - i m conj(z)
+        + int_0^x [P z + Q conj(z)] dt with
+        P = ((chi21 - chi12) - i(chi11 + chi22)) / 2 and
+        Q = ((chi21 + chi12) + i(chi22 - chi11)) / 2.
+        """
+        c11, c12, c21, c22 = (k.eval(x, t) for _, _, k in self.entries)
+        P = 0.5 * ((c21 - c12) - 1j * (c11 + c22))
+        Q = 0.5 * ((c21 + c12) + 1j * (c22 - c11))
+        return P, Q
+
 
 def _as_coefficient(V):
     if V is None or (isinstance(V, (int, float)) and V == 0):
@@ -206,11 +219,10 @@ class ProblemDefinition:
     @functools.cached_property
     def diagonal_phase(self):
         """The diagonal phase S of the large-lambda expansion
-        (asymptotics.phi_asym) on the grid of the integrals, computed on
-        first use, so a sweep over lambda builds it once."""
-        from . import asymptotics  # it imports this module
-
-        return asymptotics._diagonal_phase(self, self.integrals.grid)
+        (asymptotics.phi_asym) on the grid of the integrals, built by
+        ``_diagonal_phase`` on first use, so a sweep over lambda builds it
+        once."""
+        return _diagonal_phase(self, self.integrals.grid)
 
 
 def ensure_valid(problem):
@@ -313,6 +325,37 @@ def derived_integrals(problem):
     tr = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_trace(grid), dtype=float), grid.shape)
     sk = np.broadcast_to(np.asarray(problem.coeffs.chi.diag_skew(grid), dtype=float), grid.shape)
     return DerivedIntegrals(grid=grid, nu=_cumtrapz0(v, grid), K=_cumtrapz0(tr, grid), L=_cumtrapz0(sk, grid))
+
+
+def _diagonal_phase(problem, grid):
+    """Cumulative trapezoid integral of the 1/lambda^2 phase rate along the
+    diagonal, on ``grid``:
+
+      S(x) = int_0^x [ -(i/2)(m^2 + 2 P(s,s)) V(s) + d_t P(s,t)|_{t=s}
+                       + (m/2)(chi22 - chi11)(s,s) ] ds,
+
+    where m^2 + 2 P(s,s) = m^2 - L'(s) - i K'(s) and (chi22 - chi11)/2 is the
+    imaginary part of Q(s,s).  The t-derivative is a central difference of the
+    kernel's own ``eval``, with the stencil kept inside [0, pi], so zero,
+    separable and general entries are treated alike.
+    """
+    m = problem.coeffs.m
+    chi = problem.coeffs.chi
+    h = 1e-4
+    t_hi = np.minimum(grid + h, math.pi)
+    t_lo = np.maximum(grid - h, 0.0)
+    P_hi, _ = chi.complex_form(grid, t_hi)
+    P_lo, _ = chi.complex_form(grid, t_lo)
+    P_diag, Q_diag = chi.complex_form(grid, grid)
+    V = np.asarray(problem.coeffs.V(grid), dtype=float)
+    rate = (
+        -0.5j * (m * m + 2.0 * P_diag) * V
+        + (P_hi - P_lo) / (t_hi - t_lo)
+        + m * Q_diag.imag
+    )
+    out = np.zeros(grid.shape, dtype=complex)
+    np.cumsum(0.5 * np.diff(grid) * (rate[1:] + rate[:-1]), out=out[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

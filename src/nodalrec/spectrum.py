@@ -23,11 +23,12 @@ lists; each refinement query is one stage-form RK4 step of the forward
 solver's scheme (forward._single_steps) from the exact augmented state
 (solution pair and memory states) kept at the cell's left node, and each
 Illinois round steps all the open brackets of its chunk in one batch.  No
-trajectory is stored, and refinement builds no step maps.
+trajectory is stored, and refinement builds no step maps.  nodal_data
+returns the nodes in a NodalData, the container of the nodal CSV (io).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .forward import (
     GUARD_LIMIT, AugmentedSystem, _chebyshev, _first_stages, _single_steps, char_fn_normalized,
     grid_maps, resolution_points, solve_batch,
 )
+from .io import NodalData
 
 N_MIN = 5
 SCAN_HALF_WIDTH = 0.45
@@ -56,9 +58,6 @@ NODE_TOL = 1e-12
 # 500,000 at 1000), and is large enough that a stage pays for arithmetic
 # rather than numpy calls
 _REFINE_CHUNK = 4096
-# node values NodalData checks at a time, in whole lists: bounds the check's
-# copy (at least one list) whatever the number of nodes
-_CHECK_BLOCK = 1 << 16
 
 
 def _corridor_miss(n, lam, offset):
@@ -98,62 +97,6 @@ class Spectrum:
 
     def rows(self):
         return [(n, self.entries[n], self.residuals[n]) for n in self.indices]
-
-
-@dataclass(frozen=True)
-class NodalData:
-    """Map n -> ascending node positions in the open interval (0, pi), and
-    for numeric data the eigenvalues the search found.
-
-    The lists are checked in dict order, in blocks of whole lists of about
-    ``_CHECK_BLOCK`` values, each in one pass over the block's
-    concatenation; the first n that fails is named, its order fault before
-    its bounds fault.  So the check copies one block, not every node.
-    """
-
-    nodes: dict
-    source: str = "numeric"
-    failures: dict = field(default_factory=dict)
-    eigenvalues: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.source not in ("numeric", "synthetic"):
-            raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
-        lists = [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
-        start = size = 0
-        for stop, xs in enumerate(lists, 1):
-            size += xs.size
-            if size < _CHECK_BLOCK and stop < len(lists):
-                continue
-            fault = _first_fault(lists[start:stop])
-            if fault:
-                k, reason = fault
-                raise ValueError(f"node list for n = {list(self.nodes)[start + k]} {reason}")
-            start, size = stop, 0
-
-    @property
-    def indices(self):
-        return sorted(self.nodes)
-
-
-def _first_fault(lists):
-    """(k, reason) for the first of the node lists that fails, by one pass
-    over their concatenation: reason is "not strictly increasing" before
-    "leaves (0, pi)".  None when every list passes."""
-    sizes = np.array([xs.size for xs in lists])
-    x = np.concatenate(lists)
-    ends = np.cumsum(sizes)
-    falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
-    falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
-    unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
-    full = np.flatnonzero(sizes)
-    outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
-    first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
-    if first is None:
-        return None
-    if unsorted.size and unsorted[0] == first:
-        return first, "not strictly increasing"
-    return first, "leaves (0, pi)"
 
 
 # ---------------------------------------------------------------------------

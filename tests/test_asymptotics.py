@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nodalrec import asymptotics
+from nodalrec import problem as problem_module
 from nodalrec.asymptotics import (
     asymptotic_constants,
     char_fn_asym,
@@ -108,8 +108,8 @@ def test_diagonal_phase_built_once_per_problem(monkeypatch):
     # a lambda sweep of phi_asym builds the diagonal table (12 kernel
     # evaluations on the quadrature grid) on its first call only
     prob, calls = worked_example_problem(), []
-    build = asymptotics._diagonal_phase
-    monkeypatch.setattr(asymptotics, "_diagonal_phase",
+    build = problem_module._diagonal_phase
+    monkeypatch.setattr(problem_module, "_diagonal_phase",
                         lambda p, grid: calls.append(p) or build(p, grid))
     xs = np.linspace(0.0, math.pi, 9)
     first = phi_asym(prob, xs, 20.0)

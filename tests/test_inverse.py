@@ -19,6 +19,7 @@ from nodalrec.inverse import (
     SampledCurve,
     _brute_force_check,
     _indexed_samples,
+    _nearest,
     calibrate_offset,
     differentiate,
     f_estimate,
@@ -328,6 +329,26 @@ def test_brute_force_check_reads_a_single_node():
     grid = np.linspace(0.0, math.pi, 65)
     worst = _brute_force_check(NodalData(nodes=nodes), grid, np.zeros(65), 0, 20)
     assert abs(worst - 58.0) <= 1e-12
+
+
+@pytest.mark.parametrize("xs, x, want", [
+    ([0.5, 1.5, 2.5], 0.1, 0),  # left of the first node
+    ([0.5, 1.5, 2.5], 3.0, 2),  # right of the last
+    ([2.9], 0.1, 0),  # one node, right of the probe
+    ([0.2], 3.0, 0),  # one node, left of it
+    ([0.5, 1.5, 2.5], 1.0, 0),  # a tie keeps the lower position
+    ([0.5, 1.5, 2.5], 2.0, 1),
+    ([0.5, 1.5, 2.5], 1.5, 1),  # on a node
+    ([0.5, 1.5, 2.5], 1.9, 1),
+    ([0.5, 1.5, 2.5], 2.1, 2),
+])
+def test_nearest_node(xs, x, want):
+    # the rule calibration and the brute-force check share; an array of
+    # probes gets the first position of least distance for each
+    xs = np.array(xs)
+    assert _nearest(xs, x) == want
+    probes = np.array([x, 0.0, 1.0, 2.0, math.pi])
+    assert _nearest(xs, probes).tolist() == [int(np.argmin(np.abs(xs - p))) for p in probes]
 
 
 def test_sampled_curve_guards(worked_synth_recon):

@@ -427,6 +427,45 @@ def test_read_rejects_text_that_is_not_utf8(tmp_path, body):
     assert str(info.value).startswith(f"{path}: ")
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\n", b"\r"], ids=["crlf", "lf", "cr"])
+@pytest.mark.parametrize("source", ["numeric", "synthetic"])
+def test_read_skips_a_leading_byte_order_mark(tmp_path, newline, source, monkeypatch):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark before the header;
+    # the file reads as its copy without one, the writer's rows in numpy
+    plain = tmp_path / "plain.csv"
+    write_nodal_csv(NodalData(nodes={5: np.array([0.5, 1.5]), 6: np.array([0.1, 1.2, 2.3])},
+                              source=source), plain)
+    raw = plain.read_bytes()
+    if newline != b"\r\n":  # every line end, the tag line's bare "\n" too
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\n", newline)
+        plain.write_bytes(raw)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(_BOM + raw)
+    loaded = _count_loadtxt_rows(monkeypatch)
+    back, want = read_nodal_csv(marked), read_nodal_csv(plain)
+    assert back.source == want.source == source
+    assert list(back.nodes) == list(want.nodes) == [5, 6]
+    for n, xs in want.nodes.items():
+        assert back.nodes[n].tobytes() == xs.tobytes()
+    if newline == b"\r\n":
+        assert not loaded
+
+
+@pytest.mark.parametrize("raw, where", [
+    (b"n,j,x\r\n" + _BOM + b"5,0,0.5\r\n", r":2: could not convert string '\ufeff5' to int64"),
+    (_BOM + _BOM + b"n,j,x\r\n5,0,0.5\r\n", r": expected header n,j,x, got '\ufeffn,j,x'"),
+], ids=["before-a-row", "twice"])
+def test_read_rejects_a_byte_order_mark_elsewhere(tmp_path, raw, where):
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value) == f"{path}{where}"
+
+
 def test_read_sorts_only_rows_out_of_order(tmp_path, worked_synth_data, monkeypatch):
     # rows in (n, j) order, as write_nodal_csv writes them, are taken as
     # they come; shuffled rows are sorted and read back the same
