@@ -14,9 +14,7 @@ import math
 import numpy as np
 
 from .forward import initial_state
-from .io import NodalData
-
-_BLOCK = 1 << 14  # node values per node_asym call in synthesis (2**16 left its heap 4 MB larger)
+from .io import NodalData, _blocks
 
 
 def asymptotic_constants(problem):
@@ -185,23 +183,19 @@ def synthesize_nodal_data(problem, n_range):
 
     Evaluates j = 0..n and keeps the values landing strictly inside
     (0, pi); each kept list is sorted ascending.  Tagged source=synthetic.
-    One node_asym call per block of whole lists of about ``_BLOCK`` values
+    One node_asym call per block of whole lists (``nodalrec.io._blocks``)
     bounds the working memory; each value equals the scalar call.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    nodes, lo = {}, n_lo
-    for hi in range(n_lo + 1, n_hi + 2):
-        # lists lo..hi - 1 (n + 1 values each) are a block at _BLOCK values or the range's end
-        if (hi - lo) * (lo + hi + 1) < 2 * _BLOCK and hi <= n_hi:
-            continue
-        sizes = np.arange(lo, hi) + 1
-        starts = np.cumsum(sizes) - sizes
-        j = np.arange(starts[-1] + sizes[-1]) - np.repeat(starts, sizes)
-        vals = node_asym(problem, np.repeat(sizes - 1, sizes), j)
-        for n, start in zip(range(lo, hi), starts.tolist()):
-            xs = vals[start:start + n + 1]
+    sizes = np.arange(n_lo, n_hi + 1) + 1  # j = 0..n
+    nodes = {}
+    for lo, hi in _blocks(sizes.tolist()):
+        block = sizes[lo:hi]
+        starts = np.cumsum(block) - block
+        j = np.arange(starts[-1] + block[-1]) - np.repeat(starts, block)
+        vals = node_asym(problem, np.repeat(block - 1, block), j)
+        for n, xs in zip(range(n_lo + lo, n_lo + hi), np.split(vals, starts[1:])):
             nodes[n] = np.sort(xs[(xs > 0.0) & (xs < math.pi)])
-        lo = hi
     return NodalData(nodes=nodes, source="synthetic")

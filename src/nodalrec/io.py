@@ -9,9 +9,10 @@ round-trips the binary value (at least 15 significant digits).  Bodies contain
 no timestamps, so identical inputs produce byte-identical files.
 
 CSV rows end in ``\\r\\n``, the line end of ``csv.writer``; comment lines
-(``# ...``) end in a bare ``\\n``.  The nodal CSV holds the bytes
-``csv.writer`` gives for its ``n,j,x`` cells, rendered in numpy a bounded
-number of rows at a time: ``_shortest`` computes repr's digits of each node
+(``# ...``) end in a bare ``\\n``; the small CSVs go through
+``csv.writer`` itself (``_write_rows``).  The nodal CSV holds the bytes
+``csv.writer`` gives for its ``n,j,x`` cells, rendered in numpy a block of
+whole lists at a time: ``_shortest`` computes repr's digits of each node
 exactly from an error-free product with a power of ten, and hands the few
 it cannot certify (powers of two, exact decimal ties, values below 1e-4) to
 ``repr`` itself, so the bytes are repr's by construction.  Digits of x and
@@ -57,9 +58,21 @@ import numpy as np
 
 from .errors import ProblemFormatError
 
-# node values NodalData checks at a time, in whole lists: bounds the check's
-# copy (at least one list) whatever the number of nodes
-_CHECK_BLOCK = 1 << 16
+# node values one numpy pass takes, in whole lists (``_blocks``): the
+# NodalData check, synthesis and the nodal CSV writer
+_BLOCK = 1 << 13
+
+
+def _blocks(sizes):
+    """The (lo, hi) index ranges of runs of consecutive lists, by their
+    sizes, that together hold at most _BLOCK values; a longer list is a
+    block of its own and is not split."""
+    lo = total = 0
+    for hi, size in enumerate([*sizes, math.inf]):  # an endless list closes the last block
+        if total + size > _BLOCK and hi > lo:
+            yield lo, hi
+            lo, total = hi, 0
+        total += size
 
 
 @dataclass(frozen=True)
@@ -67,10 +80,12 @@ class NodalData:
     """Map n -> ascending node positions in the open interval (0, pi), and
     for numeric data the eigenvalues the search found.
 
-    The lists are checked in dict order, in blocks of whole lists of about
-    ``_CHECK_BLOCK`` values, each in one pass over the block's
-    concatenation; the first n that fails is named, its order fault before
-    its bounds fault.  So the check copies one block, not every node.
+    Every n must be an integer (not a bool; numpy integers pass) and every
+    list one-dimensional; the first n in dict order that breaks either is
+    named.  Then the lists are checked in dict order, in blocks of whole
+    lists (``_blocks``), each in one pass over the block's concatenation;
+    the first n that fails is named, its order fault before its bounds
+    fault.  So the check copies one block, not every node.
     """
 
     nodes: dict
@@ -81,17 +96,17 @@ class NodalData:
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
             raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
-        lists = [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
-        start = size = 0
-        for stop, xs in enumerate(lists, 1):
-            size += xs.size
-            if size < _CHECK_BLOCK and stop < len(lists):
-                continue
-            fault = _first_fault(lists[start:stop])
+        keys, lists = list(self.nodes), [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
+        for n, xs in zip(keys, lists):
+            if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # operator.index's test
+                raise ValueError(f"node list for n = {n!r}: n is not an integer")
+            if xs.ndim != 1:
+                raise ValueError(f"node list for n = {n} is not one-dimensional")
+        for lo, hi in _blocks([xs.size for xs in lists]):
+            fault = _first_fault(lists[lo:hi])
             if fault:
                 k, reason = fault
-                raise ValueError(f"node list for n = {list(self.nodes)[start + k]} {reason}")
-            start, size = stop, 0
+                raise ValueError(f"node list for n = {keys[lo + k]} {reason}")
 
     @property
     def indices(self):
@@ -126,21 +141,22 @@ def write_nodal_csv(data, path):
     """CSV "n,j,x"; j is the 0-based position in ascending-x order.
 
     Synthetic data is tagged with a "# source=synthetic" comment so readers
-    can tell which generator produced it.  The rows are rendered
-    ``_ROWS`` at a time, straight from consecutive node lists, as the
-    bytes ``csv.writer`` gives for ``[n, j, repr(x)]``: ``_shortest`` makes
-    the digits of ``repr`` with exact arithmetic, and the few values it
-    cannot certify are printed by ``repr`` itself.
+    can tell which generator produced it.  The rows are rendered a block
+    of whole lists at a time (``_blocks``; an empty list has no rows and is
+    skipped), as the bytes ``csv.writer`` gives for ``[n, j, repr(x)]``:
+    ``_shortest`` makes the digits of ``repr`` with exact arithmetic, and
+    the few values it cannot certify are printed by ``repr`` itself.
     """
+    keys = [n for n in data.indices if len(data.nodes[n])]
+    lists = [np.asarray(data.nodes[n], dtype=float) for n in keys]
     with open(path, "wb") as fh:
         fh.write(_WRITTEN_HEADS[data.source == "synthetic"])
-        for pieces in _chunks(data):
-            fh.write(_render(pieces))
+        for lo, hi in _blocks([xs.size for xs in lists]):
+            fh.write(_render(keys[lo:hi], lists[lo:hi]))
 
 
 # what write_nodal_csv writes before its rows, for numeric and synthetic data
 _WRITTEN_HEADS = (b"n,j,x\r\n", b"# source=synthetic\nn,j,x\r\n")
-_ROWS = 1 << 13  # rows the writer renders at a time
 # each literal is the smallest double >= its power of ten, so x >= 10**e
 # exactly when x is >= the literal
 _DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
@@ -155,39 +171,17 @@ _HEADS = np.frombuffer(b"".join(
 _WIDTH = 24
 
 
-def _chunks(data):
-    """Lists of (b"{n},", xs, j0) pieces, _ROWS rows a list (the last may
-    be shorter): xs are the nodes j0, j0 + 1, ... of n."""
-    pieces, room = [], _ROWS
-    for n in data.indices:
-        prefix = f"{n},".encode()
-        xs = np.asarray(data.nodes[n], dtype=float)
-        j0 = 0
-        while j0 < xs.size:
-            take = xs[j0:j0 + room]
-            pieces.append((prefix, take, j0))
-            j0 += take.size
-            room -= take.size
-            if not room:
-                yield pieces
-                pieces, room = [], _ROWS
-    if pieces:
-        yield pieces
-
-
-def _render(pieces):
-    """The bytes of the rows of one list of _chunks pieces."""
-    prefixes, xs, j0s = zip(*pieces)
-    counts = np.array([x.size for x in xs])
-    x = np.concatenate(xs)
+def _render(keys, lists):
+    """The bytes of the rows of the non-empty node lists under the n keys."""
+    names = np.array([f"{n},".encode() for n in keys])  # null-padded to the longest
+    counts = np.array([xs.size for xs in lists])
+    x = np.concatenate(lists)
     stops = np.cumsum(counts)
-    j = np.arange(x.size) - np.repeat(stops - counts - j0s, counts)
-    wn = max(map(len, prefixes))
-    names = np.frombuffer(b"".join(p.ljust(wn, b"\0") for p in prefixes), np.uint8)
+    j = np.arange(x.size) - np.repeat(stops - counts, counts)
+    wn = names.itemsize
     wj = 4 * ((len(str(j.max())) + 3) // 4)
     rows = np.empty((x.size, wn + wj + _WIDTH + 3), np.uint8)
-    for name, start, stop in zip(names.reshape(-1, wn), stops - counts, stops):
-        rows[start:stop, :wn] = name
+    rows[:, :wn] = np.repeat(names, counts).view(np.uint8).reshape(-1, wn)
     digits = rows[:, wn:wn + wj].view(np.uint32)
     digits[:, 0] = _quad_table()[1][_quads(j, digits[:, 1:])]  # the first quad has no leading zeros
     if wj > 4:  # nor have the others, where j is shorter than the field
@@ -564,23 +558,24 @@ def _residual(q, m, t):
     return (m - hi.astype(np.int64)) - lo
 
 
-def write_spectrum_csv(spectrum, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda", "residual"])
-        for n, lam, resid in spectrum.rows():
-            writer.writerow([n, format_float(lam), format_float(resid)])
-
-
-def write_trajectory_csv(sol, path, comment=None):
-    """CSV "x,phi1,phi2" of the first lambda of a forward BatchSolution."""
+def _write_rows(path, header, rows, comment=None):
+    """A CSV of the header and rows by ``csv.writer``, after a "# comment"
+    line if one is given; every cell but an int is written by format_float."""
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["x", "phi1", "phi2"])
-        for x, p1, p2 in zip(sol.grid, sol.Y[0, :, 0], sol.Y[1, :, 0]):
-            writer.writerow([format_float(x), format_float(p1), format_float(p2)])
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, int) else format_float(c) for c in row] for row in rows)
+
+
+def write_spectrum_csv(spectrum, path):
+    _write_rows(path, ["n", "lambda", "residual"], spectrum.rows())
+
+
+def write_trajectory_csv(sol, path, comment=None):
+    """CSV "x,phi1,phi2" of the first lambda of a forward BatchSolution."""
+    _write_rows(path, ["x", "phi1", "phi2"], zip(sol.grid, sol.Y[0, :, 0], sol.Y[1, :, 0]), comment)
 
 
 def write_reconstruction(result, out_dir):
@@ -600,17 +595,9 @@ def write_reconstruction(result, out_dir):
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     curves_path = os.path.join(out_dir, "curves.csv")
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "f", "g", "V", "Lprime"])
-        for i, x in enumerate(result.f_hat.x):
-            writer.writerow([
-                format_float(x),
-                format_float(result.f_hat.values[i]),
-                format_float(result.g_hat.values[i]),
-                format_float(result.V_hat.values[i]),
-                format_float(result.Lprime_hat.values[i]),
-            ])
+    _write_rows(curves_path, ["x", "f", "g", "V", "Lprime"], zip(
+        result.f_hat.x, result.f_hat.values, result.g_hat.values, result.V_hat.values,
+        result.Lprime_hat.values))
     return summary_path, curves_path
 
 

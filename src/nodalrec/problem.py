@@ -311,8 +311,7 @@ class DerivedIntegrals:
 
 def _cumtrapz0(y, x):
     h = np.diff(x)
-    out = np.empty_like(np.asarray(y, dtype=float))
-    out[0] = 0.0
+    out = np.zeros(np.shape(y), np.result_type(y, float))
     np.cumsum(0.5 * h * (y[1:] + y[:-1]), out=out[1:])
     return out
 
@@ -353,9 +352,7 @@ def _diagonal_phase(problem, grid):
         + (P_hi - P_lo) / (t_hi - t_lo)
         + m * Q_diag.imag
     )
-    out = np.zeros(grid.shape, dtype=complex)
-    np.cumsum(0.5 * np.diff(grid) * (rate[1:] + rate[:-1]), out=out[1:])
-    return out
+    return _cumtrapz0(rate, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -348,24 +348,94 @@ def test_nodal_writer_bytes_on_hard_doubles(tmp_path):
     assert path.read_bytes() == _csv_writer_reference(data)
 
 
-def test_nodal_writer_bytes_with_five_digit_j(tmp_path):
-    # lists under n of 1 to 4 digits fill the first chunk up to the start
-    # of one list of 12,000 nodes under n = 123,456, whose rows cross into
-    # the next chunk; there j has 4 and 5 digits, so the j field is two
-    # quads wide and the shorter j lose their leading zeros in both
+def _five_digit_j_data():
+    """Lists under n of 1 to 4 digits, which form one block, and one list
+    of 12,000 nodes under n = 123,456, longer than a block, which forms
+    one of its own; in it j has 1 to 5 digits."""
     values = _hard_doubles()
     rng = np.random.default_rng(11)
     nodes = {n: np.sort(rng.choice(values, size, replace=False))
              for n, size in ((7, 3), (42, 40), (123, 300), (4321, 500), (123456, 12000))}
-    start = sum(len(xs) for xs in nodes.values()) - 12000
-    assert start < nodal_io._ROWS < start + 12000
-    assert nodal_io._ROWS - start < 10 ** 4 < 12000
-    data = NodalData(nodes=nodes, source="numeric")
+    return NodalData(nodes=nodes, source="numeric")
+
+
+def test_nodal_writer_bytes_with_five_digit_j(tmp_path):
+    # the j field of the long list's block is two quads wide, and the
+    # shorter j lose their leading zeros in both
+    data = _five_digit_j_data()
+    assert list(nodal_io._blocks([len(xs) for xs in data.nodes.values()])) == [(0, 4), (4, 5)]
     path = tmp_path / "nodes.csv"
     write_nodal_csv(data, path)
     raw = path.read_bytes()
     assert raw == _csv_writer_reference(data)
     assert b"\r\n123456,9999," in raw and b"\r\n123456,10000," in raw
+
+
+@pytest.mark.parametrize("nodes", [
+    {5: np.array([]), 6: np.array([])},
+    {5: np.array([0.5, 1.5]), 6: np.array([]), 7: np.array([0.25])},
+])
+def test_nodal_writer_skips_empty_lists(tmp_path, nodes):
+    data = NodalData(nodes=nodes)
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(data, path)
+    assert path.read_bytes() == _csv_writer_reference(data)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_block_boundaries_change_no_result(tmp_path, monkeypatch, worked_problem, worked_synth_data,
+                                           block):
+    # the writer, synthesis and the NodalData check take whole lists in
+    # blocks of about _BLOCK values; where the blocks end changes nothing
+    path = tmp_path / "nodes.csv"
+    written = (worked_synth_data, _five_digit_j_data())
+
+    def run():
+        raw = []
+        for data in written:
+            write_nodal_csv(data, path)
+            raw.append(path.read_bytes())
+        return raw, synthesize_nodal_data(worked_problem, (50, 120))
+
+    lists = {n: math.pi * np.arange(1, n) / n for n in range(5, 80)}
+    raw, synth = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(nodal_io, "_BLOCK", block)
+        raw_b, synth_b = run()
+        starts = [lo for lo, _ in nodal_io._blocks([xs.size for xs in lists.values()])]
+        # a faulty list right after a block boundary, and a second one after it
+        assert len(starts) > 1
+        n = list(lists)[starts[len(starts) // 2]]
+        faulty = {**lists, n: lists[n][::-1], n + 1: lists[n + 1] + 1.0}
+        with pytest.raises(ValueError) as patched:
+            NodalData(nodes=faulty)
+    with pytest.raises(ValueError) as default:
+        NodalData(nodes=faulty)
+    assert raw_b == raw
+    assert list(synth_b.nodes) == list(synth.nodes)
+    for k, xs in synth_b.nodes.items():
+        assert xs.tobytes() == synth.nodes[k].tobytes()
+    assert str(patched.value) == str(default.value) == f"node list for n = {n} not strictly increasing"
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ({5: [[0.5], [1.0]]}, "node list for n = 5 is not one-dimensional"),
+    ({5: 0.5}, "node list for n = 5 is not one-dimensional"),
+    ({4: [0.5, 1.0], 5: [[0.5], [1.0]]}, "node list for n = 5 is not one-dimensional"),
+    ({5.0: [0.5, 1.0]}, "node list for n = 5.0: n is not an integer"),
+    ({5.5: [0.5, 1.0]}, "node list for n = 5.5: n is not an integer"),
+    ({True: [0.5, 1.0]}, "node list for n = True: n is not an integer"),
+])
+def test_nodal_data_refuses_what_its_file_cannot_hold(nodes, message):
+    with pytest.raises(ValueError) as info:
+        NodalData(nodes=nodes)
+    assert str(info.value) == message
+
+
+def test_nodal_data_takes_numpy_integer_keys(tmp_path):
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(NodalData(nodes={np.int64(5): [0.5, 1.0]}), path)
+    assert path.read_bytes() == b"n,j,x\r\n5,0,0.5\r\n5,1,1.0\r\n"
 
 
 def test_write_memory_does_not_grow_with_nodes(tmp_path, worked_problem, worked_synth_data):
@@ -733,3 +803,37 @@ def test_write_reconstruction(tmp_path, worked_synth_recon):
     cells = lines[-1].split(",")
     assert float(cells[0]) == math.pi
     assert float(cells[3]) == worked_synth_recon.V_hat.values[-1]
+
+
+def test_small_csvs_are_csv_writer_bytes(tmp_path, worked_spectrum_3060, free_prob,
+                                         worked_synth_recon):
+    # the spectrum, trajectory and curves CSVs are the bytes csv.writer
+    # gives for repr of their cells; a comment line ends in a bare "\n"
+    def rendered(header, rows, comment=None):
+        buf = io.StringIO(newline="")
+        if comment:
+            buf.write(f"# {comment}\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode()
+
+    spec = worked_spectrum_3060
+    write_spectrum_csv(spec, tmp_path / "spectrum.csv")
+    assert (tmp_path / "spectrum.csv").read_bytes() == rendered(
+        ["n", "lambda", "residual"],
+        [[n, repr(float(spec.entries[n])), repr(float(spec.residuals[n]))] for n in spec.indices])
+    sol = solve_batch(free_prob, [4.0])
+    write_trajectory_csv(sol, tmp_path / "traj.csv", comment="lambda=4.0")
+    raw = (tmp_path / "traj.csv").read_bytes()
+    assert raw.startswith(b"# lambda=4.0\nx,phi1,phi2\r\n")
+    assert raw == rendered(["x", "phi1", "phi2"],
+                           [[repr(float(v)) for v in (sol.grid[i], sol.Y[0, i, 0], sol.Y[1, i, 0])]
+                            for i in range(sol.grid.size)], "lambda=4.0")
+    rec = worked_synth_recon
+    _, curves_path = write_reconstruction(rec, tmp_path)
+    curves = (rec.f_hat.x, rec.f_hat.values, rec.g_hat.values, rec.V_hat.values,
+              rec.Lprime_hat.values)
+    assert open(curves_path, "rb").read() == rendered(
+        ["x", "f", "g", "V", "Lprime"],
+        [[repr(float(c[i])) for c in curves] for i in range(rec.f_hat.x.size)])
