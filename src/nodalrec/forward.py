@@ -531,8 +531,12 @@ class _Stack:
     BatchSolution."""
 
     def __init__(self, lam, n_steps, size):
-        self.sol = BatchSolution(lam=lam, grid=np.linspace(0.0, math.pi, n_steps + 1),
-                                 Z=np.empty((size, n_steps + 1, lam.size)))
+        try:
+            grid, Z = np.linspace(0.0, math.pi, n_steps + 1), np.empty((size, n_steps + 1, lam.size))
+        except (ValueError, MemoryError):  # a size numpy refuses to allocate
+            raise ResolutionError(f"a trajectory on {n_steps:.6g} points does not fit in memory",
+                                  required_points=n_steps) from None
+        self.sol = BatchSolution(lam=lam, grid=grid, Z=Z)
 
     def __call__(self, first, states):
         self.sol.Z[:, first : first + states.shape[1]] = states

@@ -166,7 +166,7 @@ def _indexed_samples(data, ns, grid, offset):
     collinear with the intercept and destabilizes the fit exactly where the
     endpoint values theta, beta, m are read off.
     """
-    lists = [np.asarray(data.nodes[n], dtype=float) for n in ns]
+    lists = [data.nodes[n] for n in ns]
     last = np.array([xs.size - 1 for xs in lists])
     # np.rint rounds half to even, as round does
     pos = np.rint(np.multiply.outer(np.asarray(grid, dtype=float), ns) / math.pi)
@@ -188,7 +188,7 @@ def calibrate_offset(data):
     ns = _usable_indices(data, 1)
     if not ns:
         raise CalibrationError("no nodal data to calibrate")
-    lists = [np.asarray(data.nodes[n], dtype=float) for n in ns]
+    lists = [data.nodes[n] for n in ns]
     pos = np.array([_nearest(xs, CALIBRATION_X) for xs in lists])
     val = np.array([xs[p] for xs, p in zip(lists, pos)])
     narr = np.asarray(ns, dtype=float)
@@ -379,7 +379,7 @@ def _brute_force_check(data, grid, f_vals, offset, n_top):
     """Raw sample of index n_top vs the fitted limit at a few probe points;
     the fit must not drift away from the data it extrapolates."""
     x = grid[np.rint(np.array([0.25, 0.5, 0.75]) * (grid.size - 1)).astype(int)]
-    xs = np.asarray(data.nodes[n_top], dtype=float)
+    xs = data.nodes[n_top]
     pos = _nearest(xs, x)
     raw = (xs[pos] - (pos + offset) * math.pi / n_top) * n_top
     return float(np.max(np.abs(raw - np.interp(x, grid, f_vals))))

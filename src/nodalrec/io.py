@@ -1,8 +1,9 @@
 """File formats: nodal CSV, spectrum CSV, trajectory CSV, reconstruction output.
 
 ``NodalData`` holds what a nodal CSV holds: the node lists by n and their
-source, numeric or synthetic.  This module imports only errors, so the
-solvers that build it and the reader share it without an import cycle.
+source, numeric or synthetic, each list checked once and held as a float64
+array.  This module imports only errors, so the solvers that build it and
+the reader share it without an import cycle.
 
 All numeric cells use ``repr(float(...))``, the shortest representation that
 round-trips the binary value (at least 15 significant digits).  Bodies contain
@@ -58,8 +59,7 @@ import numpy as np
 
 from .errors import ProblemFormatError
 
-# node values one numpy pass takes, in whole lists (``_blocks``): the
-# NodalData check, synthesis and the nodal CSV writer
+# node values one numpy pass of synthesis or the CSV writer takes (``_blocks``)
 _BLOCK = 1 << 13
 
 
@@ -80,12 +80,11 @@ class NodalData:
     """Map n -> ascending node positions in the open interval (0, pi), and
     for numeric data the eigenvalues the search found.
 
-    Every n must be an integer (not a bool; numpy integers pass) and every
-    list one-dimensional; the first n in dict order that breaks either is
-    named.  Then the lists are checked in dict order, in blocks of whole
-    lists (``_blocks``), each in one pass over the block's concatenation;
-    the first n that fails is named, its order fault before its bounds
-    fault.  So the check copies one block, not every node.
+    Each list is stored as a float64 1-D array, converted once (a float64
+    array is not copied), so readers index ``nodes[n]`` as it is.  The
+    first n in dict order that is not an integer (not a bool; numpy
+    integers pass), or whose list is not real numbers or not 1-D, is named;
+    then the first whose values fail, its order fault before its bounds one.
     """
 
     nodes: dict
@@ -96,41 +95,26 @@ class NodalData:
     def __post_init__(self):
         if self.source not in ("numeric", "synthetic"):
             raise ValueError(f"source must be numeric or synthetic, got {self.source!r}")
-        keys, lists = list(self.nodes), [np.asarray(xs, dtype=float) for xs in self.nodes.values()]
-        for n, xs in zip(keys, lists):
+        nodes = {}
+        for n, xs in self.nodes.items():
             if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # operator.index's test
                 raise ValueError(f"node list for n = {n!r}: n is not an integer")
+            try:
+                xs = nodes[n] = np.asarray(xs, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"node list for n = {n} is not a list of real numbers") from None
             if xs.ndim != 1:
                 raise ValueError(f"node list for n = {n} is not one-dimensional")
-        for lo, hi in _blocks([xs.size for xs in lists]):
-            fault = _first_fault(lists[lo:hi])
-            if fault:
-                k, reason = fault
-                raise ValueError(f"node list for n = {keys[lo + k]} {reason}")
+        for n, xs in nodes.items():
+            if xs.size and not (xs[1:] > xs[:-1]).all():
+                raise ValueError(f"node list for n = {n} not strictly increasing")
+            if xs.size and not (xs[0] > 0.0 and xs[-1] < math.pi):
+                raise ValueError(f"node list for n = {n} leaves (0, pi)")
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def indices(self):
         return sorted(self.nodes)
-
-
-def _first_fault(lists):
-    """(k, reason) for the first of the node lists that fails, by one pass
-    over their concatenation: reason is "not strictly increasing" before
-    "leaves (0, pi)".  None when every list passes."""
-    sizes = np.array([xs.size for xs in lists])
-    x = np.concatenate(lists)
-    ends = np.cumsum(sizes)
-    falls = ~(x[1:] > x[:-1])  # neighbours that do not rise
-    falls[ends[(ends > 0) & (ends < x.size)] - 1] = False  # pairs across lists
-    unsorted = np.searchsorted(ends, np.flatnonzero(falls), side="right")
-    full = np.flatnonzero(sizes)
-    outside = full[~((x[(ends - sizes)[full]] > 0.0) & (x[ends[full] - 1] < math.pi))]
-    first = min(unsorted[:1].tolist() + outside[:1].tolist(), default=None)
-    if first is None:
-        return None
-    if unsorted.size and unsorted[0] == first:
-        return first, "not strictly increasing"
-    return first, "leaves (0, pi)"
 
 
 def format_float(value):
@@ -147,8 +131,8 @@ def write_nodal_csv(data, path):
     ``_shortest`` makes the digits of ``repr`` with exact arithmetic, and
     the few values it cannot certify are printed by ``repr`` itself.
     """
-    keys = [n for n in data.indices if len(data.nodes[n])]
-    lists = [np.asarray(data.nodes[n], dtype=float) for n in keys]
+    keys = [n for n in data.indices if data.nodes[n].size]
+    lists = [data.nodes[n] for n in keys]
     with open(path, "wb") as fh:
         fh.write(_WRITTEN_HEADS[data.source == "synthetic"])
         for lo, hi in _blocks([xs.size for xs in lists]):

@@ -450,10 +450,12 @@ def problem_from_mapping(doc, where="<problem>"):
         k22=_load_kernel_entry("22", chi_map, sep_map),
     )
 
-    qp = doc.get("quadrature_points", 4097)
+    raw = doc.get("quadrature_points", 4097)
     try:
-        qp = int(qp)
-    except (TypeError, ValueError):
+        qp = int(raw)  # int() takes only integral strings, but truncates a float
+        if isinstance(raw, bool) or (not isinstance(raw, str) and qp != raw):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ProblemFormatError(f"{where}: quadrature_points must be an integer") from None
 
     return ProblemDefinition(bc=bc, coeffs=CoefficientSet(V=V, m=m, chi=chi), quadrature_points=qp)

@@ -102,7 +102,10 @@ def test_unevaluable_constant_exits_parse(coeffs, tmp_path, capsys):
      "chi.12: literal True not allowed (line 1, column 3)"),
     ("coeffs: [V]", "parse", "'coeffs' must be a mapping"),
     ("quadrature_points: 16", "invalid-problem", "quadrature_points must be at least 17"),
-], ids=["bool-literal", "chi-bool-literal", "coeffs-list", "quadrature-16"])
+    ("quadrature_points: 4097.9", "parse", "quadrature_points must be an integer"),
+    ("quadrature_points: true", "parse", "quadrature_points must be an integer"),
+], ids=["bool-literal", "chi-bool-literal", "coeffs-list", "quadrature-16", "quadrature-fraction",
+        "quadrature-bool"])
 def test_rejected_problem_file_exits_3(body, category, fragment, tmp_path, capsys):
     path = tmp_path / "rejected.yaml"
     path.write_text(f"bc: {{theta: 0.0, beta: 0.0}}\n{body}\n")
@@ -206,6 +209,21 @@ def test_forward_trajectories(tmp_path, capsys):
         assert lines[0] == f"# lambda={lam}"
         assert lines[1] == "x,phi1,phi2"
         assert len(lines) > 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lam", "1e300"],  # about 6.3e301 steps
+    ["--lam", "3.0", "--points", str(10 ** 21)],
+])
+def test_forward_grid_numpy_cannot_allocate_exits_resolution(argv, tmp_path, capsys):
+    # a step count numpy refuses to make a grid of is a resolution failure
+    # that names the points, not numpy's traceback
+    rc = main(["forward", "--problem", FREE_YAML, *argv, "--out", str(tmp_path)])
+    assert rc == 4
+    cat, captured = _category(capsys)
+    assert cat == "resolution"
+    assert "points" in captured.err and "does not fit in memory" in captured.err
+    assert not (tmp_path / "trajectory_0.csv").exists()
 
 
 def test_nodes_command(tmp_path, capsys):

@@ -385,8 +385,9 @@ def test_nodal_writer_skips_empty_lists(tmp_path, nodes):
 @pytest.mark.parametrize("block", [1, 7, 1000])
 def test_block_boundaries_change_no_result(tmp_path, monkeypatch, worked_problem, worked_synth_data,
                                            block):
-    # the writer, synthesis and the NodalData check take whole lists in
-    # blocks of about _BLOCK values; where the blocks end changes nothing
+    # the writer and synthesis take whole lists in blocks of about _BLOCK
+    # values; where the blocks end changes nothing, nor does it move the
+    # list the NodalData check, one list at a time, names
     path = tmp_path / "nodes.csv"
     written = (worked_synth_data, _five_digit_j_data())
 
@@ -403,7 +404,8 @@ def test_block_boundaries_change_no_result(tmp_path, monkeypatch, worked_problem
         patch.setattr(nodal_io, "_BLOCK", block)
         raw_b, synth_b = run()
         starts = [lo for lo, _ in nodal_io._blocks([xs.size for xs in lists.values()])]
-        # a faulty list right after a block boundary, and a second one after it
+        # a faulty list right after a block boundary of the writer, and a
+        # second one after it
         assert len(starts) > 1
         n = list(lists)[starts[len(starts) // 2]]
         faulty = {**lists, n: lists[n][::-1], n + 1: lists[n + 1] + 1.0}
@@ -425,11 +427,23 @@ def test_block_boundaries_change_no_result(tmp_path, monkeypatch, worked_problem
     ({5.0: [0.5, 1.0]}, "node list for n = 5.0: n is not an integer"),
     ({5.5: [0.5, 1.0]}, "node list for n = 5.5: n is not an integer"),
     ({True: [0.5, 1.0]}, "node list for n = True: n is not an integer"),
+    # lists numpy cannot make float arrays of
+    ({5: [[0.5], [1.0, 2.0]]}, "node list for n = 5 is not a list of real numbers"),
+    ({5: ["a"]}, "node list for n = 5 is not a list of real numbers"),
+    ({5: [1 + 2j]}, "node list for n = 5 is not a list of real numbers"),
+    ({4: [0.5, 1.0], 5: ["a"], 6: [[0.5], [1.0]]}, "node list for n = 5 is not a list of real numbers"),
 ])
-def test_nodal_data_refuses_what_its_file_cannot_hold(nodes, message):
+def test_nodal_data_refuses_what_its_file_cannot_hold(tmp_path, monkeypatch, nodes, message):
     with pytest.raises(ValueError) as info:
         NodalData(nodes=nodes)
     assert str(info.value) == message
+    # the reader passes the message on after the file's name
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(b"n,j,x\r\n5,0,0.5\r\n")
+    monkeypatch.setattr(nodal_io, "NodalData", lambda **kwargs: NodalData(**{**kwargs, "nodes": nodes}))
+    with pytest.raises(ProblemFormatError) as info:
+        read_nodal_csv(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_nodal_data_takes_numpy_integer_keys(tmp_path):

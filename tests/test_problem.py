@@ -282,6 +282,15 @@ _BC = {"theta": 0, "beta": 0}
      "<problem>: quadrature_points must be an integer"),
     (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": 16}), InvalidProblemError,
      "quadrature_points must be at least 17"),
+    # a bool or a number that is not integral is refused, not truncated
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": True}), ProblemFormatError,
+     "<problem>: quadrature_points must be an integer"),
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": 4097.9}), ProblemFormatError,
+     "<problem>: quadrature_points must be an integer"),
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": 17.5}), ProblemFormatError,
+     "<problem>: quadrature_points must be an integer"),
+    (lambda: problem_from_mapping({"bc": _BC, "quadrature_points": math.inf}), ProblemFormatError,
+     "<problem>: quadrature_points must be an integer"),
     (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"chi_separable": {"12": []}}}),
      ProblemFormatError, "coeffs.chi_separable.12: expected a non-empty list of {a, b} pairs"),
     (lambda: problem_from_mapping({"bc": _BC, "coeffs": {"chi_separable": {"12": {"a": "x"}}}}),
@@ -300,7 +309,8 @@ _BC = {"theta": 0, "beta": 0}
     (lambda: KernelMatrix(k11="abc"), InvalidProblemError, "cannot interpret kernel entry 'abc'"),
     (lambda: CoefficientSet(V=3.0), InvalidProblemError, "V must be callable or 0, got 3.0"),
 ], ids=["top-list", "coeffs-list", "bc-string", "m-string", "quadrature-string",
-        "quadrature-16", "separable-empty", "separable-mapping", "separable-no-b", "V-infinite",
+        "quadrature-16", "quadrature-bool", "quadrature-fraction", "quadrature-half",
+        "quadrature-infinite", "separable-empty", "separable-mapping", "separable-no-b", "V-infinite",
         "V-bool-literal", "kernel-raises", "separable-kernel-empty", "kernel-string",
         "V-number"])
 def test_rejected_input_names_its_fault(build, error, message):

@@ -181,22 +181,22 @@ def _dense_lists():
 
 
 def test_nodal_container_names_the_first_bad_list():
-    # the 951 lists of n = 50..1000 are checked in blocks of whole lists; a
-    # bad list among them is named by the order check before the bounds
-    # check, and of two bad lists the first in dict order, whether they
-    # share a block or not
+    # the 951 lists of n = 50..1000 are checked one at a time; a bad list
+    # among them is named by the order check before the bounds check, and
+    # of two bad lists the first in dict order, whether they are neighbours
+    # or far apart, short or longer than a writer's block
     nodes = _dense_lists()
     assert _nodal_data_error(nodes) is None
-    long = math.pi * np.arange(1, 1 << 17) / (1 << 17)  # longer than a block
+    long = math.pi * np.arange(1, 1 << 17) / (1 << 17)  # longer than a writer's block
     for edit in ({500: nodes[500][::-1]},
                  {500: nodes[500] + 0.01},
                  {500: np.append(-1.0, nodes[500][::-1])},  # both faults
                  {500: nodes[500] - 0.01, 600: nodes[600][::-1]},
                  {500: np.array([]), 501: np.array([math.nan]), 502: nodes[502][::-1]},
                  {1000: np.append(nodes[1000], math.pi)},
-                 {60: nodes[60] + 0.05, 990: nodes[990][::-1]},  # blocks apart
+                 {60: nodes[60] + 0.05, 990: nodes[990][::-1]},  # far apart
                  {990: nodes[990][::-1], 60: nodes[60] + 0.05},
-                 {700: nodes[700][::-1], 701: nodes[701] - 1.0},  # one block
+                 {700: nodes[700][::-1], 701: nodes[701] - 1.0},  # neighbours
                  {701: nodes[701][::-1], 700: nodes[700] - 1.0},
                  {1001: long, 999: nodes[999][::-1]},
                  {1001: np.append(long, long[-1]), 2000: nodes[999][::-1]},
@@ -212,8 +212,9 @@ def test_nodal_container_names_the_first_bad_list():
 
 
 def test_nodal_container_checks_without_copying_the_nodes():
-    # the check copies a block of lists at a time, not every node: under 2
-    # bytes a node on the dense lists (a copy of all of them takes 8)
+    # the check holds the float64 lists it is given as they are and makes
+    # temporaries of one list at a time: under 2 bytes a node on the dense
+    # lists (a copy of all of them takes 8)
     nodes = _dense_lists()
     total = sum(xs.size for xs in nodes.values())
     NodalData(nodes=nodes)
