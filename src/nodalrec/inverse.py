@@ -35,6 +35,7 @@ from .errors import (
     MassRecoveryError,
     StageQualityError,
 )
+from .io import _blocks
 
 MIN_DISTINCT_N = 8
 DEFAULT_N_MIN = 5
@@ -209,38 +210,41 @@ def calibrate_offset(data):
     return s
 
 
-def _limits(grid, samples, regressors):
-    """Accelerated limits on the grid: at each grid point, the intercept of
-    the least-squares fit of that row of samples over the columns
-    [1, regressors...] (each broadcast to the samples' shape).  The curve's
-    dispersion is the largest residual RMS."""
-    columns = np.broadcast_arrays(np.ones_like(samples), *regressors)
-    a0 = np.empty(len(grid))
-    rms = np.empty(len(grid))
-    for i, values in enumerate(samples):
-        A = np.column_stack([c[i] for c in columns])
-        coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-        resid = values - A @ coef
-        dof = max(1, len(values) - A.shape[1])
-        a0[i] = coef[0]
-        rms[i] = np.sqrt(np.sum(resid * resid) / dof)
+def _limits(grid, ns, j, val, stage):
+    """Accelerated limits on the grid, from the sample table of the indices
+    ns: the calibrated indices j and the nodes val, each of shape
+    (len(grid), len(ns)), of the nodes targeting each grid point.  At grid
+    point x the limit is the intercept of the least-squares fit of its row
+    of samples over the columns [1, x* - x, 1/n, r], x* = j pi/n, where
+    ``stage(narr, xstar, j, val)`` gives the samples and r of rows of the
+    table.  It takes as many rows at a time as hold at most io._BLOCK
+    samples, one at least (``_blocks``): all 65 of the default grid for
+    101 indices, 8 for 951.  The dispersion is the largest residual RMS."""
+    narr = np.asarray(ns, dtype=float)
+    fits = []
+    for lo, hi in _blocks([narr.size] * len(grid)):
+        xstar = j[lo:hi] * math.pi / narr
+        samples, last = stage(narr, xstar, j[lo:hi], val[lo:hi])
+        columns = np.broadcast_arrays(np.ones_like(samples), xstar - grid[lo:hi, None], 1.0 / narr, last)
+        for i, values in enumerate(samples):
+            A = np.column_stack([c[i] for c in columns])
+            coef, *_ = np.linalg.lstsq(A, values, rcond=None)
+            resid = values - A @ coef
+            dof = max(1, len(values) - A.shape[1])
+            fits.append((coef[0], np.sqrt(np.sum(resid * resid) / dof)))
+    a0, rms = np.array(fits).T
     return SampledCurve(x=grid, values=a0, dispersion=float(np.max(rms)))
 
 
 def f_estimate(grid, ns, j, val):
     """Accelerated limits of n(x_n^j - j pi/n) on the grid, from the sample
-    table of the indices ns: the calibrated indices j and the nodes val,
-    each of shape (len(grid), len(ns)), of the nodes targeting each grid
-    point."""
-    narr = np.asarray(ns, dtype=float)
-    xstar = j * math.pi / narr
-    fn = (val - xstar) * narr
-    return _limits(grid, fn, [xstar - grid[:, None], 1.0 / narr, 1.0 / (narr * narr)])
+    table of _limits, with r = 1/n^2."""
+    return _limits(grid, ns, j, val, lambda narr, xstar, j, val: ((val - xstar) * narr, 1.0 / (narr * narr)))
 
 
 def g_estimate(grid, ns, j, val, theta_hat, beta_hat, f_hat):
     """Accelerated limits of the second-order scaled residual on the grid,
-    from the sample table of f_estimate.
+    from the sample table of _limits, with r = n.
 
     nu_hat(x*) is reproduced from stage 1 as f_hat(x*) + x*(beta-theta)/pi
     + theta; the curvature corrections are evaluated at x* = j pi/n, the
@@ -252,11 +256,12 @@ def g_estimate(grid, ns, j, val, theta_hat, beta_hat, f_hat):
             f"{STAGE1_DISPERSION_LIMIT:.4g}; refusing the second-stage limit"
         )
     skew = beta_hat - theta_hat
-    narr = np.asarray(ns, dtype=float)
-    xstar = j * math.pi / narr
-    nu_star = f_hat.at(xstar) + xstar * skew / math.pi + theta_hat
-    gn = narr * narr * (val - xstar) + j * skew - narr * (nu_star - theta_hat)
-    return _limits(grid, gn, [xstar - grid[:, None], 1.0 / narr, narr])
+
+    def stage(narr, xstar, j, val):
+        nu_star = f_hat.at(xstar) + xstar * skew / math.pi + theta_hat
+        return narr * narr * (val - xstar) + j * skew - narr * (nu_star - theta_hat), narr
+
+    return _limits(grid, ns, j, val, stage)
 
 
 def differentiate(curve):
@@ -306,8 +311,8 @@ def reconstruct(data, grid_size=DEFAULT_GRID_SIZE, n_min=DEFAULT_N_MIN, known_m=
     # The index-targeted node selection keeps the fits well posed at the
     # endpoints too (x* = j pi/n still moves with n there), so every grid
     # point is fitted directly; the endpoint values feed theta, beta, m.
-    pos, val = _indexed_samples(data, ns, grid, offset)
-    j = pos + offset
+    j, val = _indexed_samples(data, ns, grid, offset)
+    j += offset
     f_hat = f_estimate(grid, ns, j, val)
     f_vals = f_hat.values
 

@@ -34,15 +34,13 @@ stand; the first row left in the file is the header, and ``np.loadtxt``
 parses the other rows of the piece in one call.  Both round decimal
 strings correctly, so every written float reads back bit for bit, and a
 row outside the writer's form gets loadtxt's value or error, which
-rejects a ``#`` after a cell.  The rows go into one int32 column each
-for n and j (the writer's fields have 1 to 8 digits) and a float column
-for x; a column widens to int64 before a piece whose values do not fit,
-which only loadtxt rows can need, so every n and j reads as the int of its
-cell.  Rows may come in any order: rows not already in (n, j) order, as
-the writer puts them, are sorted by (n, j), and the positions j of each n
-must be 0..len-1.  The n and j columns are released before the per-n
-views of x are handed to ``NodalData``, so the reader ends holding one
-copy of the nodes.  A file that is not UTF-8 text is a ProblemFormatError.
+rejects a ``#`` after a cell.  Only the x column is kept: the n and j
+of each piece are reduced to runs, (n, first j, first row) of consecutive
+rows of one n with j rising by 1.  Rows may come in any order, but sorted
+by (n, first j) the runs of each n must tile its positions 0..len-1.  x
+is gathered into (n, j) order only where the rows are not in it, as the
+writer puts them, and the per-n views of x go to ``NodalData``, so the
+reader ends holding one copy of the nodes.  A file that is not UTF-8 text is a ProblemFormatError.
 """
 
 import csv
@@ -59,7 +57,7 @@ import numpy as np
 
 from .errors import ProblemFormatError
 
-# node values one numpy pass of synthesis or the CSV writer takes (``_blocks``)
+# node values one numpy pass of synthesis, the CSV writer or a stage fit takes (``_blocks``)
 _BLOCK = 1 << 13
 
 
@@ -100,6 +98,8 @@ class NodalData:
             if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # operator.index's test
                 raise ValueError(f"node list for n = {n!r}: n is not an integer")
             try:
+                if np.issubdtype(getattr(xs, "dtype", float), np.complexfloating):
+                    raise TypeError  # numpy would drop the imaginary part, with a warning
                 xs = nodes[n] = np.asarray(xs, dtype=np.float64)
             except (TypeError, ValueError):
                 raise ValueError(f"node list for n = {n} is not a list of real numbers") from None
@@ -279,7 +279,6 @@ def _split(a):
 
 
 _NODAL_ROW = np.dtype([("n", np.int64), ("j", np.int64), ("x", np.float64)])
-_INT32 = np.iinfo(np.int32)
 _CHUNK = 1 << 18  # bytes the reader takes at a time, cut back to the last line end
 _MARKS = np.frombuffer(b",,.\r\n", np.uint8)  # the non-digits of a written row, in order
 _LEAD = b"0" * 24  # digits before a piece, so that every word read below starts in it
@@ -307,22 +306,19 @@ def read_nodal_csv(path):
     newlines and parsed by ``np.loadtxt`` after its blank and comment lines
     are dropped, so its values, errors and row numbers are loadtxt's.
 
-    n and j are stored as int32, and a column is widened to int64 before
-    the first piece with a value outside int32 (a loadtxt row).  The
-    positions are checked by one difference of neighbouring j, in j's
-    type; only the n of each list's first row is kept, and the n and j
-    columns are released before the lists (views of the x column) and
-    ``NodalData`` are built.
+    Only the x column is kept; the positions are checked on the runs of
+    each piece's n and j, and the lists handed to ``NodalData`` are views
+    of x, gathered into (n, j) order only where the rows come out of it.
     """
     source = "numeric"
     count = 0  # rows before the piece being parsed, header included
+    runs = []  # the n, first j and first row of the runs of each piece
     with open(path, "rb") as fh:
         if fh.read(3) != b"\xef\xbb\xbf":  # skip a leading UTF-8 byte-order mark
             fh.seek(0)
-        # the n, j and x of the rows, with room for rows of 20 bytes or more,
-        # grown if they are shorter; pages never written are never resident
-        size = os.fstat(fh.fileno()).st_size // 20 + 1
-        columns = [np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)]
+        # x, with room for rows of 20 bytes or more, grown if they are
+        # shorter; pages never written are never resident
+        x = np.empty(os.fstat(fh.fileno()).st_size // 20 + 1)
         for piece in _pieces(fh):
             rows = None
             if count:
@@ -348,54 +344,45 @@ def read_nodal_csv(path):
                     continue
                 table = _loaded_rows(path, body.split("\n"), count)
                 rows = table["n"], table["j"], table["x"]
-            stop = count - 1 + rows[0].size
-            for k, part in enumerate(rows):
-                column = columns[k]
-                if column.dtype == np.int32 and part.size and not (
-                        _INT32.min <= part.min() and part.max() <= _INT32.max):
-                    column = columns[k] = column[:count - 1].astype(np.int64)
-                if stop > column.size:
-                    column.resize(2 * stop, refcheck=False)
-                column[count - 1:stop] = part
-            count += rows[0].size
+            n, j, xs = rows
+            stop = count - 1 + xs.size
+            if stop > x.size:
+                x.resize(2 * stop, refcheck=False)
+            x[count - 1:stop] = xs
+            new = np.concatenate(([True], (n[1:] != n[:-1]) | (j[1:] - j[:-1] != 1)))  # a run starts
+            runs.append((n[new], j[new], np.flatnonzero(new) + count - 1))
+            count = stop + 1
     if not count:
         raise ProblemFormatError(f"{path}: no rows")
-    for column in columns:
-        column.resize(count - 1, refcheck=False)
-    n, j, x = columns
-    del columns
-    if not n.size:
+    x.resize(count - 1, refcheck=False)
+    if not runs:
         return NodalData(nodes={}, source=source)
-    if np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (j[1:] > j[:-1]))):
-        order = None  # the rows come in (n, j) order, as write_nodal_csv writes them
-    else:  # a repeated (n, j) is an error, so (n, j) alone fixes the order
-        order = np.lexsort((j, n))
-        n, j, x = n[order], j[order], x[order]
-    starts = np.flatnonzero(np.concatenate(([True], n[1:] != n[:-1])))  # first row of each n
-    keys = n[starts]
-    del n
-    # j must rise by 1 from row to row and be 0 where a list starts, so the
-    # rise into a start is taken as j + 1.  A rise may wrap around, but a
-    # list that starts at 0 and rises by 1 cannot reach a wrapped value in
-    # fewer than 2**31 rows, so a list passes exactly when it is 0..len-1
-    rise = np.empty_like(j)
-    np.subtract(j[1:], j[:-1], out=rise[1:])
-    rise[starts] = j[starts] + 1
-    del j
-    bad = np.flatnonzero(rise != 1)
-    del rise
-    stops = np.append(starts[1:], x.size)
-    # where each n first appears
-    first_row = starts if order is None else np.minimum.reduceat(order, starts)
-    del order
+    n, j, first = (np.concatenate(column) for column in zip(*runs))  # first: the run's first row
+    del runs
+    size = np.diff(np.append(first, x.size))
+    order = None  # the runs come in (n, j) order, as write_nodal_csv writes them
+    if not np.all((n[1:] > n[:-1]) | ((n[1:] == n[:-1]) & (j[1:] > j[:-1]))):
+        order = np.lexsort((j, n))  # runs of one (n, j) tile no list, so their order does not matter
+        n, j, size, first = n[order], j[order], size[order], first[order]
+    at = np.cumsum(size) - size  # where each run starts in (n, j) order
+    new = np.concatenate(([True], n[1:] != n[:-1]))  # the first run of each n
+    group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+    keys, begins = n[starts], at[starts]  # and where its list begins
+    stops = np.append(begins[1:], x.size)
+    # each run must start at its place in its list.  j rises by 1 within a
+    # run in int64, which may wrap around, but a run that starts at its
+    # place, below the row count, ends below it too, so a list passes
+    # exactly when its positions are 0..len-1
+    bad = np.unique(group[j != at - begins[group]])
+    first_row = np.minimum.reduceat(first, starts)  # where each n first appears
     if bad.size:
-        groups = np.unique(np.searchsorted(starts, bad, side="right") - 1)
-        k = groups[np.argmin(first_row[groups])]
+        k = bad[np.argmin(first_row[bad])]
         raise ProblemFormatError(
-            f"{path}: node positions for n = {keys[k]} are not 0..{stops[k] - starts[k] - 1}"
+            f"{path}: node positions for n = {keys[k]} are not 0..{stops[k] - begins[k] - 1}"
         )
-    starts, stops, keys = starts.tolist(), stops.tolist(), keys.tolist()
-    nodes = {keys[k]: x[starts[k]:stops[k]] for k in np.argsort(first_row).tolist()}
+    if order is not None:  # the row at each place in (n, j) order
+        x = x[np.repeat(first - at, size) + np.arange(x.size)]
+    nodes = {int(keys[k]): x[begins[k]:stops[k]] for k in np.argsort(first_row).tolist()}
     try:
         return NodalData(nodes=nodes, source=source)
     except ValueError as exc:
@@ -448,8 +435,8 @@ def _loaded_rows(path, lines, count):
 
 
 def _written_rows(piece, start=0):
-    """The n, j and x of the rows of piece[start:], if every line is a row
-    as write_nodal_csv writes it, else None.
+    """The n, j and x of the rows of piece[start:], if it has rows and each
+    line is a row as write_nodal_csv writes it, else None.
 
     Such a row is "n,j,D.F\\r\\n": n and j are 1 to 8 ASCII digits, D is one
     digit and F any number of them, so its five non-digits fix every field.
@@ -464,8 +451,8 @@ def _written_rows(piece, start=0):
     digits, so every other cell is certified.
     """
     body = piece[start:]
-    if b"#" in body or (body and not body.endswith(b"\r\n")):
-        return None  # a comment, LF or CR line ends, or a last line without its end
+    if b"#" in body or not body.endswith(b"\r\n"):
+        return None  # no rows, a comment, LF or CR line ends, or a last line without its end
     b = np.frombuffer(_LEAD + body, np.uint8)
     marks = np.flatnonzero(b - 48 > 9)
     if marks.size % 5:

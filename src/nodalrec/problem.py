@@ -206,9 +206,12 @@ class ProblemDefinition:
     quadrature_points: int = 4097
 
     def __post_init__(self):
-        if int(self.quadrature_points) < 17:
+        qp = _integer(self.quadrature_points)
+        if qp is None:
+            raise InvalidProblemError("quadrature_points must be an integer")
+        if qp < 17:
             raise InvalidProblemError("quadrature_points must be at least 17")
-        object.__setattr__(self, "quadrature_points", int(self.quadrature_points))
+        object.__setattr__(self, "quadrature_points", qp)
         ensure_valid(self)
 
     @functools.cached_property
@@ -450,15 +453,20 @@ def problem_from_mapping(doc, where="<problem>"):
         k22=_load_kernel_entry("22", chi_map, sep_map),
     )
 
-    raw = doc.get("quadrature_points", 4097)
-    try:
-        qp = int(raw)  # int() takes only integral strings, but truncates a float
-        if isinstance(raw, bool) or (not isinstance(raw, str) and qp != raw):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ProblemFormatError(f"{where}: quadrature_points must be an integer") from None
+    qp = _integer(doc.get("quadrature_points", 4097))
+    if qp is None:
+        raise ProblemFormatError(f"{where}: quadrature_points must be an integer")
 
     return ProblemDefinition(bc=bc, coeffs=CoefficientSet(V=V, m=m, chi=chi), quadrature_points=qp)
+
+
+def _integer(value):
+    """value as an int, or None for a bool or a value that is not integral."""
+    try:
+        count = int(value)  # int() takes only integral strings, but truncates a float
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return None if isinstance(value, bool) or (not isinstance(value, str) and count != value) else count
 
 
 def load_problem(path):

@@ -80,6 +80,12 @@ def worked_synth_data(worked_problem):
     return synthesize_nodal_data(worked_problem, (50, 400))
 
 
+@pytest.fixture(scope="session")
+def worked_dense_data(worked_problem):
+    # the dense lists of the benchmark's synth_dense workload: 499,275 nodes
+    return synthesize_nodal_data(worked_problem, (50, 1000))
+
+
 # heavy numeric fixtures, shared between the unit suite and acceptance
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from nodalrec.fixtures import (
     worked_example_reference,
 )
 from nodalrec.inverse import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_N_MIN,
     SampledCurve,
     _brute_force_check,
     _indexed_samples,
@@ -370,3 +373,19 @@ def test_sampled_curve_owns_its_samples():
     assert curve.at(1.0) == before
     with pytest.raises(ValueError):
         curve.values[0] = 1.0
+
+
+def test_reconstruct_memory_per_sample(worked_dense_data):
+    # the stage fits build their samples and regressors a block of grid
+    # points at a time, so on the 951 dense indices the peak stays near the
+    # two whole tables of calibrated indices and nodes (29 bytes a sample)
+    reconstruct(worked_dense_data)
+    samples = DEFAULT_GRID_SIZE * sum(1 for n, xs in worked_dense_data.nodes.items()
+                                      if n >= DEFAULT_N_MIN and xs.size)
+    tracemalloc.start()
+    try:
+        reconstruct(worked_dense_data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / samples < 50, f"{peak / samples:.1f} bytes per sample"

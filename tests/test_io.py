@@ -432,6 +432,8 @@ def test_block_boundaries_change_no_result(tmp_path, monkeypatch, worked_problem
     ({5: ["a"]}, "node list for n = 5 is not a list of real numbers"),
     ({5: [1 + 2j]}, "node list for n = 5 is not a list of real numbers"),
     ({4: [0.5, 1.0], 5: ["a"], 6: [[0.5], [1.0]]}, "node list for n = 5 is not a list of real numbers"),
+    # a complex array, whose imaginary part numpy would drop
+    ({5: np.array([0.5 + 2j, 1.0])}, "node list for n = 5 is not a list of real numbers"),
 ])
 def test_nodal_data_refuses_what_its_file_cannot_hold(tmp_path, monkeypatch, nodes, message):
     with pytest.raises(ValueError) as info:
@@ -759,8 +761,8 @@ def test_read_keys_beyond_int32(tmp_path, rows, lead):
 
 
 def test_read_memory_per_node(tmp_path, worked_synth_data):
-    # the reader holds its int32 n and j and float x columns and one piece's
-    # arrays (62 bytes a node on these 78,975 nodes), not a Python object
+    # the reader holds its x column, the runs of n and j and one piece's
+    # arrays (51 bytes a node on these 78,975 nodes), not a Python object
     # per line, and no second copy of the nodes
     path = tmp_path / "nodes.csv"
     write_nodal_csv(worked_synth_data, path)
@@ -774,6 +776,57 @@ def test_read_memory_per_node(tmp_path, worked_synth_data):
         tracemalloc.stop()
     assert sum(len(xs) for xs in back.nodes.values()) == total
     assert peak / total < 66, f"{peak / total:.1f} bytes per node"
+
+
+def test_read_memory_of_dense_nodes(tmp_path, worked_dense_data):
+    # on the 499,275 dense nodes the piece's arrays weigh little beside the
+    # x column, the one float a row the reader keeps: the n and j of each
+    # piece are reduced to runs (17 bytes a node)
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(worked_dense_data, path)
+    read_nodal_csv(path)  # first call loads what the parser needs once
+    total = sum(len(xs) for xs in worked_dense_data.nodes.values())
+    tracemalloc.start()
+    try:
+        back = read_nodal_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(xs) for xs in back.nodes.values()) == total
+    assert peak / total < 22, f"{peak / total:.1f} bytes per node"
+
+
+@pytest.mark.parametrize("fault", [None, "duplicate", "gap"])
+def test_runs_split_at_piece_edges_read_the_same(tmp_path, worked_synth_data, monkeypatch, fault):
+    # pieces of about 1000 bytes cut most lists into runs that end at a
+    # piece's edge; in order and with the file's halves swapped mid-list,
+    # they give the nodes, key order and fault message of whole pieces
+    data = NodalData(nodes={n: xs for n, xs in worked_synth_data.nodes.items() if n < 160})
+    path = tmp_path / "nodes.csv"
+    write_nodal_csv(data, path)
+    head, body = path.read_bytes().split(b"n,j,x\r\n")
+    rows = body.splitlines(keepends=True)
+    n = int(rows[5000].split(b",")[0])
+    if fault == "duplicate":
+        rows.insert(5000, rows[5000])
+    elif fault == "gap":
+        del rows[5000]
+    half = len(rows) // 2 + 7
+    for order in (rows, rows[half:] + rows[:half]):
+        path.write_bytes(head + b"n,j,x\r\n" + b"".join(order))
+        keys = list(dict.fromkeys(int(row.split(b",")[0]) for row in order))
+        for chunk in (nodal_io._CHUNK, 1000):
+            monkeypatch.setattr(nodal_io, "_CHUNK", chunk)
+            if fault is None:
+                back = read_nodal_csv(path)
+                assert list(back.nodes) == keys
+                for k, xs in back.nodes.items():
+                    assert xs.tobytes() == data.nodes[k].tobytes()
+                continue
+            with pytest.raises(ProblemFormatError) as info:
+                read_nodal_csv(path)
+            count = sum(row.startswith(b"%d," % n) for row in rows)
+            assert str(info.value) == f"{path}: node positions for n = {n} are not 0..{count - 1}"
 
 
 def test_spectrum_csv_cells_round_trip(tmp_path, worked_spectrum_3060):

@@ -319,6 +319,21 @@ def test_rejected_input_names_its_fault(build, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("points", [17.5, 4097.9, True, math.inf, None, "many"])
+def test_problem_definition_refuses_a_quadrature_count_it_would_truncate(points):
+    # the Python API refuses what a problem file refuses, as an invalid
+    # problem (a file's value is refused first, as a parse error)
+    with pytest.raises(InvalidProblemError) as info:
+        ProblemDefinition(quadrature_points=points)
+    assert str(info.value) == "quadrature_points must be an integer"
+
+
+@pytest.mark.parametrize("points", [33, 33.0, np.int64(33), "33"])
+def test_problem_definition_takes_an_integral_quadrature_count(points):
+    problem = ProblemDefinition(quadrature_points=points)
+    assert type(problem.quadrature_points) is int and problem.quadrature_points == 33
+
+
 def test_zero_kernel_expression_adds_no_memory_state():
     # chi given as the expression "0" folds to ZeroKernel, so the forward
     # solver carries no memory state for it
